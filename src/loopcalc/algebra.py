@@ -74,8 +74,10 @@ class FormalSum:
     def coefficients(self):
         return self._terms.values()
 
-    def map_keys(self, fn) -> "FormalSum":
-        return type(self)((fn(k), c) for k, c in self._terms.items())
+    @classmethod
+    def sum_of(cls, parts: Iterable["FormalSum"]) -> "FormalSum":
+        """Sum of many formal sums, collected in one accumulator."""
+        return cls(term for part in parts for term in part._terms.items())
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         merged = dict(self._terms)

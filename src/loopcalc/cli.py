@@ -88,14 +88,21 @@ def _parse_omega(spec: str, surface: StarFilledSurface) -> dict:
     omega = {(g.star, g.edge): 1 for g in surface.gates()}
     if not spec:
         return omega
+    named = set()
     for item in spec.split(","):
         key, _, value = item.partition("=")
         star, _, edge = key.partition(":")
-        gate = (star, int(edge))
+        try:
+            gate = (star, int(edge))
+        except ValueError:
+            raise SurfaceError(f"--omega item {item!r} is not STAR:EDGE=SIGN") from None
         if gate not in omega:
             raise SurfaceError(f"--omega names unknown gate {key!r}")
+        if gate in named:
+            raise SurfaceError(f"--omega names gate {key!r} twice")
         if value not in ("1", "+1", "-1"):
             raise SurfaceError(f"--omega sign {value!r} must be +1 or -1")
+        named.add(gate)
         omega[gate] = 1 if value in ("1", "+1") else -1
     return omega
 
@@ -199,6 +206,7 @@ def _compute_omega(args, surface, loops) -> int:
         return _fail(str(exc), EXIT_INVALID)
     per_star = []
     total = None
+    loops = starcalc.prepare_loops(surface, loops)
     for star in surface.stars:
         config = starcalc.expand_to_gates(surface, star.id, loops)
         local = {g: omega[g] for g in config.gates}

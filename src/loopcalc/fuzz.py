@@ -247,6 +247,7 @@ def oracle_failures(
     """Per-star disagreement between the star formulas and the gate route."""
     failures = []
     two = "a" in loops and "b" in loops
+    loops = starcalc.prepare_loops(surface, loops)
     for star in surface.stars:
         config = starcalc.expand_to_gates(surface, star.id, loops)
         if two:
@@ -278,6 +279,7 @@ def identity_failures(
     """Flip, reversal, pairing-symmetry and doubling identities on one
     random gate orientation per star."""
     failures = []
+    loops = starcalc.prepare_loops(surface, loops)
     for star in surface.stars:
         config = starcalc.expand_to_gates(surface, star.id, loops)
         omega = random_omega(config.gates, rng)
@@ -335,6 +337,7 @@ def omega_independence_failures(
     when the star has few gates, sampled otherwise."""
     failures = []
     two = "a" in loops and "b" in loops
+    loops = starcalc.prepare_loops(surface, loops)
     for star in surface.stars:
         config = starcalc.expand_to_gates(surface, star.id, loops)
         gates = config.gates
@@ -362,6 +365,7 @@ def omega_independence_failures(
 
 def _snapshot(surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]):
     out = {name: to_class(surface, loop) for name, loop in loops.items()}
+    loops = starcalc.prepare_loops(surface, loops)
     ops = {}
     if "a" in loops and "b" in loops:
         ops["form"] = starcalc.aggregate(surface, loops, "form").total
@@ -411,6 +415,7 @@ def shadow_failures(
     h = abelianization(surface)
     ha = h(loops["a"])
     hb = h(loops["b"]) if "b" in loops else None
+    loops = starcalc.prepare_loops(surface, loops)
     for star in surface.stars:
         if hb is not None:
             br = starcalc.star_bracket(surface, star.id, loops["a"], loops["b"])
@@ -441,6 +446,7 @@ def evenness_failures(
 ) -> list[str]:
     failures = []
     ops = ["cobracket"] if "b" not in loops else ["form", "bracket", "cobracket"]
+    loops = starcalc.prepare_loops(surface, loops)
     for op in ops:
         args = {"a": loops["a"]} if op == "cobracket" else loops
         try:

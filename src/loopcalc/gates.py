@@ -244,18 +244,16 @@ def bracket_omega(
     pair with ``y`` before ``x`` along a gate."""
     config.require_owners(x, y)
     omega = config.base_omega if omega is None else omega
-    total = FormalSum()
+    terms = []
     for gate in config.gates:
         sign = _eps_omega(omega, gate)
         ps = config.gate_crossings(gate, x)
         qs = config.gate_crossings(gate, y)
-        terms = []
         for p in ps:
             for q in qs:
                 if _before(sign, q, p):
                     terms.append((graft_at(config, p, q), sign * p.eps * q.eps))
-        total = total + FormalSum(terms)
-    return total
+    return FormalSum(terms)
 
 
 def bracket(
@@ -300,11 +298,10 @@ def cobracket_omega(
     dropped."""
     owner = _resolve_owner(config, owner)
     omega = config.base_omega if omega is None else omega
-    total = TensorSum()
+    terms = []
     for gate in config.gates:
         sign = _eps_omega(omega, gate)
         cs = config.gate_crossings(gate, owner)
-        terms = []
         for p1 in cs:
             for p2 in cs:
                 if p1 is p2 or not _before(sign, p1, p2):
@@ -314,8 +311,7 @@ def cobracket_omega(
                 if left.is_trivial or right.is_trivial:
                     continue
                 terms.append(((left, right), sign * p1.eps * p2.eps))
-        total = total + TensorSum(terms)
-    return total
+    return TensorSum(terms)
 
 
 def cobracket(

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 
 from loopcalc.algebra import FormalSum, HomotopyClass, singleton
 from loopcalc.surface import GateRef, StarFilledSurface, ValidationReport
-from loopcalc.words import IN, OUT, canonical
+from loopcalc.words import OUT, canonical
 
 
 class LoopError(Exception):
@@ -95,18 +95,20 @@ def loop_letters(
 ) -> list[tuple[tuple[str, int], int]]:
     """Unreduced cyclic gate word: two letters per transit, entry then exit.
     Transit ``i`` owns letter indices ``2i`` and ``2i + 1``."""
-    letters: list[tuple[tuple[str, int], int]] = []
-    for t in loop.transits:
-        gin = entry_gate(surface, t)
-        gout = exit_gate(surface, t)
-        letters.append(((gin.star, gin.edge), IN))
-        letters.append(((gout.star, gout.edge), OUT))
-    return letters
+    decode = surface.letter_table().decode
+    return [decode(code) for code in encoded_word(surface, loop)]
 
 
 def encoded_word(surface: StarFilledSurface, loop: CombinatorialLoop) -> tuple[int, ...]:
-    table = surface.letter_table()
-    return tuple(table.encode(g, d) for g, d in loop_letters(surface, loop))
+    table = surface.transit_table()
+    word: list[int] = []
+    try:
+        for t in loop.transits:
+            gates = table[t.star, t.edge, t.sign]
+            word += (gates.entry_code, gates.exit_code)
+    except KeyError as exc:
+        raise LoopError(f"no transit (star, edge, sign) = {exc.args[0]} on this surface") from None
+    return tuple(word)
 
 
 def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> ValidationReport:
@@ -122,16 +124,23 @@ def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> Valida
                 problems.append(f"empty loop anchored in unknown region {loop.anchor!r}")
         return ValidationReport(tuple(problems))
 
+    table = surface.transit_table()
+    gates = [table.get((t.star, t.edge, t.sign)) for t in loop.transits]
     for i, t in enumerate(loop.transits):
+        if gates[i] is not None:
+            continue
         try:
             star = surface.star(t.star)
         except Exception:
             problems.append(f"transit {i}: unknown star {t.star!r}")
             continue
+        found = len(problems)
         if not 0 <= t.edge < star.edge_count:
             problems.append(f"transit {i}: edge {t.edge} out of range for star {t.star}")
         if t.sign not in (1, -1):
             problems.append(f"transit {i}: sign {t.sign} is not +1/-1")
+        if len(problems) == found:
+            problems.append(f"transit {i}: edge {t.edge!r} is not an edge of star {t.star}")
     if problems:
         return ValidationReport(tuple(problems))
 
@@ -145,11 +154,10 @@ def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> Valida
             )
         seen[key] = i
 
-    n = len(loop.transits)
-    for i, t in enumerate(loop.transits):
-        nxt = loop.transits[(i + 1) % n]
-        r_out = surface.region_of(exit_gate(surface, t))
-        r_in = surface.region_of(entry_gate(surface, nxt))
+    n = len(gates)
+    for i in range(n):
+        r_out = gates[i].exit_region
+        r_in = gates[(i + 1) % n].entry_region
         if r_out != r_in:
             problems.append(
                 f"transits {i} -> {(i + 1) % n}: exit region {r_out} != entry region {r_in}"
@@ -396,18 +404,57 @@ def _reposition(
     return CombinatorialLoop(transits, anchor=loop.anchor)
 
 
-# -- grafting and splitting ---------------------------------------------------
+# -- prepared loops and splicing ----------------------------------------------
 
 
-def _rotate(word: Sequence[int], start: int) -> list[int]:
-    return list(word[start:]) + list(word[:start])
+class PreparedLoop:
+    """A loop validated for one surface, its transits bucketed by
+    ``(star, edge)`` in loop order with their indices, and its encoded word
+    made on first use.
+
+    Make one with :func:`loopcalc.stars.prepare_loop`, which validates; the
+    star calculus reads only the buckets of the star at hand.  It lives for
+    one call and is never cached across calls.
+    """
+
+    __slots__ = ("surface", "loop", "buckets", "_word")
+
+    def __init__(self, surface: StarFilledSurface, loop: CombinatorialLoop):
+        self.surface = surface
+        self.loop = loop
+        buckets: dict[tuple[str, int], list[tuple[int, Transit]]] = {}
+        for i, t in enumerate(loop.transits):
+            buckets.setdefault((t.star, t.edge), []).append((i, t))
+        self.buckets = buckets
+        self._word: tuple[int, ...] | None = None
+
+    @property
+    def transits(self) -> tuple[Transit, ...]:
+        return self.loop.transits
+
+    def on_edge(self, star_id: str, edge: int) -> Sequence[tuple[int, Transit]]:
+        """``(index, transit)`` of the transits across one edge, in loop order."""
+        return self.buckets.get((star_id, edge), ())
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        if self._word is None:
+            self._word = encoded_word(self.surface, self.loop)
+        return self._word
+
+
+Loop = Union[CombinatorialLoop, PreparedLoop]
+
+
+def _word(surface: StarFilledSurface, loop: Loop) -> tuple[int, ...]:
+    return loop.word if isinstance(loop, PreparedLoop) else encoded_word(surface, loop)
 
 
 def graft(
     surface: StarFilledSurface,
-    a: CombinatorialLoop,
+    a: Loop,
     p: int,
-    b: CombinatorialLoop,
+    b: Loop,
     q: int,
 ) -> HomotopyClass:
     """Class of the loop that follows all of ``a`` from transit ``p``, then
@@ -415,15 +462,14 @@ def graft(
     ta, tb = a.transits[p], b.transits[q]
     if ta.star != tb.star:
         raise LoopError(f"graft transits lie in different stars {ta.star!r}, {tb.star!r}")
-    wa = encoded_word(surface, a)
-    wb = encoded_word(surface, b)
-    spliced = _rotate(wa, 2 * p + 1) + _rotate(wb, 2 * q + 1)
+    wa = _word(surface, a)
+    wb = _word(surface, b)
+    i, j = 2 * p + 1, 2 * q + 1
+    spliced = wa[i:] + wa[:i] + wb[j:] + wb[:j]
     return HomotopyClass(surface.letter_table().decode_word(canonical(spliced)))
 
 
-def subloop(
-    surface: StarFilledSurface, a: CombinatorialLoop, p1: int, p2: int
-) -> HomotopyClass:
+def subloop(surface: StarFilledSurface, a: Loop, p1: int, p2: int) -> HomotopyClass:
     """Class of the loop that runs along ``a`` from transit ``p1`` to
     transit ``p2`` and closes up through their common star."""
     t1, t2 = a.transits[p1], a.transits[p2]
@@ -431,11 +477,11 @@ def subloop(
         raise LoopError("subloop endpoints must be distinct transits")
     if t1.star != t2.star:
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
-    word = encoded_word(surface, a)
+    word = _word(surface, a)
     m = len(word)
     start = (2 * p1 + 1) % m
-    length = (2 * p2 - 2 * p1) % m  # letters from exit(p1) through entry(p2)
-    piece = [word[(start + i) % m] for i in range(length)]
+    end = start + (2 * p2 - 2 * p1) % m  # letters from exit(p1) through entry(p2)
+    piece = word[start:end] if end <= m else word[start:] + word[: end - m]
     return HomotopyClass(surface.letter_table().decode_word(canonical(piece)))
 
 

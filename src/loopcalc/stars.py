@@ -16,6 +16,18 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
 * along gate ``(s, e)``, first the crossings of ``e``-transits ordered by
   decreasing position, then the crossings of ``e+``-transits ordered by
   increasing position.
+
+Prepared loops.  The per-star functions (:func:`edge_counts`,
+:func:`star_form`, :func:`star_bracket`, :func:`star_cobracket` and
+:func:`expand_to_gates`) take raw loops or
+:class:`~loopcalc.loops.PreparedLoop` objects.  They prepare a raw loop at
+entry (:func:`prepare_loop`: validate once, bucket the transits by
+``(star, edge)``) and pass a prepared one through, then read only the
+buckets of their own star, so on prepared loops a star's term costs time
+linear in the transits that cross that star.  :func:`aggregate` prepares
+each loop once per call; code that loops over stars itself calls
+:func:`prepare_loops` first.  A prepared loop encodes its word on first
+use, so the star-route form never encodes.
 """
 
 from __future__ import annotations
@@ -27,64 +39,71 @@ from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum, TensorSum
 from loopcalc.gates import GateConfiguration, GateCrossing
 from loopcalc.loops import (
-    CombinatorialLoop,
+    Loop,
     LoopError,
-    encoded_word,
+    PreparedLoop,
     graft,
     require_valid_loop,
     subloop,
 )
-from loopcalc.surface import StarFilledSurface
+from loopcalc.surface import Star, StarFilledSurface
 
 
 class OddCoefficientError(Exception):
     """An aggregated value failed the evenness contract."""
 
 
-def edge_counts(
-    surface: StarFilledSurface, star_id: str, loop: CombinatorialLoop
-) -> list[int]:
+def prepare_loop(surface: StarFilledSurface, loop: Loop) -> PreparedLoop:
+    """Validate a loop and bucket its transits for ``surface``; a loop
+    already prepared for ``surface`` is returned unchanged."""
+    if isinstance(loop, PreparedLoop):
+        if loop.surface is surface:
+            return loop
+        loop = loop.loop
+    require_valid_loop(surface, loop)
+    return PreparedLoop(surface, loop)
+
+
+def prepare_loops(
+    surface: StarFilledSurface, loops: Mapping[str, Loop]
+) -> dict[str, PreparedLoop]:
+    return {name: prepare_loop(surface, loop) for name, loop in loops.items()}
+
+
+def edge_counts(surface: StarFilledSurface, star_id: str, loop: Loop) -> list[int]:
     """Signed crossing count of the loop with each edge of the star."""
+    loop = prepare_loop(surface, loop)
     star = surface.star(star_id)
-    counts = [0] * star.edge_count
-    for t in loop.transits:
-        if t.star == star_id:
-            counts[t.edge] += t.sign
-    return counts
-
-
-def _transits_on_edge(loop: CombinatorialLoop, star_id: str, edge: int):
     return [
-        (i, t)
-        for i, t in enumerate(loop.transits)
-        if t.star == star_id and t.edge == edge
+        sum(t.sign for _, t in loop.on_edge(star_id, e)) for e in range(star.edge_count)
     ]
 
 
-def _check_disjoint(star_id: str, loops: Mapping[str, CombinatorialLoop]) -> None:
+def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
+    """Raise on the first point of a loop, in loop order, that an earlier
+    loop of the family already uses on this star."""
     seen: dict[tuple[int, object], str] = {}
     for name, loop in loops.items():
-        for t in loop.transits:
-            if t.star != star_id:
-                continue
-            key = (t.edge, t.pos)
-            if key in seen and seen[key] != name:
-                raise LoopError(
-                    f"loops {seen[key]!r} and {name!r} share point edge={t.edge} pos={t.pos} "
-                    f"on star {star_id}"
-                )
-            seen[key] = name
+        mine = {}
+        clash = None
+        for e in range(star.edge_count):
+            for i, t in loop.on_edge(star.id, e):
+                key = (e, t.pos)
+                if key in seen and (clash is None or i < clash[0]):
+                    clash = (i, t)
+                mine[key] = name
+        if clash is not None:
+            t = clash[1]
+            raise LoopError(
+                f"loops {seen[t.edge, t.pos]!r} and {name!r} share point edge={t.edge} "
+                f"pos={t.pos} on star {star.id}"
+            )
+        seen.update(mine)
 
 
-def star_form(
-    surface: StarFilledSurface,
-    star_id: str,
-    a: CombinatorialLoop,
-    b: CombinatorialLoop,
-) -> int:
+def star_form(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> int:
     """Skew pairing of edge-count vectors over consecutive edge pairs."""
-    require_valid_loop(surface, a)
-    require_valid_loop(surface, b)
+    a, b = prepare_loop(surface, a), prepare_loop(surface, b)
     star = surface.star(star_id)
     ca = edge_counts(surface, star_id, a)
     cb = edge_counts(surface, star_id, b)
@@ -95,41 +114,33 @@ def star_form(
     return total
 
 
-def star_bracket(
-    surface: StarFilledSurface,
-    star_id: str,
-    a: CombinatorialLoop,
-    b: CombinatorialLoop,
-) -> FormalSum:
+def star_bracket(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> FormalSum:
     """Grafted classes over crossing pairs of consecutive edges."""
-    require_valid_loop(surface, a)
-    require_valid_loop(surface, b)
-    _check_disjoint(star_id, {"a": a, "b": b})
+    a, b = prepare_loop(surface, a), prepare_loop(surface, b)
     star = surface.star(star_id)
+    _check_disjoint(star, {"a": a, "b": b})
     terms = []
     for e in range(star.edge_count):
         nxt = star.succ(e)
-        for p, tp in _transits_on_edge(a, star_id, e):
-            for q, tq in _transits_on_edge(b, star_id, nxt):
+        for p, tp in a.on_edge(star_id, e):
+            for q, tq in b.on_edge(star_id, nxt):
                 terms.append((graft(surface, a, p, b, q), tp.sign * tq.sign))
-        for p, tp in _transits_on_edge(a, star_id, nxt):
-            for q, tq in _transits_on_edge(b, star_id, e):
+        for p, tp in a.on_edge(star_id, nxt):
+            for q, tq in b.on_edge(star_id, e):
                 terms.append((graft(surface, a, p, b, q), -tp.sign * tq.sign))
     return FormalSum(terms)
 
 
-def star_cobracket(
-    surface: StarFilledSurface, star_id: str, a: CombinatorialLoop
-) -> TensorSum:
+def star_cobracket(surface: StarFilledSurface, star_id: str, a: Loop) -> TensorSum:
     """Split tensor terms over self-crossing pairs of consecutive edges,
     with contractible pieces dropped."""
-    require_valid_loop(surface, a)
+    a = prepare_loop(surface, a)
     star = surface.star(star_id)
     terms = []
     for e in range(star.edge_count):
         nxt = star.succ(e)
-        for p1, t1 in _transits_on_edge(a, star_id, e):
-            for p2, t2 in _transits_on_edge(a, star_id, nxt):
+        for p1, t1 in a.on_edge(star_id, e):
+            for p2, t2 in a.on_edge(star_id, nxt):
                 first = subloop(surface, a, p1, p2)
                 second = subloop(surface, a, p2, p1)
                 if first.is_trivial or second.is_trivial:
@@ -143,7 +154,7 @@ def star_cobracket(
 def expand_to_gates(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
 ) -> GateConfiguration:
     """Gate configuration induced by one star on a family of loops.
 
@@ -151,20 +162,20 @@ def expand_to_gates(
     ``(edge, pos)``); raises :class:`loopcalc.loops.LoopError` otherwise.
     """
     star = surface.star(star_id)
-    for loop in loops.values():
-        require_valid_loop(surface, loop)
-    _check_disjoint(star_id, loops)
+    loops = prepare_loops(surface, loops)
+    _check_disjoint(star, loops)
 
-    words = {name: encoded_word(surface, loop) for name, loop in loops.items()}
+    words = {name: loop.word for name, loop in loops.items()}
 
     # Crossings per edge: (pos, owner, transit index, sign)
-    per_edge: dict[int, list[tuple[object, str, int, int]]] = {
-        e: [] for e in range(star.edge_count)
+    per_edge = {
+        e: [
+            (t.pos, name, i, t.sign)
+            for name, loop in loops.items()
+            for i, t in loop.on_edge(star_id, e)
+        ]
+        for e in range(star.edge_count)
     }
-    for name, loop in loops.items():
-        for i, t in enumerate(loop.transits):
-            if t.star == star_id:
-                per_edge[t.edge].append((t.pos, name, i, t.sign))
 
     crossings: dict[object, list[GateCrossing]] = {}
     for e in range(star.edge_count):
@@ -198,7 +209,7 @@ def expand_to_gates(
 def gate_route(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     op: str,
 ):
     """Evaluate one star's contribution through the gate calculus."""
@@ -215,7 +226,7 @@ def gate_route(
 def star_route(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     op: str,
 ):
     if op == "form":
@@ -265,7 +276,7 @@ def _halve(op: str, value):
 
 def aggregate(
     surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     op: str,
     method: str = "star",
 ) -> AggregateResult:
@@ -275,32 +286,29 @@ def aggregate(
     halved value; raises :class:`OddCoefficientError` if any aggregated
     coefficient is odd, which the doubling identity rules out.
     """
-    route = star_route if method == "star" else gate_route
-    per_star = []
-    if op == "form":
-        total: object = 0
-    elif op == "bracket":
-        total = FormalSum()
-    elif op == "cobracket":
-        total = TensorSum()
-    else:
+    if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")
-    for star in surface.stars:
-        value = route(surface, star.id, loops, op)
-        per_star.append((star.id, value))
-        total = total + value
+    route = star_route if method == "star" else gate_route
+    loops = prepare_loops(surface, loops)
+    per_star = tuple((star.id, route(surface, star.id, loops, op)) for star in surface.stars)
+    values = [value for _, value in per_star]
+    if op == "form":
+        total: object = sum(values)
+    else:
+        total = (FormalSum if op == "bracket" else TensorSum).sum_of(values)
     return AggregateResult(
         op=op,
         method=method,
-        per_star=tuple(per_star),
+        per_star=per_star,
         total=total,
         halved=_halve(op, total),
     )
 
 
 def methods_agree(
-    surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop], op: str
+    surface: StarFilledSurface, loops: Mapping[str, Loop], op: str
 ) -> tuple[AggregateResult, AggregateResult, bool]:
+    loops = prepare_loops(surface, loops)
     star_result = aggregate(surface, loops, op, method="star")
     gate_result = aggregate(surface, loops, op, method="gate")
     agree = (

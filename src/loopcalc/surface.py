@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from loopcalc.words import LetterTable
+from loopcalc.words import IN, OUT, LetterTable
 
 
 class SurfaceError(Exception):
@@ -47,6 +47,17 @@ class GateRef:
 
 
 BoundaryItem = Union[GateRef, str]
+
+
+class TransitGates(NamedTuple):
+    """Where a transit enters and leaves its star disk: the regions behind
+    its entry and exit gates (``None`` for a gate in no region) and the
+    letter codes of entering and leaving through them."""
+
+    entry_region: str | None
+    exit_region: str | None
+    entry_code: int
+    exit_code: int
 
 
 @dataclass(frozen=True)
@@ -137,6 +148,7 @@ class StarFilledSurface:
                     self._region_of_gate.setdefault(item, region.id)
         self._report: ValidationReport | None = None
         self._table: LetterTable | None = None
+        self._transits: dict[tuple[str, int, int], TransitGates] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -171,6 +183,26 @@ class StarFilledSurface:
         if self._table is None:
             self._table = LetterTable((g.star, g.edge) for g in self.gates())
         return self._table
+
+    def transit_table(self) -> dict[tuple[str, int, int], TransitGates]:
+        """Gates of every possible transit, keyed by ``(star, edge, sign)``;
+        built on first use, like :meth:`letter_table`."""
+        if self._transits is None:
+            encode = self.letter_table().encode
+            table = {}
+            for star in self.stars:
+                for edge in range(star.edge_count):
+                    for sign in (1, -1):
+                        gin = self.gate_for_entry(star.id, edge, sign)
+                        gout = self.gate_for_exit(star.id, edge, sign)
+                        table[star.id, edge, sign] = TransitGates(
+                            self._region_of_gate.get(gin),
+                            self._region_of_gate.get(gout),
+                            encode((gin.star, gin.edge), IN),
+                            encode((gout.star, gout.edge), OUT),
+                        )
+            self._transits = table
+        return self._transits
 
     # -- gate geometry helpers ---------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Shared raw gate configurations: the two band examples.
+"""Shared inputs: the two band examples as raw gate configurations, and
+the grid triangulations of the torus.
 
 Both encode a square whose core is a middle band.  In the one-gate case
 only the bottom edge is glued, so every loop retracts off the core; in the
@@ -59,3 +60,18 @@ def two_gate_config(aligned: bool = True, two_loops: bool = True):
             ]
         }
     )
+
+
+def torus_grid(n: int):
+    """Triangles of the n x n grid triangulation of the torus, each square
+    split along its rising diagonal, corners in counterclockwise order."""
+
+    def v(i, j):
+        return f"v{i % n}_{j % n}"
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            tris.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            tris.append((v(i, j), v(i + 1, j + 1), v(i, j + 1)))
+    return tris

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from loopcalc.cli import main
 
@@ -153,6 +154,23 @@ def test_compute_omega_halve_odd_exits_4(capsys):
     )
     assert code == 4
     assert "odd" in err
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        ("s:0=1,s:0=-1", "--omega names gate 's:0' twice"),
+        ("bogus", "--omega item 'bogus' is not STAR:EDGE=SIGN"),
+        ("s:x=1", "--omega item 's:x=1' is not STAR:EDGE=SIGN"),
+        ("s:0", "--omega sign '' must be +1 or -1"),
+        ("t:0=1", "--omega names unknown gate 't:0'"),
+    ],
+)
+def test_compute_bad_omega_exits_2(capsys, omega, message):
+    code, out, err = run_cli(
+        capsys, "compute", "form", "--surface", "g1b1", "--a", "x", "--b", "y", "--omega", omega
+    )
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_compute_unknown_generator_fails(capsys):
