@@ -4,9 +4,6 @@ Words are sequences of nonnegative integer letters.  Letters come in
 inverse pairs: the inverse of ``x`` is ``x ^ 1``, so ``(2k, 2k + 1)`` are a
 generator/inverse pair.  Lexicographic order on the integers is the
 canonical letter order.
-
-A compiled twin of this module lives in ``_wordcore.pyx``; keep the two in
-sync.  ``loopcalc.words`` picks whichever is importable.
 """
 
 from __future__ import annotations

@@ -144,7 +144,3 @@ class TensorSum(FormalSum):
 
 def _key_json(key):
     return key.to_json() if hasattr(key, "to_json") else repr(key)
-
-
-def singleton(key, coeff: int = 1) -> FormalSum:
-    return FormalSum({key: coeff})

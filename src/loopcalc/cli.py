@@ -7,9 +7,9 @@ error (including fuzz failures).
 
 Surfaces are named by spec (``g1b1``) or loaded from JSON files; loops are
 compiled from generator words (``--loop c="x1 y1^-1"``) or loaded from
-transit JSON files (``--loop c=@loop.json``).  Generator aliases ``x, y``
-(first handle pair) and ``a, core`` (first boundary generator) resolve to
-``x1, y1, z1``.
+transit JSON files (``--loop c=@loop.json`` or ``--a @loop.json``).
+Generator aliases ``x, y`` (first handle pair) and ``a, core`` (first
+boundary generator) resolve to ``x1, y1, z1``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 
 from loopcalc import closed as closedmod
 from loopcalc import fuzz as fuzzmod
-from loopcalc import gates as gatecalc
 from loopcalc import stars as starcalc
 from loopcalc.loops import CombinatorialLoop, LoopError, compile_word, make_generic
 from loopcalc.stars import OddCoefficientError
@@ -59,6 +58,12 @@ def _load_surface(args) -> tuple[StarFilledSurface, dict]:
 ALIASES = {"x": "x1", "y": "y1", "a": "z1", "core": "z1"}
 
 
+def _load_loop(token: str) -> CombinatorialLoop:
+    """The loop in the transit JSON file named by ``@PATH``."""
+    with open(token[1:]) as fh:
+        return CombinatorialLoop.from_json(json.load(fh))
+
+
 def _resolve_loops(args, surface, generators) -> dict[str, CombinatorialLoop]:
     named = dict(generators)
     for spec in args.loop or []:
@@ -66,8 +71,7 @@ def _resolve_loops(args, surface, generators) -> dict[str, CombinatorialLoop]:
             raise LoopError(f"--loop expects NAME=WORD or NAME=@FILE, got {spec!r}")
         name, value = spec.split("=", 1)
         if value.startswith("@"):
-            with open(value[1:]) as fh:
-                named[name] = CombinatorialLoop.from_json(json.load(fh))
+            named[name] = _load_loop(value)
         else:
             named[name] = compile_word(surface, generators, value)
     out = {}
@@ -75,7 +79,9 @@ def _resolve_loops(args, surface, generators) -> dict[str, CombinatorialLoop]:
         token = getattr(args, role, None)
         if token is None:
             continue
-        if token in named:
+        if token.startswith("@"):
+            out[role] = _load_loop(token)
+        elif token in named:
             out[role] = named[token]
         elif token in ALIASES and ALIASES[token] in named:
             out[role] = named[ALIASES[token]]
@@ -204,34 +210,18 @@ def _compute_omega(args, surface, loops) -> int:
         omega = _parse_omega(args.omega, surface)
     except SurfaceError as exc:
         return _fail(str(exc), EXIT_INVALID)
-    per_star = []
-    total = None
-    loops = starcalc.prepare_loops(surface, loops)
-    for star in surface.stars:
-        config = starcalc.expand_to_gates(surface, star.id, loops)
-        local = {g: omega[g] for g in config.gates}
-        if args.op == "form":
-            value = gatecalc.form_omega(config, local)
-        elif args.op == "bracket":
-            value = gatecalc.bracket_omega(config, local)
-        else:
-            value = gatecalc.cobracket_omega(config, local)
-        per_star.append((star.id, value))
-        total = value if total is None else total + value
-    payload = {
-        "op": args.op,
-        "omega": {f"{s}:{e}": v for (s, e), v in sorted(omega.items())},
-        "per_star": [{"star": s, "value": starcalc._value_json(v)} for s, v in per_star],
-        "sum": starcalc._value_json(total),
-    }
+    result = starcalc.aggregate(surface, loops, args.op, method="gate", omega=omega)
+    payload = result.to_json()
+    del payload["method"], payload["halved"]
+    payload["omega"] = {f"{s}:{e}": v for (s, e), v in sorted(omega.items())}
     if args.halve:
-        even = total % 2 == 0 if isinstance(total, int) else total.all_even()
-        if not even:
+        try:
+            payload["halved"] = starcalc.value_json(
+                starcalc.halve(result.total, "orientation-dependent value")
+            )
+        except OddCoefficientError:
             _emit(payload)
             return _fail("orientation-dependent value is odd, cannot halve", EXIT_ODD)
-        payload["halved"] = starcalc._value_json(
-            total // 2 if isinstance(total, int) else total.halved()
-        )
     _emit(payload)
     return EXIT_OK
 
@@ -258,8 +248,7 @@ def _compute_closed(args) -> int:
                 f"closed-surface loops must be transit JSON files (--{role} @file.json)",
                 EXIT_INVALID,
             )
-        with open(token[1:]) as fh:
-            loops[role] = CombinatorialLoop.from_json(json.load(fh))
+        loops[role] = _load_loop(token)
     needed = ("a",) if args.op == "cobracket" else ("a", "b")
     for role in needed:
         if role not in loops:
@@ -267,16 +256,7 @@ def _compute_closed(args) -> int:
     loops = dict(zip(needed, make_generic(graph.surface, [loops[r] for r in needed])))
 
     try:
-        if args.op == "form":
-            result = closedmod.closed_form(graph, loops["a"], loops["b"])
-        elif args.op == "bracket":
-            result = closedmod.closed_bracket(
-                graph, loops["a"], loops["b"], bound=args.conjugacy_bound
-            )
-        else:
-            result = closedmod.closed_cobracket(
-                graph, loops["a"], bound=args.conjugacy_bound
-            )
+        result = closedmod.closed_aggregate(graph, loops, args.op, args.conjugacy_bound)
     except (OddCoefficientError, LoopError) as exc:
         return _fail(str(exc), EXIT_ODD if isinstance(exc, OddCoefficientError) else EXIT_INVALID)
     payload = result.to_json()

@@ -30,7 +30,7 @@ from loopcalc.loops import (
     require_valid_loop,
     to_class,
 )
-from loopcalc.stars import OddCoefficientError, aggregate
+from loopcalc.stars import aggregate, halve, value_json
 from loopcalc.surface import (
     ARC,
     FillingGraphSpec,
@@ -566,12 +566,6 @@ def _replace_cyclic(
     return tuple(replacement) + tuple(rest)
 
 
-def normalize_closed(
-    graph: FillingGraph, cls: HomotopyClass, bound: int = 8
-) -> ClosedClass:
-    return ClosedNormalizer(graph, bound).normalize(cls)
-
-
 # -- the closed operations -------------------------------------------------------
 
 
@@ -586,78 +580,64 @@ class ClosedResult:
     per_star: tuple
 
     def to_json(self) -> dict:
-        from loopcalc.stars import _value_json
-
         return {
             "op": self.op,
-            "sum": _value_json(self.doubled),
-            "halved": _value_json(self.halved),
+            "sum": value_json(self.doubled),
+            "halved": value_json(self.halved),
             "genus": self.genus,
             "normalization": {"bound": self.bound, "saturated": self.saturated},
-            "per_star": [{"star": s, "value": _value_json(v)} for s, v in self.per_star],
+            "per_star": [{"star": s, "value": value_json(v)} for s, v in self.per_star],
         }
 
 
-def closed_form(
-    graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop
+def closed_aggregate(
+    graph: FillingGraph, loops: Mapping[str, CombinatorialLoop], op: str, bound: int = 8
 ) -> ClosedResult:
-    agg = aggregate(graph.surface, {"a": a, "b": b}, "form")
+    """One operation on the closed surface: :func:`loopcalc.stars.aggregate`
+    over the filling's bounded surface (``per_star`` keeps its bounded
+    values), the total normalized in the closed-surface group, then halved.
+    The form is an integer and needs no normalization, so it reports no
+    bound."""
+    agg = aggregate(graph.surface, loops, op)
+    if op == "form":
+        return ClosedResult(op, agg.total, agg.halved, graph.genus, None, True, agg.per_star)
+    normalizer = ClosedNormalizer(graph, bound)
+    if op == "bracket":
+        doubled = FormalSum(
+            (normalizer.normalize(cls), coeff) for cls, coeff in agg.total.items()
+        )
+    else:
+        terms = []
+        for (left, right), coeff in agg.total.items():
+            nl = normalizer.normalize(left)
+            nr = normalizer.normalize(right)
+            if nl.is_trivial or nr.is_trivial:
+                continue  # contractible factors in the closed surface drop out
+            terms.append(((nl, nr), coeff))
+        doubled = TensorSum(terms)
     return ClosedResult(
-        op="form",
-        doubled=agg.total,
-        halved=agg.halved,
+        op=op,
+        doubled=doubled,
+        halved=halve(doubled, f"closed {op} after normalization"),
         genus=graph.genus,
-        bound=None,
-        saturated=True,
+        bound=bound,
+        saturated=normalizer.saturated,
         per_star=agg.per_star,
     )
+
+
+def closed_form(graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop) -> ClosedResult:
+    return closed_aggregate(graph, {"a": a, "b": b}, "form")
 
 
 def closed_bracket(
     graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop, bound: int = 8
 ) -> ClosedResult:
-    agg = aggregate(graph.surface, {"a": a, "b": b}, "bracket")
-    normalizer = ClosedNormalizer(graph, bound)
-    doubled = FormalSum(
-        (normalizer.normalize(cls), coeff) for cls, coeff in agg.total.items()
-    )
-    if not doubled.all_even():
-        raise OddCoefficientError("closed bracket has an odd coefficient after normalization")
-    return ClosedResult(
-        op="bracket",
-        doubled=doubled,
-        halved=doubled.halved(),
-        genus=graph.genus,
-        bound=bound,
-        saturated=normalizer.saturated,
-        per_star=agg.per_star,
-    )
+    return closed_aggregate(graph, {"a": a, "b": b}, "bracket", bound)
 
 
-def closed_cobracket(
-    graph: FillingGraph, a: CombinatorialLoop, bound: int = 8
-) -> ClosedResult:
-    agg = aggregate(graph.surface, {"a": a}, "cobracket")
-    normalizer = ClosedNormalizer(graph, bound)
-    terms = []
-    for (left, right), coeff in agg.total.items():
-        nl = normalizer.normalize(left)
-        nr = normalizer.normalize(right)
-        if nl.is_trivial or nr.is_trivial:
-            continue  # contractible factors in the closed surface drop out
-        terms.append(((nl, nr), coeff))
-    doubled = TensorSum(terms)
-    if not doubled.all_even():
-        raise OddCoefficientError("closed cobracket has an odd coefficient after normalization")
-    return ClosedResult(
-        op="cobracket",
-        doubled=doubled,
-        halved=doubled.halved(),
-        genus=graph.genus,
-        bound=bound,
-        saturated=normalizer.saturated,
-        per_star=agg.per_star,
-    )
+def closed_cobracket(graph: FillingGraph, a: CombinatorialLoop, bound: int = 8) -> ClosedResult:
+    return closed_aggregate(graph, {"a": a}, "cobracket", bound)
 
 
 def filling_graph_from_json(data: Mapping | str) -> FillingGraph:

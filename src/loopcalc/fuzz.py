@@ -43,7 +43,7 @@ from loopcalc.loops import (
     make_generic,
     to_class,
 )
-from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, canonical_surface
+from loopcalc.surface import Star, StarFilledSurface, SurfaceError, canonical_surface
 
 
 def surface_from_spec(spec: str):
@@ -63,28 +63,19 @@ def surface_from_spec(spec: str):
 
 
 def _region_hops(surface: StarFilledSurface):
-    """Hops region -> region through one star: (entry gate, exit gate)."""
-    hops: dict[str, list[tuple[GateRef, GateRef, str]]] = {r.id: [] for r in surface.regions}
+    """Hops region -> region through one star: (star, entry edge, exit
+    edge, region reached); the hop's crossings are ``star.passage(entry,
+    exit)``."""
+    hops: dict[str, list[tuple[Star, int, int, str]]] = {r.id: [] for r in surface.regions}
     for star in surface.stars:
         gates = star.gates()
         for gin in gates:
             for gout in gates:
                 if gin != gout:
                     hops[surface.region_of(gin)].append(
-                        (gin, gout, surface.region_of(gout))
+                        (star, gin.edge, gout.edge, surface.region_of(gout))
                     )
     return hops
-
-
-def _passage(surface: StarFilledSurface, entry: GateRef, exit_: GateRef):
-    """Edge crossings of one pass through a star disk between two gates."""
-    star = surface.star(entry.star)
-    n = star.edge_count
-    cw = (entry.edge - exit_.edge) % n
-    ccw = (exit_.edge - entry.edge) % n
-    if cw <= ccw:
-        return [((entry.edge - i) % n, 1) for i in range(cw)]
-    return [((entry.edge + 1 + i) % n, -1) for i in range(ccw)]
 
 
 def random_loop(
@@ -97,58 +88,55 @@ def random_loop(
     hops = _region_hops(surface)
     start = rng.choice(surface.regions).id
 
-    walk: list[tuple[GateRef, GateRef, str, str]] = []  # (gin, gout, from, to)
+    walk: list[tuple[Star, int, int, str]] = []  # (star, entry, exit, region left)
     here = start
     budget = rng.randint(1, max_transits)
     length = 0
     while length < budget:
-        gin, gout, there = rng.choice(hops[here])
-        step = len(_passage(surface, gin, gout))
+        star, entry, exit_, there = rng.choice(hops[here])
+        step = len(star.passage(entry, exit_))
         if length + step > budget:
             break
-        walk.append((gin, gout, here, there))
+        walk.append((star, entry, exit_, here))
         here = there
         length += step
 
-    def closing_passages(origin: str) -> list[tuple[GateRef, GateRef]]:
+    def closing_passages(origin: str) -> list[tuple[Star, int, int]]:
         if origin == start:
             return []
-        parents: dict[str, tuple[str, GateRef, GateRef]] = {}
+        parents: dict[str, tuple[str, tuple[Star, int, int]]] = {}
         frontier = [origin]
         seen = {origin}
         while frontier and start not in seen:
             nxt = []
             for r in frontier:
-                for gin, gout, there in hops[r]:
+                for star, entry, exit_, there in hops[r]:
                     if there not in seen:
                         seen.add(there)
-                        parents[there] = (r, gin, gout)
+                        parents[there] = (r, (star, entry, exit_))
                         nxt.append(there)
             frontier = nxt
         path = []
         cur = start
         while cur != origin:
-            prev, gin, gout = parents[cur]
-            path.append((gin, gout))
-            cur = prev
+            cur, hop = parents[cur]
+            path.append(hop)
         path.reverse()
         return path
 
     # Trim the walk until walk + closing path fits the cap.
     while True:
         closing = closing_passages(here)
-        total = length + sum(len(_passage(surface, gi, go)) for gi, go in closing)
+        total = length + sum(len(star.passage(i, o)) for star, i, o in closing)
         if total <= max_transits:
             break
-        gin, gout, prev, _ = walk.pop()
-        length -= len(_passage(surface, gin, gout))
-        here = prev
+        star, entry, exit_, here = walk.pop()
+        length -= len(star.passage(entry, exit_))
 
-    crossings: list[tuple[str, int, int]] = []
-    for gin, gout, _, _ in walk:
-        crossings.extend((gin.star, e, s) for e, s in _passage(surface, gin, gout))
-    for gin, gout in closing:
-        crossings.extend((gin.star, e, s) for e, s in _passage(surface, gin, gout))
+    taken = [(star, entry, exit_) for star, entry, exit_, _ in walk] + closing
+    crossings = [
+        (star.id, e, s) for star, entry, exit_ in taken for e, s in star.passage(entry, exit_)
+    ]
 
     if not crossings:
         return CombinatorialLoop((), anchor=start)

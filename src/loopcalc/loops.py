@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from loopcalc.algebra import FormalSum, HomotopyClass, singleton
+from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, ValidationReport
 from loopcalc.words import OUT, canonical
 
@@ -72,13 +72,22 @@ class CombinatorialLoop:
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping], anchor: str | None = None) -> "CombinatorialLoop":
+        """Parse a list of transit objects; raises :class:`LoopError` on any
+        other shape, a missing key or a value that does not convert."""
+        if not isinstance(data, (list, tuple)):
+            raise LoopError(f"a loop is a list of transits, not {type(data).__name__}")
         transits = []
-        for item in data:
-            pos = item["pos"]
-            frac = Fraction(pos) if isinstance(pos, str) else Fraction(pos)
-            transits.append(
-                Transit(str(item["star"]), int(item["edge"]), int(item["sign"]), frac)
-            )
+        for i, item in enumerate(data):
+            try:
+                star, edge, sign, pos = (item[k] for k in ("star", "edge", "sign", "pos"))
+            except (KeyError, TypeError):
+                raise LoopError(
+                    f"transit {i} is not an object with star, edge, sign and pos: {item!r}"
+                ) from None
+            try:
+                transits.append(Transit(str(star), int(edge), int(sign), Fraction(pos)))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise LoopError(f"transit {i} has a malformed value: {item!r}") from None
         return cls(tuple(transits), anchor=anchor)
 
 
@@ -184,11 +193,6 @@ def to_class(surface: StarFilledSurface, loop: CombinatorialLoop) -> HomotopyCla
     require_valid_loop(surface, loop)
     word = canonical(encoded_word(surface, loop))
     return HomotopyClass(surface.letter_table().decode_word(word))
-
-
-def class_or_zero(surface: StarFilledSurface, loop: CombinatorialLoop) -> FormalSum:
-    cls = to_class(surface, loop)
-    return FormalSum() if cls.is_trivial else singleton(cls)
 
 
 def inverse_loop(loop: CombinatorialLoop) -> CombinatorialLoop:

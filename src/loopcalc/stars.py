@@ -28,11 +28,28 @@ linear in the transits that cross that star.  :func:`aggregate` prepares
 each loop once per call; code that loops over stars itself calls
 :func:`prepare_loops` first.  A prepared loop encodes its word on first
 use, so the star-route form never encodes.
+
+The evaluation pipeline.  Every operation, bounded or closed, skew or
+orientation-dependent, runs the same steps: prepare the loops, evaluate
+each star (:func:`star_route` or :func:`gate_route`), sum the per-star
+values, normalize in the closed-surface group when the surface is closed
+(:func:`loopcalc.closed.closed_aggregate`), and halve (:func:`halve`, the
+one halving rule).  :func:`aggregate` is the only place that sums and
+halves over stars.
+
+Its ``omega`` is a gate orientation, a map from every gate ``(star,
+edge)`` of the surface to ``+1`` or ``-1``.  With an omega each star's gate
+configuration is evaluated by ``form_omega``, ``bracket_omega`` or
+``cobracket_omega`` of :mod:`loopcalc.gates` restricted to that star's
+gates; those sums can be odd, so the result's ``halved`` is ``None``.  An
+omega needs the gate route: with ``method="star"`` it raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 from loopcalc import gates as gatecalc
@@ -211,16 +228,17 @@ def gate_route(
     star_id: str,
     loops: Mapping[str, Loop],
     op: str,
+    omega: Mapping[tuple[str, int], int] | None = None,
 ):
-    """Evaluate one star's contribution through the gate calculus."""
+    """Evaluate one star's contribution through the gate calculus; with an
+    ``omega``, the orientation-dependent operation in that orientation."""
+    if op not in ("form", "bracket", "cobracket"):
+        raise ValueError(f"unknown operation {op!r}")
     config = expand_to_gates(surface, star_id, loops)
-    if op == "form":
-        return gatecalc.form(config)
-    if op == "bracket":
-        return gatecalc.bracket(config)
-    if op == "cobracket":
-        return gatecalc.cobracket(config)
-    raise ValueError(f"unknown operation {op!r}")
+    # Looked up by name at call time: gates.form, gates.form_omega, ...
+    if omega is None:
+        return getattr(gatecalc, op)(config)
+    return getattr(gatecalc, f"{op}_omega")(config, {g: omega[g] for g in config.gates})
 
 
 def star_route(
@@ -240,7 +258,8 @@ def star_route(
 
 @dataclass(frozen=True)
 class AggregateResult:
-    """Sum of per-star values over the filling, plus the halved value."""
+    """Sum of per-star values over the filling, plus the halved value
+    (``None`` for an orientation-dependent sum)."""
 
     op: str
     method: str
@@ -252,26 +271,29 @@ class AggregateResult:
         return {
             "op": self.op,
             "method": self.method,
-            "per_star": [{"star": s, "value": _value_json(v)} for s, v in self.per_star],
-            "sum": _value_json(self.total),
-            "halved": _value_json(self.halved),
+            "per_star": [{"star": s, "value": value_json(v)} for s, v in self.per_star],
+            "sum": value_json(self.total),
+            "halved": value_json(self.halved),
         }
 
 
-def _value_json(value):
+def value_json(value):
     if isinstance(value, (FormalSum, TensorSum)):
         return value.to_json()
     return value
 
 
-def _halve(op: str, value):
-    if op == "form":
-        if value % 2 != 0:
-            raise OddCoefficientError(f"aggregate form {value} is odd")
+def halve(value, what: str):
+    """Half of an integer or of a formal sum; raises
+    :class:`OddCoefficientError` naming ``what`` when the value is odd."""
+    if isinstance(value, int):
+        if value % 2:
+            raise OddCoefficientError(f"{what} {value} is odd")
         return value // 2
-    if not value.all_even():
-        raise OddCoefficientError(f"aggregate {op} has an odd coefficient: {value!r}")
-    return value.halved()
+    try:
+        return value.halved()
+    except ValueError:
+        raise OddCoefficientError(f"{what} has an odd coefficient: {value!r}") from None
 
 
 def aggregate(
@@ -279,16 +301,21 @@ def aggregate(
     loops: Mapping[str, Loop],
     op: str,
     method: str = "star",
+    omega: Mapping[tuple[str, int], int] | None = None,
 ) -> AggregateResult:
     """Sum one operation over every star of the filling.
 
     Returns both the plain sum (twice the classical operation) and the
     halved value; raises :class:`OddCoefficientError` if any aggregated
-    coefficient is odd, which the doubling identity rules out.
+    coefficient is odd, which the doubling identity rules out.  With an
+    ``omega`` (gate route only) the orientation-dependent operation is
+    summed instead and nothing is halved.
     """
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")
-    route = star_route if method == "star" else gate_route
+    if omega is not None and method == "star":
+        raise ValueError("an orientation omega needs the gate route")
+    route = star_route if method == "star" else partial(gate_route, omega=omega)
     loops = prepare_loops(surface, loops)
     per_star = tuple((star.id, route(surface, star.id, loops, op)) for star in surface.stars)
     values = [value for _, value in per_star]
@@ -301,7 +328,7 @@ def aggregate(
         method=method,
         per_star=per_star,
         total=total,
-        halved=_halve(op, total),
+        halved=None if omega is not None else halve(total, f"aggregate {op}"),
     )
 
 

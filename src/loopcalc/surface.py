@@ -74,6 +74,17 @@ class Star:
     def gates(self) -> tuple[GateRef, ...]:
         return tuple(GateRef(self.id, e) for e in range(self.edge_count))
 
+    def passage(self, entry: int, exit_: int) -> list[tuple[int, int]]:
+        """Edge crossings ``(edge, sign)`` of one pass through the star
+        disk, entering through gate ``entry`` and leaving through gate
+        ``exit_`` the shorter way round (clockwise on a tie)."""
+        n = self.edge_count
+        cw = (entry - exit_) % n
+        ccw = (exit_ - entry) % n
+        if cw <= ccw:
+            return [((entry - i) % n, 1) for i in range(cw)]
+        return [((entry + 1 + i) % n, -1) for i in range(ccw)]
+
 
 @dataclass(frozen=True)
 class Region:
@@ -435,17 +446,6 @@ def dual_graph(surface: StarFilledSurface) -> DualGraph:
     return DualGraph(vertices, tuple(sorted(edges, key=lambda e: e[0])))
 
 
-def star_gate_structure(star: Star) -> dict:
-    """Gates of a star in their cyclic order, with the reference gate
-    orientation (every compatibility sign ``+1``)."""
-    gates = star.gates()
-    return {
-        "gates": gates,
-        "successor": {g: gates[(i + 1) % len(gates)] for i, g in enumerate(gates)},
-        "epsilon": {g: 1 for g in gates},
-    }
-
-
 # -- canonical builder ---------------------------------------------------------
 
 
@@ -524,21 +524,11 @@ def canonical_surface(
     base_pair = pairs[0]
     tree_gate = {region_of_pair[p]: p[0] for p in pairs}
 
-    def passage(entry: int, exit_: int) -> list[tuple[int, int]]:
-        """Edge crossings of one pass through the star disk, entering
-        through gate ``entry`` and leaving through gate ``exit_``."""
-        n = star.edge_count
-        cw = (entry - exit_) % n
-        ccw = (exit_ - entry) % n
-        if cw <= ccw:
-            return [((entry - i) % n, 1) for i in range(cw)]
-        return [((entry + 1 + i) % n, -1) for i in range(ccw)]
-
     def gen_loop(gate: int, pair: tuple[int, int]) -> CombinatorialLoop:
         base_gate = base_pair[0]
-        crossings = passage(base_gate, gate)
+        crossings = star.passage(base_gate, gate)
         if pair != base_pair:
-            crossings += passage(tree_gate[region_of_pair[pair]], base_gate)
+            crossings += star.passage(tree_gate[region_of_pair[pair]], base_gate)
         return CombinatorialLoop.from_crossings("s", crossings)
 
     generators: dict[str, CombinatorialLoop] = {}

@@ -3,35 +3,19 @@
 Free homotopy classes of loops are stored as cyclically reduced cyclic
 words over directed gate letters.  The reduction kernel works on integer
 letters (inverse of ``x`` is ``x ^ 1``); :class:`LetterTable` translates
-between integers and ``(gate, direction)`` pairs.
-
-Backend selection: the compiled kernel ``loopcalc._wordcore`` is used when
-available, unless ``LOOPCALC_WORD_BACKEND=pure`` is set.  Both backends
-expose ``reduce_word``, ``cyclic_reduce``, ``least_rotation`` and
-``canonical``.
+between integers and ``(gate, direction)`` pairs.  The kernel
+(``reduce_word``, ``cyclic_reduce``, ``least_rotation`` and ``canonical``)
+is the pure-Python ``loopcalc._wordpure``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Hashable, Iterable, Sequence
 
-from loopcalc import _wordpure
+from loopcalc._wordpure import canonical, cyclic_reduce, least_rotation, reduce_word
 
-if os.environ.get("LOOPCALC_WORD_BACKEND") == "pure":
-    _impl = _wordpure
-else:
-    try:
-        from loopcalc import _wordcore as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _wordpure
-
-BACKEND: str = "pure" if _impl is _wordpure else "cython"
-
-reduce_word = _impl.reduce_word
-cyclic_reduce = _impl.cyclic_reduce
-least_rotation = _impl.least_rotation
-canonical = _impl.canonical
+#: The word kernel in use; recorded by the benchmark.
+BACKEND: str = "pure"
 
 #: Direction of a letter relative to its star (or to the surface core in a
 #: raw gate configuration): IN enters, OUT leaves.

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from loopcalc.cli import main
+from loopcalc.fuzz import surface_from_spec
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +180,43 @@ def test_compute_unknown_generator_fails(capsys):
     )
     assert code == 2
     assert "unknown generator" in err
+
+
+def test_compute_a_from_file_on_bounded_surface(capsys, tmp_path):
+    path = tmp_path / "x1.json"
+    path.write_text(json.dumps(surface_from_spec("g1b1")[1]["x1"].to_json()))
+    by_file = run_cli(
+        capsys, "compute", "form", "--surface", "g1b1", "--a", f"@{path}", "--b", "y"
+    )
+    by_name = run_cli(capsys, "compute", "form", "--surface", "g1b1", "--a", "x1", "--b", "y")
+    assert by_file == by_name
+    assert by_file[0] == 0
+
+
+BAD_LOOP_FILES = {
+    "zero-denominator": [{"star": "s", "edge": 0, "sign": 1, "pos": "1/0"}],
+    "no-pos": [{"star": "s", "edge": 0, "sign": 1}],
+    "object": {"star": "s", "edge": 0, "sign": 1, "pos": "1/1"},
+    "string-transit": ["s:0"],
+    "non-numeric-edge": [{"star": "s", "edge": "e", "sign": 1, "pos": "1/1"}],
+    "list-pos": [{"star": "s", "edge": 0, "sign": 1, "pos": [1]}],
+}
+
+
+@pytest.mark.parametrize("route", ["loop", "bounded", "closed"])
+@pytest.mark.parametrize("case", sorted(BAD_LOOP_FILES))
+def test_malformed_loop_file_exits_2(capsys, tmp_path, case, route):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(BAD_LOOP_FILES[case]))
+    argv = {
+        "loop": ["--surface", "g1b1", "--loop", f"c=@{path}", "--a", "c", "--b", "y"],
+        "bounded": ["--surface", "g1b1", "--a", f"@{path}", "--b", "y"],
+        "closed": ["--closed-genus", "1", "--a", f"@{path}", "--b", f"@{path}"],
+    }[route]
+    code, out, err = run_cli(capsys, "compute", "form", *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "transit" in err
 
 
 def test_compute_deterministic(capsys):

@@ -16,7 +16,6 @@ from loopcalc.closed import (
     closed_cobracket,
     closed_form,
     from_triangulation,
-    normalize_closed,
     validate_filling_spec,
 )
 from loopcalc.fuzz import random_loop, random_loop_pair
@@ -194,7 +193,7 @@ def test_torus_form_matches_determinant_pairing(torus):
 def test_relator_normalizes_to_trivial(torus, genus2):
     for fg in (torus, genus2):
         for relator in fg.relators:
-            assert normalize_closed(fg, relator).is_trivial
+            assert ClosedNormalizer(fg).normalize(relator).is_trivial
 
 
 def test_torus_abelian_normal_form(torus):
@@ -205,7 +204,7 @@ def test_torus_abelian_normal_form(torus):
     assert validate_loop(torus.surface, loop).valid
     h = abelianization(torus.surface)
     assert h(loop) == (2, -1)
-    cls = normalize_closed(torus, to_class(torus.surface, loop))
+    cls = ClosedNormalizer(torus).normalize(to_class(torus.surface, loop))
     assert cls.kind == "abelian" and cls.data == (2, -1)
 
 
@@ -213,22 +212,22 @@ def test_genus2_conjugates_normalize_equal(genus2):
     table = genus2.surface.letter_table()
     rel = genus2.relator_words()[0]
     w = rel[:5]
-    base = normalize_closed(genus2, HomotopyClass(table.decode_word(canonical(w))))
+    base = ClosedNormalizer(genus2).normalize(HomotopyClass(table.decode_word(canonical(w))))
     for g in itertools.permutations(rel[5:], 2):
         conj = tuple(g) + w + tuple(x ^ 1 for x in reversed(g))
         cls = HomotopyClass(table.decode_word(canonical(conj)))
-        assert normalize_closed(genus2, cls) == base
+        assert ClosedNormalizer(genus2).normalize(cls) == base
 
 
 def test_genus2_relator_insertion_invariant(genus2):
     table = genus2.surface.letter_table()
     rel = genus2.relator_words()[0]
     w = rel[:5]
-    base = normalize_closed(genus2, HomotopyClass(table.decode_word(canonical(w))))
+    base = ClosedNormalizer(genus2).normalize(HomotopyClass(table.decode_word(canonical(w))))
     for cut in range(0, 5):
         spliced = w[:cut] + rel + w[cut:]
         cls = HomotopyClass(table.decode_word(canonical(spliced)))
-        assert normalize_closed(genus2, cls) == base
+        assert ClosedNormalizer(genus2).normalize(cls) == base
 
 
 def test_normalizer_constant_under_relator_grafts(torus, genus2):

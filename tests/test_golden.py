@@ -1,6 +1,8 @@
-"""Golden outputs, compared byte for byte: the README's CLI examples,
-seeded aggregates by both routes on a triangulated torus and on ``g2b1``,
-and the texts of loop errors.
+"""Golden outputs, compared byte for byte: the README's CLI examples and a
+few orientation-dependent (``--omega``) runs on ``g2b1``, seeded
+aggregates by both routes on a triangulated torus and on ``g2b1``, seeded
+closed operations on the canonical genus-2 filling graph, and the texts of
+loop errors.
 
 ``golden.json`` holds the inputs (loops as transit JSON) next to the
 outputs, so it does not depend on the random generators staying the same.
@@ -24,7 +26,7 @@ from pathlib import Path
 import pytest
 from conftest import torus_grid
 
-from loopcalc import stars
+from loopcalc import closed, stars
 from loopcalc.cli import main
 from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
@@ -61,7 +63,19 @@ CLI_CASES = [
     ["closed", "load", "{graph}"],
     ["fuzz", "--surface", "g1b1", "--pairs", "200", "--moves", "20", "--seed", "7"],
     ["fuzz", "--surface", "g1b1", "--pairs", "3", "--moves", "5", "--seed", "7", "--inject-bug"],
+    *(
+        [
+            "compute", op, "--surface", "g2b1", "--loop", "c=x1 y1 x2^-1 y2", "--a", "c",
+            "--b", "x1 x2", "--omega", "s:0=-1,s:3=-1,s:5=-1,s:6=-1", *halve,
+        ]
+        for op in ("form", "bracket", "cobracket")
+        for halve in ([], ["--halve"])
+    ),
 ]
+
+#: Closed operations run on the canonical genus-2 filling graph with this
+#: normalization bound.
+CLOSED_BOUND = 8
 
 
 def cli_inputs() -> dict:
@@ -119,6 +133,29 @@ def aggregate_outputs(surfaces: dict, case: dict) -> dict:
     return out
 
 
+def closed_graph():
+    return build_from_graph(canonical_filling_graph(2))
+
+
+def closed_inputs(graph) -> list[dict]:
+    rng = random.Random("golden/closed-g2")
+    cases = []
+    for _ in range(2):
+        a, b = random_loop_pair(graph.surface, rng, max_transits=16)
+        cases.append({"a": a.to_json(), "b": b.to_json()})
+    return cases
+
+
+def closed_outputs(graph, case: dict) -> dict:
+    a = CombinatorialLoop.from_json(case["a"])
+    b = CombinatorialLoop.from_json(case["b"])
+    return {
+        "form": closed.closed_form(graph, a, b).to_json(),
+        "bracket": closed.closed_bracket(graph, a, b, bound=CLOSED_BOUND).to_json(),
+        "cobracket": closed.closed_cobracket(graph, a, bound=CLOSED_BOUND).to_json(),
+    }
+
+
 def error_inputs(aggregates: list[dict]) -> dict:
     """Loops that fail: two malformed loops, and loops sharing points."""
     torus = next(c for c in aggregates if c["surface"] == "torus5x5")
@@ -172,10 +209,12 @@ def golden_data() -> dict:
     inputs = cli_inputs()
     aggregates = aggregate_inputs(surfaces)
     errors = error_inputs(aggregates)
+    graph = closed_graph()
     return {
         "cli_inputs": inputs,
         "cli": [run_cli(argv, inputs) for argv in CLI_CASES],
         "aggregate": [dict(case, outputs=aggregate_outputs(surfaces, case)) for case in aggregates],
+        "closed": [dict(c, outputs=closed_outputs(graph, c)) for c in closed_inputs(graph)],
         "error_inputs": errors,
         "errors": error_outputs(surfaces, errors),
     }
@@ -207,6 +246,14 @@ def test_aggregates_unchanged(golden, surfaces):
         got = aggregate_outputs(surfaces, case)
         for key, value in case["outputs"].items():
             assert _dump(got[key]) == _dump(value), (case["surface"], key)
+
+
+def test_closed_operations_unchanged(golden):
+    graph = closed_graph()
+    for case in golden["closed"]:
+        got = closed_outputs(graph, case)
+        for key, value in case["outputs"].items():
+            assert _dump(got[key]) == _dump(value), key
 
 
 def test_error_texts_unchanged(golden, surfaces):

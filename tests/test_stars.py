@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum
 from loopcalc.fuzz import oracle_failures, random_loop_pair
 from loopcalc.loops import (
@@ -18,9 +19,11 @@ from loopcalc.loops import (
     to_class,
 )
 from loopcalc.stars import (
+    OddCoefficientError,
     aggregate,
     edge_counts,
     expand_to_gates,
+    halve,
     methods_agree,
     star_bracket,
     star_cobracket,
@@ -214,3 +217,31 @@ def test_aggregate_result_json(torus1):
     assert payload["op"] == "bracket"
     assert payload["per_star"][0]["star"] == "s"
     assert payload["sum"][0]["coeff"] == 2
+
+
+def test_halve_ints_and_sums():
+    assert halve(-6, "form") == -3
+    assert halve(FormalSum({"u": 4, "v": -2}), "bracket") == FormalSum({"u": 2, "v": -1})
+    with pytest.raises(OddCoefficientError, match="^form 3 is odd$"):
+        halve(3, "form")
+    with pytest.raises(OddCoefficientError, match="^bracket has an odd coefficient"):
+        halve(FormalSum({"u": 4, "v": 1}), "bracket")
+
+
+def test_aggregate_with_omega_sums_oriented_gate_values():
+    surf, gens = canonical_surface(2, 1)
+    a, b = make_generic(surf, [compile_word(surf, gens, "x1 y1 x2^-1 y2"), gens["y1"]])
+    omega = {(g.star, g.edge): (-1 if g.edge % 3 == 0 else 1) for g in surf.gates()}
+    evaluate = {
+        "form": gatecalc.form_omega,
+        "bracket": gatecalc.bracket_omega,
+        "cobracket": gatecalc.cobracket_omega,
+    }
+    for op, fn in evaluate.items():
+        loops = {"a": a} if op == "cobracket" else {"a": a, "b": b}
+        result = aggregate(surf, loops, op, method="gate", omega=omega)
+        config = expand_to_gates(surf, "s", loops)
+        assert result.per_star == (("s", fn(config, omega)),)
+        assert result.halved is None
+        with pytest.raises(ValueError, match="gate route"):
+            aggregate(surf, loops, op, method="star", omega=omega)

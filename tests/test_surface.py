@@ -14,7 +14,6 @@ from loopcalc.surface import (
     SurfaceError,
     canonical_surface,
     dual_graph,
-    star_gate_structure,
     trace_boundary_circles,
     validate_surface,
 )
@@ -86,19 +85,6 @@ def test_dual_graph_rejects_disconnected():
     assert any("disconnected" in p for p in report.problems)
     with pytest.raises(SurfaceError):
         dual_graph(surf)
-
-
-def test_star_gate_structure():
-    info = star_gate_structure(Star("s", 4))
-    gates = info["gates"]
-    assert gates == tuple(GateRef("s", e) for e in range(4))
-    for i in range(4):
-        assert info["successor"][gates[i]] == gates[(i + 1) % 4]
-    assert all(sign == 1 for sign in info["epsilon"].values())
-
-    info2 = star_gate_structure(Star("s", 2))
-    assert info2["successor"][GateRef("s", 0)] == GateRef("s", 1)
-    assert info2["successor"][GateRef("s", 1)] == GateRef("s", 0)
 
 
 @pytest.mark.parametrize(
