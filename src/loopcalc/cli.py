@@ -1,15 +1,32 @@
 """Command-line front end.
 
 Reports are JSON on stdout (deterministic: sorted keys, stable ordering);
-diagnostics go to stderr.  Exit codes: 0 success, 2 validation failure,
-3 method disagreement, 4 odd coefficient under ``--halve``, 1 any other
-error (including fuzz failures).
+diagnostics go to stderr as one line.  ``main`` alone turns errors into
+exit codes:
+
+* 0 success, or stdout closed by its reader (a broken pipe);
+* 1 a fuzz run found a failure;
+* 2 invalid input: a malformed or invalid surface, filling-graph or loop
+  file, an unreadable file, text that is not UTF-8 JSON, an unknown
+  generator, a missing loop, a bad ``--omega``, or an option that cannot
+  be honored;
+* 3 ``--method both`` and the star and gate routes disagree;
+* 4 ``--halve`` on an odd coefficient.
+
+``compute`` runs one flow on every surface: load it (a ``gXbY`` spec or a
+surface file, or the filling graph of a closed surface from ``--graph`` or
+``--closed-genus``), resolve the loops, evaluate by ``--method`` (``star``,
+``gate``, or ``both``, which compares the two), normalize on a closed
+surface, and halve on request.  ``--omega`` evaluates the
+orientation-dependent operations, which only the gate route has, on a
+bounded surface; with ``--method star`` or on a closed surface it exits 2.
 
 Surfaces are named by spec (``g1b1``) or loaded from JSON files; loops are
 compiled from generator words (``--loop c="x1 y1^-1"``) or loaded from
 transit JSON files (``--loop c=@loop.json`` or ``--a @loop.json``).
 Generator aliases ``x, y`` (first handle pair) and ``a, core`` (first
-boundary generator) resolve to ``x1, y1, z1``.
+boundary generator) resolve to ``x1, y1, z1``.  Surface files and closed
+surfaces have no generators, so their loops come from files.
 """
 
 from __future__ import annotations
@@ -38,21 +55,29 @@ EXIT_ODD = 4
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    # Flushed here so that a closed pipe raises inside main, not at exit.
+    print(json.dumps(data, sort_keys=True, indent=2), flush=True)
 
 
-def _fail(message: str, code: int = 1) -> int:
+def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
 
 
-def _load_surface(args) -> tuple[StarFilledSurface, dict]:
-    spec = args.surface
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            surface = StarFilledSurface.from_json(json.load(fh))
-        return surface, {}
-    return fuzzmod.surface_from_spec(spec)
+def _load_surface(args) -> tuple[StarFilledSurface, dict, closedmod.FillingGraph | None]:
+    """The surface to compute on, its named generators, and its filling
+    graph (``None`` unless the surface is closed)."""
+    if args.graph:
+        with open(args.graph) as fh:
+            graph = closedmod.filling_graph_from_json(fh.read())
+        return graph.surface, {}, graph
+    if args.closed_genus is not None:
+        graph = closedmod.build_from_graph(closedmod.canonical_filling_graph(args.closed_genus))
+        return graph.surface, {}, graph
+    if os.path.exists(args.surface):
+        with open(args.surface) as fh:
+            return StarFilledSurface.from_json(json.load(fh)), {}, None
+    return (*fuzzmod.surface_from_spec(args.surface), None)
 
 
 ALIASES = {"x": "x1", "y": "y1", "a": "z1", "core": "z1"}
@@ -118,10 +143,7 @@ def _parse_omega(spec: str, surface: StarFilledSurface) -> dict:
 
 def cmd_surface(args) -> int:
     if args.action == "new":
-        try:
-            surface, gens = fuzzmod.surface_from_spec(f"g{args.genus}b{args.boundary}")
-        except SurfaceError as exc:
-            return _fail(str(exc), EXIT_INVALID)
+        surface, gens = fuzzmod.surface_from_spec(f"g{args.genus}b{args.boundary}")
         _emit(
             {
                 "surface": surface.to_json(),
@@ -139,129 +161,75 @@ def cmd_surface(args) -> int:
     if args.action == "load":
         _emit(surface.to_json())
         return EXIT_OK
-    if args.action == "dual":
-        graph = dual_graph(surface)
-        if args.dot:
-            print(graph.to_dot())
-        else:
-            _emit(
-                {
-                    "vertices": list(graph.vertices),
-                    "edges": [
-                        {"gate": g.to_json(), "star": s, "region": r}
-                        for g, s, r in graph.edges
-                    ],
-                    "betti": graph.betti,
-                }
-            )
-        return EXIT_OK
-    return _fail(f"unknown surface action {args.action!r}")
+    graph = dual_graph(surface)
+    if args.dot:
+        print(graph.to_dot(), flush=True)
+    else:
+        _emit(
+            {
+                "vertices": list(graph.vertices),
+                "edges": [
+                    {"gate": g.to_json(), "star": s, "region": r}
+                    for g, s, r in graph.edges
+                ],
+                "betti": graph.betti,
+            }
+        )
+    return EXIT_OK
 
 
 # -- compute ----------------------------------------------------------------------
 
 
 def cmd_compute(args) -> int:
-    if args.graph or args.closed_genus is not None:
-        return _compute_closed(args)
-    try:
-        surface, generators = _load_surface(args)
-        report = validate_surface(surface)
-        if not report.valid:
-            _emit(report.to_json())
-            return EXIT_INVALID
-        loops = _resolve_loops(args, surface, generators)
-    except (SurfaceError, LoopError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
-
+    """Load the surface, resolve the loops, evaluate by the requested routes,
+    normalize on a closed surface, and halve on request."""
+    if args.omega is not None and args.method == "star":
+        return _fail("--omega needs the gate route: use --method gate or both", EXIT_INVALID)
+    surface, generators, graph = _load_surface(args)
+    if args.omega is not None and graph is not None:
+        return _fail("--omega needs a bounded surface", EXIT_INVALID)
+    report = validate_surface(surface)
+    if not report.valid:
+        _emit(report.to_json())
+        return EXIT_INVALID
+    loops = _resolve_loops(args, surface, generators)
     needed = ("a",) if args.op == "cobracket" else ("a", "b")
     for role in needed:
         if role not in loops:
             return _fail(f"compute {args.op} needs --{role}", EXIT_INVALID)
     loops = dict(zip(needed, make_generic(surface, [loops[r] for r in needed])))
+    omega = None if args.omega is None else _parse_omega(args.omega, surface)
 
-    if args.omega is not None:
-        return _compute_omega(args, surface, loops)
+    if args.method == "both" and omega is None:
+        result, gate_result, agree = starcalc.methods_agree(surface, loops, args.op)
+    else:
+        method = args.method if omega is None else "gate"
+        result = starcalc.aggregate(surface, loops, args.op, method=method, omega=omega)
+        agree = None
+    if graph is not None:
+        result = closedmod.normalized(graph, result, args.conjugacy_bound)
 
-    try:
-        if args.method in ("star", "gate"):
-            result = starcalc.aggregate(surface, loops, args.op, method=args.method)
-            payload = result.to_json()
-            payload["methods_agree"] = None
-        else:
-            star_res, gate_res, agree = starcalc.methods_agree(surface, loops, args.op)
-            payload = star_res.to_json()
-            payload["methods_agree"] = agree
-            if not agree:
-                payload["gate_route"] = gate_res.to_json()
-                _emit(payload)
-                return _fail("star and gate routes disagree", EXIT_MISMATCH)
-    except OddCoefficientError as exc:
-        return _fail(str(exc), EXIT_ODD)
-    if not args.halve:
-        payload.pop("halved", None)
-    _emit(payload)
-    return EXIT_OK
-
-
-def _compute_omega(args, surface, loops) -> int:
-    """Orientation-dependent operations, reported per star."""
-    try:
-        omega = _parse_omega(args.omega, surface)
-    except SurfaceError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    result = starcalc.aggregate(surface, loops, args.op, method="gate", omega=omega)
     payload = result.to_json()
-    del payload["method"], payload["halved"]
-    payload["omega"] = {f"{s}:{e}": v for (s, e), v in sorted(omega.items())}
-    if args.halve:
+    halved = payload.pop("halved")
+    if omega is None:
+        payload["methods_agree"] = agree
+    else:
+        del payload["method"]
+        payload["omega"] = {f"{s}:{e}": v for (s, e), v in sorted(omega.items())}
+    if agree is False:
+        payload["gate_route"] = gate_result.to_json()
+        _emit(payload)
+        return _fail("star and gate routes disagree", EXIT_MISMATCH)
+    if args.halve and omega is not None:
+        # Orientation-dependent sums can be odd, so they are halved only here.
         try:
-            payload["halved"] = starcalc.value_json(
-                starcalc.halve(result.total, "orientation-dependent value")
-            )
+            halved = starcalc.value_json(starcalc.halve(result.total, "omega sum"))
         except OddCoefficientError:
             _emit(payload)
-            return _fail("orientation-dependent value is odd, cannot halve", EXIT_ODD)
-    _emit(payload)
-    return EXIT_OK
-
-
-def _compute_closed(args) -> int:
-    try:
-        if args.graph:
-            with open(args.graph) as fh:
-                graph = closedmod.filling_graph_from_json(fh.read())
-        else:
-            graph = closedmod.build_from_graph(
-                closedmod.canonical_filling_graph(args.closed_genus)
-            )
-    except (closedmod.FillingGraphError, SurfaceError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
-
-    loops = {}
-    for role in ("a", "b"):
-        token = getattr(args, role, None)
-        if token is None:
-            continue
-        if not token.startswith("@"):
-            return _fail(
-                f"closed-surface loops must be transit JSON files (--{role} @file.json)",
-                EXIT_INVALID,
-            )
-        loops[role] = _load_loop(token)
-    needed = ("a",) if args.op == "cobracket" else ("a", "b")
-    for role in needed:
-        if role not in loops:
-            return _fail(f"compute {args.op} needs --{role}", EXIT_INVALID)
-    loops = dict(zip(needed, make_generic(graph.surface, [loops[r] for r in needed])))
-
-    try:
-        result = closedmod.closed_aggregate(graph, loops, args.op, args.conjugacy_bound)
-    except (OddCoefficientError, LoopError) as exc:
-        return _fail(str(exc), EXIT_ODD if isinstance(exc, OddCoefficientError) else EXIT_INVALID)
-    payload = result.to_json()
-    if not args.halve:
-        payload.pop("halved", None)
+            raise OddCoefficientError("orientation-dependent value is odd, cannot halve") from None
+    if args.halve:
+        payload["halved"] = halved
     _emit(payload)
     return EXIT_OK
 
@@ -289,11 +257,8 @@ def cmd_fuzz(args) -> int:
 
 def cmd_closed(args) -> int:
     if args.action == "new":
-        try:
-            spec = closedmod.canonical_filling_graph(args.genus)
-            graph = closedmod.build_from_graph(spec)
-        except closedmod.FillingGraphError as exc:
-            return _fail(str(exc), EXIT_INVALID)
+        spec = closedmod.canonical_filling_graph(args.genus)
+        graph = closedmod.build_from_graph(spec)
         _emit(
             {
                 "graph": spec.to_json(),
@@ -303,21 +268,16 @@ def cmd_closed(args) -> int:
             }
         )
         return EXIT_OK
-    if args.action == "load":
-        try:
-            with open(args.file) as fh:
-                graph = closedmod.filling_graph_from_json(fh.read())
-        except (closedmod.FillingGraphError, SurfaceError) as exc:
-            return _fail(str(exc), EXIT_INVALID)
-        _emit(
-            {
-                "graph": graph.spec.to_json(),
-                "derived_surface": graph.surface.to_json(),
-                "genus": graph.genus,
-            }
-        )
-        return EXIT_OK
-    return _fail(f"unknown closed action {args.action!r}")
+    with open(args.file) as fh:
+        graph = closedmod.filling_graph_from_json(fh.read())
+    _emit(
+        {
+            "graph": graph.spec.to_json(),
+            "derived_surface": graph.surface.to_json(),
+            "genus": graph.genus,
+        }
+    )
+    return EXIT_OK
 
 
 # -- parser -------------------------------------------------------------------------
@@ -394,10 +354,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SurfaceError, LoopError, OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_INVALID)
     except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull so the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OddCoefficientError as exc:
+        return _fail(str(exc), EXIT_ODD)
+    except (
+        SurfaceError,
+        LoopError,
+        closedmod.FillingGraphError,
+        OSError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+    ) as exc:
+        return _fail(str(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

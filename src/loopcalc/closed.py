@@ -30,7 +30,7 @@ from loopcalc.loops import (
     require_valid_loop,
     to_class,
 )
-from loopcalc.stars import aggregate, halve, value_json
+from loopcalc.stars import AggregateResult, aggregate, halve, value_json
 from loopcalc.surface import (
     ARC,
     FillingGraphSpec,
@@ -39,6 +39,7 @@ from loopcalc.surface import (
     Star,
     StarFilledSurface,
     ValidationReport,
+    permutation_cycles,
 )
 from loopcalc.words import canonical
 
@@ -109,38 +110,6 @@ def validate_filling_spec(spec: FillingGraphSpec) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _trace_faces(spec: FillingGraphSpec) -> list[list[tuple[str, bool]]]:
-    """Face cycles as dart lists; a dart is ``(edge id, to_red)``."""
-    rotation = {v: rot for v, rot in spec.blue}
-    rotation.update({v: rot for v, rot in spec.red})
-    head = {}
-    for e, b, r in spec.edges:
-        head[(e, True)] = r  # blue -> red dart ends at the red vertex
-        head[(e, False)] = b
-
-    def face_next(dart: tuple[str, bool]) -> tuple[str, bool]:
-        e, to_red = dart
-        v = head[dart]
-        rot = rotation[v]
-        nxt = rot[(rot.index(e) + 1) % len(rot)]
-        return (nxt, not to_red)
-
-    darts = sorted(head)
-    remaining = set(darts)
-    faces = []
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        d = face_next(start)
-        while d != start:
-            cycle.append(d)
-            remaining.discard(d)
-            d = face_next(d)
-        faces.append(cycle)
-    return faces
-
-
 @dataclass(frozen=True)
 class FillingGraph:
     """A validated filling graph with its derived bounded surface."""
@@ -164,7 +133,19 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
     if not report.valid:
         raise FillingGraphError("; ".join(report.problems))
 
-    faces = _trace_faces(spec)
+    # Faces are cycles of darts; a dart is ``(edge id, to_red)``.
+    rotation = dict(spec.blue + spec.red)
+    head = {}
+    for e, b, r in spec.edges:
+        head[(e, True)] = r  # blue -> red dart ends at the red vertex
+        head[(e, False)] = b
+
+    def face_next(dart: tuple[str, bool]) -> tuple[str, bool]:
+        e, to_red = dart
+        rot = rotation[head[dart]]
+        return (rot[(rot.index(e) + 1) % len(rot)], not to_red)
+
+    faces = permutation_cycles(head, face_next)
     for cycle in faces:
         if len(cycle) > 4:
             raise FillingGraphError(
@@ -177,16 +158,8 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
         raise FillingGraphError(f"Euler characteristic {chi} is not that of a closed surface")
     genus = (2 - chi) // 2
 
-    blue_rotation = {v: rot for v, rot in spec.blue}
-    edge_index = {
-        e: (b, blue_rotation[b].index(e)) for e, b, _ in spec.edges
-    }
+    edge_index = {e: (b, rotation[b].index(e)) for e, b, _ in spec.edges}
     stars = [Star(v, len(rot)) for v, rot in spec.blue]
-
-    head = {}
-    for e, b, r in spec.edges:
-        head[(e, True)] = r
-        head[(e, False)] = b
 
     regions = []
     for fi, cycle in enumerate(faces):
@@ -291,27 +264,18 @@ def from_triangulation(
 
     # Counterclockwise walk around a triangulation vertex: from corner c of
     # triangle i, cross the side entering that corner.
-    def ccw_next(i: int, c: int) -> tuple[int, int]:
-        side = (c + 2) % 3
-        i2, s2 = glue[(i, side)]
-        return (i2, s2)
+    def ccw_next(corner: tuple[int, int]) -> tuple[int, int]:
+        i, c = corner
+        return glue[(i, (c + 2) % 3)]
 
     corners = {(i, c) for i in range(len(tris)) for c in range(3)}
     vertex_of: dict[tuple[int, int], str] = {(i, c): tris[i][c] for i, c in corners}
     blue_rotations: dict[str, list[str]] = {}
-    seen: set[tuple[int, int]] = set()
-    for start in sorted(corners):
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = ccw_next(*start)
-        while cur != start:
-            if cur in seen or len(orbit) > len(corners):
-                raise FillingGraphError("corner gluing does not close up around a vertex")
-            orbit.append(cur)
-            seen.add(cur)
-            cur = ccw_next(*cur)
+    try:
+        orbits = permutation_cycles(corners, ccw_next)
+    except ValueError:
+        raise FillingGraphError("corner gluing does not close up around a vertex") from None
+    for orbit in orbits:
         names = {vertex_of[c] for c in orbit}
         if len(names) != 1:
             raise FillingGraphError(
@@ -352,15 +316,10 @@ def canonical_filling_graph(genus: int) -> FillingGraphSpec:
     # Rotating counterclockwise around the glued polygon vertex: from the
     # corner between sides k-1 and k, cross side k-1 to its partner's start
     # corner.
-    orbit = [0]
-    cur = partner[(0 - 1) % n]
-    while cur != 0:
-        if len(orbit) > n:
-            raise FillingGraphError("polygon corners do not glue to a single vertex")
-        orbit.append(cur)
-        cur = partner[(cur - 1) % n]
-    if len(orbit) != n:
+    orbits = permutation_cycles(range(n), lambda k: partner[(k - 1) % n])
+    if len(orbits) != 1:
         raise FillingGraphError("polygon corners do not glue to a single vertex")
+    (orbit,) = orbits
 
     edges = tuple((f"e{k}", "p", "q") for k in range(n))
     blue = (("p", tuple(f"e{k}" for k in range(n))),)
@@ -594,11 +553,16 @@ def closed_aggregate(
     graph: FillingGraph, loops: Mapping[str, CombinatorialLoop], op: str, bound: int = 8
 ) -> ClosedResult:
     """One operation on the closed surface: :func:`loopcalc.stars.aggregate`
-    over the filling's bounded surface (``per_star`` keeps its bounded
-    values), the total normalized in the closed-surface group, then halved.
-    The form is an integer and needs no normalization, so it reports no
-    bound."""
-    agg = aggregate(graph.surface, loops, op)
+    over the filling's bounded surface, then :func:`normalized`."""
+    return normalized(graph, aggregate(graph.surface, loops, op), bound)
+
+
+def normalized(graph: FillingGraph, agg: AggregateResult, bound: int = 8) -> ClosedResult:
+    """The closed-surface result of an aggregate over the filling's bounded
+    surface: the total normalized in the closed-surface group, then halved
+    (``per_star`` keeps the bounded values).  The form is an integer and
+    needs no normalization, so it reports no bound."""
+    op = agg.op
     if op == "form":
         return ClosedResult(op, agg.total, agg.halved, graph.genus, None, True, agg.per_star)
     normalizer = ClosedNormalizer(graph, bound)

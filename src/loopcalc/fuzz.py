@@ -56,7 +56,7 @@ def surface_from_spec(spec: str):
         genus, boundary = int(g_str), int(b_str)
     except ValueError:
         raise SurfaceError(f"surface spec {spec!r} is not of the form g<G>b<B>") from None
-    return canonical_surface(genus, boundary, allow_trivial=True)
+    return canonical_surface(genus, boundary)
 
 
 # -- random generation ----------------------------------------------------------
@@ -296,9 +296,9 @@ def identity_failures(
         vv_total = 0
         for gate in config.gates:
             sign = omega[gate]
-            mu_total = mu_total + sign * gatecalc.mu(config, gate, "a", "b")
-            vv_total += sign * gatecalc.v(config, gate, "a") * gatecalc.v(config, gate, "b")
             mu_ab = gatecalc.mu(config, gate, "a", "b")
+            mu_total = mu_total + sign * mu_ab
+            vv_total += sign * gatecalc.v(config, gate, "a") * gatecalc.v(config, gate, "b")
             mu_ba = gatecalc.mu(config, gate, "b", "a")
             if mu_ab != mu_ba:
                 failures.append(f"star {star.id} gate {gate}: pairing not symmetric")

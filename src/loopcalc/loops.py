@@ -86,7 +86,7 @@ class CombinatorialLoop:
                 ) from None
             try:
                 transits.append(Transit(str(star), int(edge), int(sign), Fraction(pos)))
-            except (TypeError, ValueError, ZeroDivisionError):
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise LoopError(f"transit {i} has a malformed value: {item!r}") from None
         return cls(tuple(transits), anchor=anchor)
 

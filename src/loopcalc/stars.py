@@ -33,7 +33,7 @@ The evaluation pipeline.  Every operation, bounded or closed, skew or
 orientation-dependent, runs the same steps: prepare the loops, evaluate
 each star (:func:`star_route` or :func:`gate_route`), sum the per-star
 values, normalize in the closed-surface group when the surface is closed
-(:func:`loopcalc.closed.closed_aggregate`), and halve (:func:`halve`, the
+(:func:`loopcalc.closed.normalized`), and halve (:func:`halve`, the
 one halving rule).  :func:`aggregate` is the only place that sums and
 halves over stars.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from loopcalc.words import IN, OUT, LetterTable
 
@@ -255,24 +255,24 @@ class StarFilledSurface:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "StarFilledSurface":
-        stars = [Star(str(s["id"]), int(s["edges"])) for s in data.get("stars", [])]
-        regions = []
-        for r in data.get("regions", []):
-            boundary: list[BoundaryItem] = []
-            for item in r.get("boundary", []):
-                if item == ARC:
-                    boundary.append(ARC)
-                elif isinstance(item, Mapping) and "gate" in item:
-                    g = item["gate"]
-                    boundary.append(GateRef(str(g["star"]), int(g["edge"])))
-                else:
-                    raise SurfaceError(f"unrecognized boundary item {item!r}")
-            regions.append(Region(str(r["id"]), tuple(boundary)))
+        """Parse a surface object; raises :class:`SurfaceError` on any other
+        shape, a missing key or a value that does not convert."""
+        stars, regions = _json_fields(data, ("stars", "regions"), "a surface")
+        genus, boundary = (
+            None if data.get(key) is None else _json_int(data[key], f"surface {key}")
+            for key in ("genus", "boundary")
+        )
         return cls(
-            stars,
-            regions,
-            genus_hint=data.get("genus"),
-            boundary_hint=data.get("boundary"),
+            [
+                Star(str(star), _json_int(edges, f"star {star!r} edges"))
+                for star, edges in _json_records(stars, ("id", "edges"), "star")
+            ],
+            [
+                Region(str(r), tuple(map(_boundary_item, _json_list(b, f"region {r!r} boundary"))))
+                for r, b in _json_records(regions, ("id", "boundary"), "region")
+            ],
+            genus_hint=genus,
+            boundary_hint=boundary,
         )
 
     def dumps(self) -> str:
@@ -283,6 +283,43 @@ class StarFilledSurface:
             f"StarFilledSurface(stars={len(self.stars)}, regions={len(self.regions)}, "
             f"gates={self.gate_count()}, chi={self.euler_characteristic()})"
         )
+
+
+def _json_fields(item, keys: Sequence[str], what: str) -> list:
+    """The values of ``keys`` in the JSON object ``item``."""
+    if not isinstance(item, Mapping):
+        raise SurfaceError(f"{what} must be an object, not {type(item).__name__}")
+    for key in keys:
+        if key not in item:
+            raise SurfaceError(f"{what} has no {key!r}")
+    return [item[key] for key in keys]
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SurfaceError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _json_records(value, keys: Sequence[str], what: str) -> list[list]:
+    """The values of ``keys`` in each object of the JSON list ``value``."""
+    items = _json_list(value, f"the {what} list")
+    return [_json_fields(item, keys, f"{what} {i}") for i, item in enumerate(items)]
+
+
+def _json_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SurfaceError(f"{what} is not an integer: {value!r}") from None
+
+
+def _boundary_item(item) -> BoundaryItem:
+    if item == ARC:
+        return ARC
+    (gate,) = _json_fields(item, ("gate",), f"boundary item {item!r}")
+    star, edge = _json_fields(gate, ("star", "edge"), "boundary gate")
+    return GateRef(str(star), _json_int(edge, "boundary gate edge"))
 
 
 def _boundary_json(boundary: Sequence[BoundaryItem]) -> list:
@@ -413,19 +450,29 @@ def trace_boundary_circles(surface: StarFilledSurface) -> list[tuple[GateRef, ..
         star = surface.star(after.star)
         return GateRef(after.star, star.succ(after.edge))
 
-    remaining = set(next_in_region)
-    circles: list[tuple[GateRef, ...]] = []
-    while remaining:
-        start = min(remaining)
+    return [tuple(c) for c in permutation_cycles(next_in_region, successor)]
+
+
+def permutation_cycles(elements: Iterable, step: Callable) -> list[list]:
+    """The cycles of the permutation ``step`` of ``elements``, each starting
+    at its least element, ordered by those; raises :class:`ValueError` when
+    ``step`` is not a permutation of ``elements``."""
+    remaining = set(elements)
+    cycles = []
+    for start in sorted(remaining):
+        if start not in remaining:
+            continue
         cycle = [start]
         remaining.discard(start)
-        g = successor(start)
-        while g != start:
-            cycle.append(g)
-            remaining.discard(g)
-            g = successor(g)
-        circles.append(tuple(cycle))
-    return circles
+        x = step(start)
+        while x != start:
+            if x not in remaining:
+                raise ValueError(f"{x!r} is reached twice or is not permuted")
+            cycle.append(x)
+            remaining.discard(x)
+            x = step(x)
+        cycles.append(cycle)
+    return cycles
 
 
 # -- spec'd operations ---------------------------------------------------------
@@ -468,21 +515,27 @@ class FillingGraphSpec:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FillingGraphSpec":
-        blue = tuple(
-            (str(v["id"]), tuple(str(e) for e in v["rotation"])) for v in data["blue"]
+        """Parse a filling-graph object; raises :class:`SurfaceError` on any
+        other shape or a missing key."""
+        blue, red, edges = _json_fields(data, ("blue", "red", "edges"), "a filling graph")
+
+        def vertices(items, color: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+            return tuple(
+                (str(v), tuple(map(str, _json_list(rotation, f"{color} vertex {v!r} rotation"))))
+                for v, rotation in _json_records(items, ("id", "rotation"), f"{color} vertex")
+            )
+
+        return cls(
+            vertices(blue, "blue"),
+            vertices(red, "red"),
+            tuple(tuple(map(str, e)) for e in _json_records(edges, ("id", "blue", "red"), "edge")),
         )
-        red = tuple((str(v["id"]), tuple(str(e) for e in v["rotation"])) for v in data["red"])
-        edges = tuple(
-            (str(e["id"]), str(e["blue"]), str(e["red"])) for e in data["edges"]
-        )
-        return cls(blue, red, edges)
 
 
-def canonical_surface(
-    genus: int, boundary: int, allow_trivial: bool = False
-) -> tuple[StarFilledSurface, dict[str, "object"]]:
+def canonical_surface(genus: int, boundary: int) -> tuple[StarFilledSurface, dict[str, "object"]]:
     """Canonical single-star model of the surface with the given genus and
-    number of boundary circles, together with its standard generator loops.
+    number of boundary circles, together with its standard generator loops
+    (none for the disk).
 
     The star has ``max(2, 4*genus + 2*(boundary - 1))`` edges.  The regions
     pair up the gates: interleaved pairs ``{4t, 4t+2}, {4t+1, 4t+3}`` build
@@ -494,8 +547,6 @@ def canonical_surface(
 
     if genus < 0 or boundary < 1:
         raise SurfaceError(f"unsupported surface type ({genus}, {boundary})")
-    if (genus, boundary) == (0, 1) and not allow_trivial:
-        raise SurfaceError("the disk has no generators; pass allow_trivial=True to build it")
 
     rank = 2 * genus + boundary - 1
     star = Star("s", max(2, 2 * rank))

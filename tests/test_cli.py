@@ -1,9 +1,17 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loopcalc
+from loopcalc import closed as closed_mod
 from loopcalc.cli import main
 from loopcalc.fuzz import surface_from_spec
 
@@ -112,27 +120,47 @@ def test_compute_cobracket_core_empty(capsys):
     assert payload["sum"] == []
 
 
-def test_compute_closed_torus_example(capsys, tmp_path):
-    a = [
+#: Two loops on the canonical closed torus with form 1.
+TORUS_LOOPS = {
+    "a": [
         {"star": "p", "edge": 0, "sign": -1, "pos": "1/1"},
         {"star": "p", "edge": 1, "sign": -1, "pos": "1/1"},
-    ]
-    b = [
+    ],
+    "b": [
         {"star": "p", "edge": 0, "sign": 1, "pos": "2/1"},
         {"star": "p", "edge": 3, "sign": 1, "pos": "1/1"},
-    ]
-    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    pa.write_text(json.dumps(a))
-    pb.write_text(json.dumps(b))
+    ],
+}
+
+
+def torus_loop_args(tmp_path) -> list[str]:
+    args = []
+    for role, loop in TORUS_LOOPS.items():
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(loop))
+        args += [f"--{role}", f"@{path}"]
+    return args
+
+
+def test_compute_closed_torus_example(capsys, tmp_path):
     code, out, _ = run_cli(
-        capsys,
-        "compute", "form", "--closed-genus", "1",
-        "--a", f"@{pa}", "--b", f"@{pb}", "--halve",
+        capsys, "compute", "form", "--closed-genus", "1", *torus_loop_args(tmp_path), "--halve"
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["sum"] == 2
     assert payload["halved"] == 1
+    assert payload["methods_agree"] is True
+
+
+@pytest.mark.parametrize("op", ["form", "bracket"])
+def test_closed_methods_give_the_same_sum(capsys, tmp_path, op):
+    argv = ["compute", op, "--closed-genus", "1", *torus_loop_args(tmp_path)]
+    runs = {m: run_cli(capsys, *argv, "--method", m) for m in ("star", "gate", "both")}
+    assert {code for code, _, _ in runs.values()} == {0}
+    sums = [json.loads(out)["sum"] for _, out, _ in runs.values()]
+    assert sums[0] == sums[1] == sums[2]
+    assert json.loads(runs["star"][1])["methods_agree"] is None
 
 
 def test_compute_omega_dependent(capsys):
@@ -145,6 +173,19 @@ def test_compute_omega_dependent(capsys):
     payload = json.loads(out)
     assert payload["omega"] == {"s:0": 1, "s:1": -1, "s:2": 1, "s:3": -1}
     assert isinstance(payload["sum"], int)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--surface", "g1b1", "--a", "x", "--b", "y", "--method", "star"],
+         "--omega needs the gate route: use --method gate or both"),
+        (["--closed-genus", "1", "--a", "x", "--b", "y"], "--omega needs a bounded surface"),
+    ],
+)
+def test_compute_omega_that_cannot_be_honored_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "compute", "form", *argv, "--omega", "s:0=-1")
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_compute_omega_halve_odd_exits_4(capsys):
@@ -278,8 +319,9 @@ def test_closed_new_and_load(capsys, tmp_path):
     assert json.loads(out)["genus"] == 2
 
 
-def test_method_disagreement_exits_3(capsys, monkeypatch):
-    """A wrong evaluator makes --method both exit 3 with both reports."""
+@pytest.fixture
+def mis_signed_gate_form(monkeypatch):
+    """Make the gate route's form 2 too large."""
     from loopcalc import stars as starcalc
 
     real = starcalc.aggregate
@@ -297,6 +339,11 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
         return result
 
     monkeypatch.setattr("loopcalc.stars.aggregate", sabotaged)
+
+
+@pytest.mark.usefixtures("mis_signed_gate_form")
+def test_method_disagreement_exits_3(capsys):
+    """A wrong evaluator makes --method both exit 3 with both reports."""
     code, out, err = run_cli(
         capsys,
         "compute", "form", "--surface", "g1b1",
@@ -309,6 +356,17 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
     assert "gate_route" in payload
 
 
+@pytest.mark.usefixtures("mis_signed_gate_form")
+def test_closed_method_disagreement_exits_3(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "compute", "form", "--closed-genus", "1", *torus_loop_args(tmp_path)
+    )
+    assert (code, err) == (3, "star and gate routes disagree\n")
+    payload = json.loads(out)
+    assert payload["methods_agree"] is False
+    assert payload["sum"] == 2 and payload["gate_route"]["sum"] == 4
+
+
 def test_method_star_only(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -319,3 +377,122 @@ def test_method_star_only(capsys):
     payload = json.loads(out)
     assert payload["sum"] == 2
     assert payload["methods_agree"] is None
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_broken_pipe_exits_0_quietly(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["compute", "form", "--surface", "g1b1", "--a", "x", "--b", "y"])
+    assert (code, capsys.readouterr().err) == (0, "")
+
+
+def test_broken_pipe_process_exits_0_quietly():
+    """Through a real pipe whose read end is closed, interpreter exit
+    included."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    paths = [str(Path(loopcalc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "loopcalc.cli", "compute", "form", "--a", "x", "--b", "y"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+# -- malformed files: every mutation exits with a documented code, no traceback --
+
+RETYPED = [None, True, -1, 2.5, float("inf"), "x", [], {}]
+
+
+def mutations(doc):
+    """``(label, file bytes)`` pairs: the document cut short, not UTF-8, in
+    other JSON shapes, with each object key dropped, and with each value
+    replaced by one of another type."""
+    yield "cut short", json.dumps(doc)[:-1].encode()
+    yield "not UTF-8", b"\xff\xfe"
+    for label, other in (("in a list", [doc]), ("in an object", {"d": doc}), ("as text", "d")):
+        yield label, json.dumps(other).encode()
+
+    def walk(node, path):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in children:
+            yield path + (key,), node, key, child
+            if isinstance(child, (dict, list)):
+                yield from walk(child, path + (key,))
+
+    for path, _, key, value in list(walk(doc, ())):
+        if isinstance(key, str):
+            yield f"drop {path}", json.dumps(_edited(doc, path, None, drop=True)).encode()
+        for new in RETYPED:
+            if type(new) is not type(value):
+                yield f"{path} = {new!r}", json.dumps(_edited(doc, path, new)).encode()
+
+
+def _edited(doc, path, value, drop=False):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _fixtures():
+    surface, gens = surface_from_spec("g1b1")
+    return {
+        "surface": surface.to_json(),
+        "graph": closed_mod.canonical_filling_graph(1).to_json(),
+        "loop": gens["x1"].to_json(),
+    }
+
+
+MUTATED_RUNS = {
+    "surface": [["surface", "load", "{file}"], ["surface", "dual", "{file}"],
+                ["compute", "form", "--surface", "{file}", "--a", "@{a}", "--b", "@{a}"]],
+    "graph": [["closed", "load", "{file}"],
+              ["compute", "bracket", "--graph", "{file}", "--a", "@{a}", "--b", "@{b}"]],
+    "loop": [["compute", "bracket", "--surface", "g1b1", "--a", "@{file}", "--b", "y"],
+             ["compute", "cobracket", "--closed-genus", "1", "--a", "@{file}"]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATED_RUNS))
+def test_mutated_files_exit_with_documented_codes(capsys, tmp_path, kind):
+    files = {"file": tmp_path / "mutated.json", "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+    files["a"].write_text(json.dumps(TORUS_LOOPS["a"]))
+    files["b"].write_text(json.dumps(TORUS_LOOPS["b"]))
+    bad = []
+    count = 0
+    for label, content in mutations(_fixtures()[kind]):
+        files["file"].write_bytes(content)
+        for argv in MUTATED_RUNS[kind]:
+            count += 1
+            code, _, err = run_cli(capsys, *(arg.format(**files) for arg in argv))
+            if code not in (0, 2, 3, 4) or "Traceback" in err or err.count("\n") > 1:
+                bad.append((label, argv[:2], code, err))
+    assert count > 100
+    assert not bad, bad[:5]

@@ -14,6 +14,7 @@ from loopcalc.surface import (
     SurfaceError,
     canonical_surface,
     dual_graph,
+    permutation_cycles,
     trace_boundary_circles,
     validate_surface,
 )
@@ -108,10 +109,8 @@ def test_canonical_annulus_generator_is_core():
     assert [(t.edge, t.sign) for t in core.transits] == [(0, 1)]
 
 
-def test_trivial_surface_needs_flag():
-    with pytest.raises(SurfaceError):
-        canonical_surface(0, 1)
-    surf, gens = canonical_surface(0, 1, allow_trivial=True)
+def test_trivial_surface_is_the_disk():
+    surf, gens = canonical_surface(0, 1)
     assert validate_surface(surf).valid
     assert gens == {}
     assert len(trace_boundary_circles(surf)) == 1
@@ -156,3 +155,51 @@ def test_filling_graph_spec_json_roundtrip():
         edges=(("e0", "p", "q"), ("e1", "p", "q")),
     )
     assert FillingGraphSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "a surface must be an object, not list"),
+        ({"stars": []}, "a surface has no 'regions'"),
+        ({"stars": [{"id": "s"}], "regions": []}, "star 0 has no 'edges'"),
+        ({"stars": [{"id": "s", "edges": "x"}], "regions": []},
+         "star 's' edges is not an integer: 'x'"),
+        ({"stars": "s", "regions": []}, "the star list must be a list, not str"),
+        ({"stars": [], "regions": [["arc"]]}, "region 0 must be an object, not list"),
+        ({"stars": [], "regions": [{"id": "r", "boundary": "arc"}]},
+         "region 'r' boundary must be a list, not str"),
+        ({"stars": [], "regions": [{"id": "r", "boundary": ["gate"]}]},
+         "boundary item 'gate' must be an object, not str"),
+        ({"stars": [], "regions": [{"id": "r", "boundary": [{"gate": {"star": "s"}}]}]},
+         "boundary gate has no 'edge'"),
+        ({"stars": [], "regions": [], "genus": "one"}, "surface genus is not an integer: 'one'"),
+    ],
+)
+def test_surface_from_json_rejects_malformed(data, message):
+    with pytest.raises(SurfaceError) as info:
+        StarFilledSurface.from_json(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "a filling graph must be an object, not list"),
+        ({"blue": [], "edges": []}, "a filling graph has no 'red'"),
+        ({"blue": [{"id": "p"}], "red": [], "edges": []}, "blue vertex 0 has no 'rotation'"),
+        ({"blue": [], "red": [{"id": "q", "rotation": 3}], "edges": []},
+         "red vertex 'q' rotation must be a list, not int"),
+        ({"blue": [], "red": [], "edges": ["e0"]}, "edge 0 must be an object, not str"),
+    ],
+)
+def test_filling_graph_spec_from_json_rejects_malformed(data, message):
+    with pytest.raises(SurfaceError) as info:
+        FillingGraphSpec.from_json(data)
+    assert str(info.value) == message
+
+
+def test_permutation_cycles_start_at_least_elements():
+    assert permutation_cycles(range(5), lambda k: [2, 0, 1, 4, 3][k]) == [[0, 2, 1], [3, 4]]
+    with pytest.raises(ValueError):
+        permutation_cycles(range(3), lambda k: 1)
