@@ -8,8 +8,9 @@ exit codes:
 * 1 a fuzz run found a failure;
 * 2 invalid input: a malformed or invalid surface, filling-graph or loop
   file, an unreadable file, text that is not UTF-8 JSON, an unknown
-  generator, a missing loop, a bad ``--omega``, or an option that cannot
-  be honored;
+  generator, a missing loop, a bad ``--omega``, a negative
+  ``--conjugacy-bound`` or one given for a bounded surface, or an option
+  that cannot be honored;
 * 3 ``--method both`` and the star and gate routes disagree;
 * 4 ``--halve`` on an odd coefficient.
 
@@ -184,11 +185,16 @@ def cmd_surface(args) -> int:
 def cmd_compute(args) -> int:
     """Load the surface, resolve the loops, evaluate by the requested routes,
     normalize on a closed surface, and halve on request."""
+    bound = args.conjugacy_bound
     if args.omega is not None and args.method == "star":
         return _fail("--omega needs the gate route: use --method gate or both", EXIT_INVALID)
+    if bound is not None and bound < 0:
+        return _fail(f"--conjugacy-bound must be 0 or more, got {bound}", EXIT_INVALID)
     surface, generators, graph = _load_surface(args)
     if args.omega is not None and graph is not None:
         return _fail("--omega needs a bounded surface", EXIT_INVALID)
+    if bound is not None and graph is None:
+        return _fail("--conjugacy-bound needs a closed surface", EXIT_INVALID)
     report = validate_surface(surface)
     if not report.valid:
         _emit(report.to_json())
@@ -208,7 +214,9 @@ def cmd_compute(args) -> int:
         result = starcalc.aggregate(surface, loops, args.op, method=method, omega=omega)
         agree = None
     if graph is not None:
-        result = closedmod.normalized(graph, result, args.conjugacy_bound)
+        if bound is None:
+            bound = closedmod.DEFAULT_BOUND
+        result = closedmod.normalized(graph, result, bound)
 
     payload = result.to_json()
     halved = payload.pop("halved")
@@ -324,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega", help="gate orientation signs, e.g. 's:0=-1,s:2=-1' (default all +1)"
     )
     p_compute.add_argument("--halve", action="store_true", help="also report half the sum")
-    p_compute.add_argument("--conjugacy-bound", type=int, default=8)
+    p_compute.add_argument(
+        "--conjugacy-bound",
+        type=int,
+        help="closed surfaces only: depth of the conjugacy search (default 8)",
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized property checks")

@@ -135,6 +135,7 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
 
     # Faces are cycles of darts; a dart is ``(edge id, to_red)``.
     rotation = dict(spec.blue + spec.red)
+    position = {v: {e: i for i, e in enumerate(rot)} for v, rot in rotation.items()}
     head = {}
     for e, b, r in spec.edges:
         head[(e, True)] = r  # blue -> red dart ends at the red vertex
@@ -142,8 +143,9 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
 
     def face_next(dart: tuple[str, bool]) -> tuple[str, bool]:
         e, to_red = dart
-        rot = rotation[head[dart]]
-        return (rot[(rot.index(e) + 1) % len(rot)], not to_red)
+        v = head[dart]
+        rot = rotation[v]
+        return (rot[(position[v][e] + 1) % len(rot)], not to_red)
 
     faces = permutation_cycles(head, face_next)
     for cycle in faces:
@@ -158,7 +160,7 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
         raise FillingGraphError(f"Euler characteristic {chi} is not that of a closed surface")
     genus = (2 - chi) // 2
 
-    edge_index = {e: (b, rotation[b].index(e)) for e, b, _ in spec.edges}
+    edge_index = {e: (b, position[b][e]) for e, b, _ in spec.edges}
     stars = [Star(v, len(rot)) for v, rot in spec.blue]
 
     regions = []
@@ -394,6 +396,10 @@ def _reduce_mod_lattice(vector: Sequence[int], basis: Sequence[Sequence[int]]) -
     return tuple(v)
 
 
+#: Closure depth of :class:`ClosedNormalizer` unless a caller names another.
+DEFAULT_BOUND = 8
+
+
 class ClosedNormalizer:
     """Conjugacy normal forms in the closed-surface group.
 
@@ -404,7 +410,7 @@ class ClosedNormalizer:
     and is reported alongside results.
     """
 
-    def __init__(self, graph: FillingGraph, bound: int = 8):
+    def __init__(self, graph: FillingGraph, bound: int = DEFAULT_BOUND):
         self.graph = graph
         self.bound = bound
         self.table = graph.surface.letter_table()
@@ -550,14 +556,16 @@ class ClosedResult:
 
 
 def closed_aggregate(
-    graph: FillingGraph, loops: Mapping[str, CombinatorialLoop], op: str, bound: int = 8
+    graph: FillingGraph, loops: Mapping[str, CombinatorialLoop], op: str, bound: int = DEFAULT_BOUND
 ) -> ClosedResult:
     """One operation on the closed surface: :func:`loopcalc.stars.aggregate`
     over the filling's bounded surface, then :func:`normalized`."""
     return normalized(graph, aggregate(graph.surface, loops, op), bound)
 
 
-def normalized(graph: FillingGraph, agg: AggregateResult, bound: int = 8) -> ClosedResult:
+def normalized(
+    graph: FillingGraph, agg: AggregateResult, bound: int = DEFAULT_BOUND
+) -> ClosedResult:
     """The closed-surface result of an aggregate over the filling's bounded
     surface: the total normalized in the closed-surface group, then halved
     (``per_star`` keeps the bounded values).  The form is an integer and
@@ -595,12 +603,14 @@ def closed_form(graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop)
 
 
 def closed_bracket(
-    graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop, bound: int = 8
+    graph: FillingGraph, a: CombinatorialLoop, b: CombinatorialLoop, bound: int = DEFAULT_BOUND
 ) -> ClosedResult:
     return closed_aggregate(graph, {"a": a, "b": b}, "bracket", bound)
 
 
-def closed_cobracket(graph: FillingGraph, a: CombinatorialLoop, bound: int = 8) -> ClosedResult:
+def closed_cobracket(
+    graph: FillingGraph, a: CombinatorialLoop, bound: int = DEFAULT_BOUND
+) -> ClosedResult:
     return closed_aggregate(graph, {"a": a}, "cobracket", bound)
 
 

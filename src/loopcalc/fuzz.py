@@ -29,10 +29,11 @@ from typing import Mapping, Sequence
 from loopcalc import gates as gatecalc
 from loopcalc import stars as starcalc
 from loopcalc.algebra import FormalSum
-from loopcalc.gates import omega_reverse
+from loopcalc.gates import GateConfiguration, omega_reverse
 from loopcalc.loops import (
     CombinatorialLoop,
     InsertCancellingPair,
+    Loop,
     LoopError,
     RemoveCancellingPair,
     Reposition,
@@ -225,19 +226,35 @@ def _random_positions(loop: CombinatorialLoop, rng: random.Random):
 
 
 # -- checks ---------------------------------------------------------------------
+#
+# The gate checks take the per-star configurations as ``configs`` (see
+# :func:`gate_configs`), so that ``run_fuzz`` builds each star's
+# configuration once per pair and its splice table serves every check; a
+# check given none builds its own.
+
+
+def gate_configs(
+    surface: StarFilledSurface, loops: Mapping[str, Loop]
+) -> dict[str, GateConfiguration]:
+    """Each star's gate configuration of the loops, by star id."""
+    loops = starcalc.prepare_loops(surface, loops)
+    return {star.id: starcalc.expand_to_gates(surface, star.id, loops) for star in surface.stars}
 
 
 def oracle_failures(
     surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     inject_bug: bool = False,
+    configs: Mapping[str, GateConfiguration] | None = None,
 ) -> list[str]:
     """Per-star disagreement between the star formulas and the gate route."""
     failures = []
     two = "a" in loops and "b" in loops
     loops = starcalc.prepare_loops(surface, loops)
+    if configs is None:
+        configs = gate_configs(surface, loops)
     for star in surface.stars:
-        config = starcalc.expand_to_gates(surface, star.id, loops)
+        config = configs[star.id]
         if two:
             sf = starcalc.star_form(surface, star.id, loops["a"], loops["b"])
             gf = gatecalc.form(config)
@@ -261,15 +278,17 @@ def oracle_failures(
 
 def identity_failures(
     surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     rng: random.Random,
+    configs: Mapping[str, GateConfiguration] | None = None,
 ) -> list[str]:
     """Flip, reversal, pairing-symmetry and doubling identities on one
     random gate orientation per star."""
     failures = []
-    loops = starcalc.prepare_loops(surface, loops)
+    if configs is None:
+        configs = gate_configs(surface, loops)
     for star in surface.stars:
-        config = starcalc.expand_to_gates(surface, star.id, loops)
+        config = configs[star.id]
         omega = random_omega(config.gates, rng)
         rev = omega_reverse(omega)
         for gate in config.gates:
@@ -316,18 +335,20 @@ def identity_failures(
 
 def omega_independence_failures(
     surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
+    loops: Mapping[str, Loop],
     rng: random.Random | None = None,
     exhaustive_limit: int = 6,
     samples: int = 8,
+    configs: Mapping[str, GateConfiguration] | None = None,
 ) -> list[str]:
     """Skew operations must not depend on the gate orientation; exhaustive
     when the star has few gates, sampled otherwise."""
     failures = []
     two = "a" in loops and "b" in loops
-    loops = starcalc.prepare_loops(surface, loops)
+    if configs is None:
+        configs = gate_configs(surface, loops)
     for star in surface.stars:
-        config = starcalc.expand_to_gates(surface, star.id, loops)
+        config = configs[star.id]
         gates = config.gates
         if len(gates) <= exhaustive_limit:
             omegas = [
@@ -400,10 +421,10 @@ def shadow_failures(
     tensor factors split h(a), and the bracket's signed coefficient total
     equals the form."""
     failures = []
-    h = abelianization(surface)
-    ha = h(loops["a"])
-    hb = h(loops["b"]) if "b" in loops else None
     loops = starcalc.prepare_loops(surface, loops)
+    h = abelianization(surface)
+    ha = h(loops["a"].loop)
+    hb = h(loops["b"].loop) if "b" in loops else None
     for star in surface.stars:
         if hb is not None:
             br = starcalc.star_bracket(surface, star.id, loops["a"], loops["b"])
@@ -503,14 +524,22 @@ def run_fuzz(
     for index in range(pairs):
         a, b = random_loop_pair(surface, rng, max_transits)
         loops = {"a": a, "b": b}
-        record("oracle", oracle_failures(surface, loops, inject_bug=inject_bug), loops)
-        record("identities", identity_failures(surface, loops, rng), loops)
-        record("evenness", evenness_failures(surface, loops), loops)
-        record("shadows", shadow_failures(surface, loops), loops)
+        prepared = starcalc.prepare_loops(surface, loops)
+        configs = gate_configs(surface, prepared)
+        record(
+            "oracle",
+            oracle_failures(surface, prepared, inject_bug=inject_bug, configs=configs),
+            loops,
+        )
+        record("identities", identity_failures(surface, prepared, rng, configs=configs), loops)
+        record("evenness", evenness_failures(surface, prepared), loops)
+        record("shadows", shadow_failures(surface, prepared), loops)
         if index % 5 == 0:
             record(
                 "omega_independence",
-                omega_independence_failures(surface, loops, rng, exhaustive_limit=4, samples=4),
+                omega_independence_failures(
+                    surface, prepared, rng, exhaustive_limit=4, samples=4, configs=configs
+                ),
                 loops,
             )
         if moves and index % 5 == 1:

@@ -13,6 +13,19 @@ used to encode gate-crossing examples directly.  Raw configurations assume
 the complement of the core is a disjoint union of simply connected pieces
 glued along one component, so classes are words in the crossing letters;
 inputs outside that regime are the caller's responsibility.
+
+The splice table.  Every bracket, pairing and cobracket term is the class
+of a splice at a crossing pair.  A configuration keeps a table of the
+classes it has spliced, which :func:`graft_at` and :func:`split_at` fill on
+first use: a graft is keyed by the ordered pair ``(p.owner,
+p.letter_index, q.owner, q.letter_index)`` and a split by ``(owner,
+p1.letter_index, p2.letter_index)``.  So the operations of this module,
+called on one configuration under any number of gate orientations,
+canonicalize each ordered crossing pair once.  Keys stay ordered: the
+graft of ``(p, q)`` and of ``(q, p)`` give the same class, but they are
+spliced apart, so the pairing-symmetry check ``mu(a, b) == mu(b, a)``
+still compares two computations.  The table lives and dies with its
+configuration; nothing is cached across configurations.
 """
 
 from __future__ import annotations
@@ -52,7 +65,8 @@ class GateCrossing:
 
 
 class GateConfiguration:
-    """Per-gate ordered crossings plus the owning loops' cyclic words."""
+    """Per-gate ordered crossings plus the owning loops' cyclic words, and
+    the table ``splices`` of the classes spliced on it so far."""
 
     def __init__(
         self,
@@ -68,6 +82,7 @@ class GateConfiguration:
         self.table = table
         self.gates = tuple(sorted(self.crossings))
         self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
+        self.splices: dict[tuple, HomotopyClass] = {}
         for g, cs in self.crossings.items():
             if len({c.slot for c in cs}) != len(cs):
                 raise GateCalculusError(f"gate {g}: crossings share a slot")
@@ -150,8 +165,14 @@ def graft_at(
     of ``q``'s owner from ``q``, joined along their common gate."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
+    key = (p.owner, p.letter_index, q.owner, q.letter_index)
+    cls = config.splices.get(key)
+    if cls is not None:
+        return cls
     spliced = _rotate_at(config, p) + _rotate_at(config, q)
-    return HomotopyClass(config.table.decode_word(canonical(spliced)))
+    cls = HomotopyClass(config.table.decode_word(canonical(spliced)))
+    config.splices[key] = cls
+    return cls
 
 
 def split_at(
@@ -163,6 +184,10 @@ def split_at(
         raise GateCalculusError("split crossings must share owner and gate")
     if p1.letter_index == p2.letter_index:
         raise GateCalculusError("split crossings must be distinct")
+    key = (p1.owner, p1.letter_index, p2.letter_index)
+    cls = config.splices.get(key)
+    if cls is not None:
+        return cls
     word = config.words[p1.owner]
     m = len(word)
     count = (p2.letter_index - p1.letter_index) % m
@@ -171,7 +196,9 @@ def split_at(
         piece = piece[1:]
     if p2.eps < 0:  # leaving: the piece stops before the crossing letter
         piece = piece[:-1]
-    return HomotopyClass(config.table.decode_word(canonical(piece)))
+    cls = HomotopyClass(config.table.decode_word(canonical(piece)))
+    config.splices[key] = cls
+    return cls
 
 
 # -- the operations -------------------------------------------------------------
@@ -326,6 +353,34 @@ def cobracket(
 # -- raw configurations ----------------------------------------------------------
 
 
+def _raw_field(item, key: str, what: str, convert=str, default=None):
+    """``convert(item[key])`` for the JSON object ``item``, or ``default``
+    when the key is absent and a default is given; raises
+    :class:`GateCalculusError` naming ``what`` otherwise."""
+    if not isinstance(item, Mapping):
+        raise GateCalculusError(f"{what} must be an object, not {type(item).__name__}")
+    if key not in item:
+        if default is None:
+            raise GateCalculusError(f"{what} has no {key!r}")
+        return default
+    try:
+        return convert(item[key])
+    except (TypeError, ValueError, OverflowError):
+        raise GateCalculusError(f"{what}: {key} {item[key]!r} is not valid") from None
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return value
+
+
+def _sign(value) -> int:
+    if int(value) not in (1, -1):
+        raise ValueError(value)
+    return int(value)
+
+
 def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
     """Parse a raw gate-configuration JSON object.
 
@@ -338,42 +393,49 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
     ``slot`` ranks crossings along the gate in the reference orientation;
     ``link`` names the next crossing of the same loop along the loop.
     ``eps_omega`` records the configuration's own gate orientation, used as
-    the default for orientation-dependent operations.
+    the default for orientation-dependent operations.  Any other shape, a
+    missing key or a value that does not convert raises
+    :class:`GateCalculusError` naming the gate or crossing.
     """
     if isinstance(data, str):
-        data = json.loads(data)
-    raw_gates = data.get("gates", [])
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise GateCalculusError(f"raw configuration is not JSON: {exc}") from None
+    raw_gates = _raw_field(data, "gates", "a raw configuration", _list, default=[])
     base_omega: dict[GateKey, int] = {}
-    by_key: dict[tuple[str, int], dict] = {}
+    by_key: dict[tuple[str, int], tuple[str, int]] = {}  # (gate, slot) -> (owner, eps)
     successor: dict[tuple[str, int], tuple[str, int]] = {}
-    for g in raw_gates:
-        gid = str(g["id"])
-        base_omega[gid] = int(g.get("eps_omega", 1))
-        slots_seen = set()
-        for c in g.get("crossings", []):
-            key = (gid, int(c["slot"]))
-            if int(c["slot"]) in slots_seen:
-                raise GateCalculusError(f"gate {gid}: duplicate slot {c['slot']}")
-            slots_seen.add(int(c["slot"]))
-            by_key[key] = {"owner": str(c["owner"]), "eps": int(c["eps"])}
-            link = c.get("link")
-            if link is None:
-                raise GateCalculusError(f"gate {gid} slot {c['slot']}: missing link")
-            successor[key] = (str(link["gate"]), int(link["slot"]))
+    for i, g in enumerate(raw_gates):
+        gid = _raw_field(g, "id", f"gate {i}")
+        if gid in base_omega:
+            raise GateCalculusError(f"gate {gid}: duplicate id")
+        base_omega[gid] = _raw_field(g, "eps_omega", f"gate {gid}", _sign, default=1)
+        for j, c in enumerate(_raw_field(g, "crossings", f"gate {gid}", _list, default=[])):
+            where = f"gate {gid} crossing {j}"
+            key = (gid, _raw_field(c, "slot", where, int))
+            if key in by_key:
+                raise GateCalculusError(f"gate {gid}: duplicate slot {key[1]}")
+            by_key[key] = (_raw_field(c, "owner", where), _raw_field(c, "eps", where, _sign))
+            link = _raw_field(c, "link", where, lambda value: value)
+            successor[key] = (
+                _raw_field(link, "gate", f"{where} link"),
+                _raw_field(link, "slot", f"{where} link", int),
+            )
 
     for key, nxt in successor.items():
         if nxt not in by_key:
             raise GateCalculusError(f"crossing {key} links to unknown crossing {nxt}")
-        if by_key[nxt]["owner"] != by_key[key]["owner"]:
+        if by_key[nxt][0] != by_key[key][0]:
             raise GateCalculusError(f"crossing {key} links across owners")
 
     # Walk each owner's cycle to build its letter word.
     table = LetterTable(base_omega.keys())
-    owners = sorted({info["owner"] for info in by_key.values()})
+    owners = sorted({owner for owner, _ in by_key.values()})
     words: dict[str, list[int]] = {}
     letter_index: dict[tuple[str, int], int] = {}
     for owner in owners:
-        keys = sorted(k for k, info in by_key.items() if info["owner"] == owner)
+        keys = sorted(k for k, info in by_key.items() if info[0] == owner)
         start = keys[0]
         cycle = [start]
         cur = successor[start]
@@ -386,23 +448,12 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
             raise GateCalculusError(f"loop {owner!r}: links split into several cycles")
         word = []
         for i, key in enumerate(cycle):
-            eps = by_key[key]["eps"]
+            eps = by_key[key][1]
             word.append(table.encode(key[0], IN if eps > 0 else OUT))
             letter_index[key] = i
         words[owner] = word
 
-    crossings: dict[GateKey, list[GateCrossing]] = {}
-    for g in raw_gates:
-        gid = str(g["id"])
-        ordered = sorted(g.get("crossings", []), key=lambda c: int(c["slot"]))
-        crossings[gid] = [
-            GateCrossing(
-                gate=gid,
-                eps=int(c["eps"]),
-                owner=str(c["owner"]),
-                letter_index=letter_index[(gid, int(c["slot"]))],
-                slot=int(c["slot"]),
-            )
-            for c in ordered
-        ]
+    crossings: dict[GateKey, list[GateCrossing]] = {gid: [] for gid in base_omega}
+    for (gid, slot), (owner, eps) in by_key.items():
+        crossings[gid].append(GateCrossing(gid, eps, owner, letter_index[gid, slot], slot))
     return GateConfiguration(crossings, words, table, base_omega=base_omega)

@@ -40,9 +40,9 @@ halves over stars.
 Its ``omega`` is a gate orientation, a map from every gate ``(star,
 edge)`` of the surface to ``+1`` or ``-1``.  With an omega each star's gate
 configuration is evaluated by ``form_omega``, ``bracket_omega`` or
-``cobracket_omega`` of :mod:`loopcalc.gates` restricted to that star's
-gates; those sums can be odd, so the result's ``halved`` is ``None``.  An
-omega needs the gate route: with ``method="star"`` it raises
+``cobracket_omega`` of :mod:`loopcalc.gates`, which read the signs of that
+star's gates; those sums can be odd, so the result's ``halved`` is
+``None``.  An omega needs the gate route: with ``method="star"`` it raises
 :class:`ValueError`.
 """
 
@@ -231,14 +231,16 @@ def gate_route(
     omega: Mapping[tuple[str, int], int] | None = None,
 ):
     """Evaluate one star's contribution through the gate calculus; with an
-    ``omega``, the orientation-dependent operation in that orientation."""
+    ``omega``, the orientation-dependent operation in that orientation,
+    which reads the signs of the star's gates only (a gate it misses raises
+    :class:`~loopcalc.gates.GateCalculusError` naming the gate)."""
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")
     config = expand_to_gates(surface, star_id, loops)
     # Looked up by name at call time: gates.form, gates.form_omega, ...
     if omega is None:
         return getattr(gatecalc, op)(config)
-    return getattr(gatecalc, f"{op}_omega")(config, {g: omega[g] for g in config.gates})
+    return getattr(gatecalc, f"{op}_omega")(config, omega)
 
 
 def star_route(

@@ -188,6 +188,31 @@ def test_compute_omega_that_cannot_be_honored_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--surface", "g1b1", "--a", "x", "--b", "y", "--conjugacy-bound", "-5"],
+         "--conjugacy-bound must be 0 or more, got -5"),
+        (["--surface", "g1b1", "--a", "x", "--b", "y", "--conjugacy-bound", "3"],
+         "--conjugacy-bound needs a closed surface"),
+        (["--closed-genus", "1", "--a", "x", "--b", "y", "--conjugacy-bound", "-1"],
+         "--conjugacy-bound must be 0 or more, got -1"),
+    ],
+)
+def test_compute_conjugacy_bound_that_cannot_be_honored_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "compute", "bracket", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("flag, bound", [([], 8), (["--conjugacy-bound", "3"], 3)])
+def test_closed_bracket_reports_its_bound(capsys, tmp_path, flag, bound):
+    code, out, _ = run_cli(
+        capsys, "compute", "bracket", "--closed-genus", "1", *torus_loop_args(tmp_path), *flag
+    )
+    assert code == 0
+    assert json.loads(out)["normalization"]["bound"] == bound
+
+
 def test_compute_omega_halve_odd_exits_4(capsys):
     code, out, err = run_cli(
         capsys,

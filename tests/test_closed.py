@@ -1,10 +1,13 @@
 """Filling graphs, the derived bounded surface, and closed-surface
 operations with conjugacy normalization."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from conftest import torus_grid
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.closed import (
@@ -48,6 +51,40 @@ def torus_loops(fg):
 
 
 # -- graph building ----------------------------------------------------------------
+
+
+def graph_digest(fg) -> str:
+    """Hash of everything ``build_from_graph`` derives: the surface with
+    its regions, the faces, the relators and the edge index."""
+    data = {
+        "surface": fg.surface.to_json(),
+        "faces": [list(map(list, f)) for f in fg.faces],
+        "relators": [r.to_json() for r in fg.relators],
+        "edge_index": sorted((e, list(v)) for e, v in fg.edge_index.items()),
+    }
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+#: Digests recorded from the build that scanned each rotation with
+#: ``tuple.index``, before the per-vertex position map replaced it.
+GRAPH_DIGESTS = {
+    ("genus", 1): "0d31a3ab36ea229e",
+    ("genus", 2): "096df00fadfbc8b0",
+    ("genus", 3): "8d6a6a3b89cf7ac2",
+    ("genus", 4): "fe8b25c8ae78c3c1",
+    ("torus", 3): "92c015fafbb01461",
+    ("torus", 5): "c49f34565631fb3c",
+    ("torus", 8): "4381a2ddd2d8cf95",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(GRAPH_DIGESTS))
+def test_built_graph_unchanged(kind, n):
+    if kind == "genus":
+        spec = canonical_filling_graph(n)
+    else:
+        spec = from_triangulation(torus_grid(n))
+    assert graph_digest(build_from_graph(spec)) == GRAPH_DIGESTS[kind, n]
 
 
 def test_torus_graph_shape(torus):

@@ -4,7 +4,7 @@ are deterministic, and a sabotaged evaluator is caught."""
 import doctest
 import random
 
-from loopcalc import _wordpure
+from loopcalc import _wordpure, stars
 from loopcalc.fuzz import (
     random_loop,
     random_loop_pair,
@@ -71,3 +71,21 @@ def test_run_fuzz_catches_injected_bug():
     payload = report.to_json()
     assert payload["counterexample"]["check"] == "oracle"
     assert payload["counterexample"]["loops"]["a"]
+
+
+def test_fuzz_builds_one_configuration_per_star_and_pair(monkeypatch):
+    """The gate checks share each pair's configurations, so ``run_fuzz``
+    expands each star once per pair."""
+    calls = []
+
+    def counting(surface, star_id, loops):
+        calls.append(star_id)
+        return expand(surface, star_id, loops)
+
+    expand = stars.expand_to_gates
+    monkeypatch.setattr(stars, "expand_to_gates", counting)
+    for spec, pairs in (("g1b1", 6), ("g2b1", 4)):
+        calls.clear()
+        assert run_fuzz(spec, pairs=pairs, moves=3, seed=2).ok
+        surface, _ = surface_from_spec(spec)
+        assert sorted(calls) == sorted(star.id for star in surface.stars) * pairs

@@ -368,6 +368,42 @@ def test_raw_config_duplicate_slot_rejected():
         )
 
 
+def _crossing(**fields):
+    return {"owner": "a", "eps": 1, "slot": 0, "link": {"gate": "g", "slot": 0}, **fields}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"gates": [{"id": "g", "crossings": [{"slot": 0}]}]},
+            "gate g crossing 0 has no 'owner'",
+        ),
+        (
+            {"gates": [{"id": "g", "crossings": [_crossing(slot="x")]}]},
+            "gate g crossing 0: slot 'x' is not valid",
+        ),
+        ({"gates": 3}, "a raw configuration: gates 3 is not valid"),
+        ([{"id": "g"}], "a raw configuration must be an object, not list"),
+        ({"gates": [7]}, "gate 0 must be an object, not int"),
+        (
+            {"gates": [{"id": "g", "crossings": [_crossing(eps=2)]}]},
+            "gate g crossing 0: eps 2 is not valid",
+        ),
+        (
+            {"gates": [{"id": "g", "crossings": [_crossing(link=[])]}]},
+            "gate g crossing 0 link must be an object, not list",
+        ),
+        ({"gates": [{"id": "g"}, {"id": "g"}]}, "gate g: duplicate id"),
+        ("{", "raw configuration is not JSON"),
+    ],
+)
+def test_raw_config_malformed_names_the_gate(data, message):
+    with pytest.raises(GateCalculusError) as info:
+        raw_config_from_json(data)
+    assert str(info.value).startswith(message)
+
+
 # -- doubling identities on star-derived configurations ---------------------------
 
 

@@ -1,5 +1,6 @@
-"""Golden outputs, compared byte for byte: the README's CLI examples and a
-few orientation-dependent (``--omega``) runs on ``g2b1``, seeded
+"""Golden outputs, compared byte for byte: the README's CLI examples, a
+few orientation-dependent (``--omega``) runs on ``g2b1``, fuzz reports on
+``g2b1`` and ``g3b2`` with and without ``--inject-bug``, seeded
 aggregates by both routes on a triangulated torus and on ``g2b1``, seeded
 closed operations on the canonical genus-2 filling graph, and the texts of
 loop errors.
@@ -63,6 +64,11 @@ CLI_CASES = [
     ["closed", "load", "{graph}"],
     ["fuzz", "--surface", "g1b1", "--pairs", "200", "--moves", "20", "--seed", "7"],
     ["fuzz", "--surface", "g1b1", "--pairs", "3", "--moves", "5", "--seed", "7", "--inject-bug"],
+    *(
+        ["fuzz", "--surface", spec, "--pairs", pairs, "--moves", "5", "--seed", "7", *bug]
+        for spec in ("g2b1", "g3b2")
+        for pairs, bug in (("20", []), ("5", ["--inject-bug"]))
+    ),
     *(
         [
             "compute", op, "--surface", "g2b1", "--loop", "c=x1 y1 x2^-1 y2", "--a", "c",

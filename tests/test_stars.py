@@ -245,3 +245,14 @@ def test_aggregate_with_omega_sums_oriented_gate_values():
         assert result.halved is None
         with pytest.raises(ValueError, match="gate route"):
             aggregate(surf, loops, op, method="star", omega=omega)
+
+
+@pytest.mark.parametrize("op", ["form", "bracket", "cobracket"])
+def test_aggregate_omega_missing_a_gate_names_it(op):
+    surf, gens = canonical_surface(1, 1)
+    a, b = make_generic(surf, [gens["x1"], gens["y1"]])
+    loops = {"a": a} if op == "cobracket" else {"a": a, "b": b}
+    omega = {(g.star, g.edge): 1 for g in surf.gates() if g.edge != 2}
+    missing = r"^gate orientation missing gate \('s', 2\)$"
+    with pytest.raises(gatecalc.GateCalculusError, match=missing):
+        aggregate(surf, loops, op, method="gate", omega=omega)
