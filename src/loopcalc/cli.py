@@ -9,8 +9,9 @@ exit codes:
 * 2 invalid input: a malformed or invalid surface, filling-graph or loop
   file, an unreadable file, text that is not UTF-8 JSON, an unknown
   generator, a missing loop, a bad ``--omega``, a negative
-  ``--conjugacy-bound`` or one given for a bounded surface, or an option
-  that cannot be honored;
+  ``--conjugacy-bound`` or one given for a bounded surface, a negative
+  ``fuzz --pairs`` or ``--moves``, a ``LOOPCALC_SEED`` that is not an
+  integer, or an option that cannot be honored;
 * 3 ``--method both`` and the star and gate routes disagree;
 * 4 ``--halve`` on an odd coefficient.
 
@@ -246,9 +247,16 @@ def cmd_compute(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    for option, value in (("--pairs", args.pairs), ("--moves", args.moves)):
+        if value < 0:
+            return _fail(f"{option} must be 0 or more, got {value}", EXIT_INVALID)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("LOOPCALC_SEED", "0"))
+        text = os.environ.get("LOOPCALC_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            return _fail(f"LOOPCALC_SEED {text!r} is not an integer", EXIT_INVALID)
     report = fuzzmod.run_fuzz(
         spec=args.surface,
         pairs=args.pairs,

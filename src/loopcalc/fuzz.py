@@ -227,48 +227,94 @@ def _random_positions(loop: CombinatorialLoop, rng: random.Random):
 
 # -- checks ---------------------------------------------------------------------
 #
-# The gate checks take the per-star configurations as ``configs`` (see
-# :func:`gate_configs`), so that ``run_fuzz`` builds each star's
-# configuration once per pair and its splice table serves every check; a
-# check given none builds its own.
+# ``run_fuzz`` evaluates each star of a pair once per route, with
+# :func:`star_route_values` and :func:`gate_route_values`, and every check
+# reads those values: the oracle compares them, the star-route checks
+# (shadows, evenness, the moves baseline) and the gate-route checks
+# (identities, omega independence) read their own route's.  The gate
+# values carry each star's configuration, whose splice table then serves
+# every orientation the gate checks evaluate.  A check given no values
+# computes its own.
 
 
-def gate_configs(
+@dataclass(frozen=True)
+class StarValues:
+    """One star's skew values by one route: the form and bracket of ``a``
+    and ``b`` (``None`` for a single loop) and the cobracket of each loop,
+    by name; on the gate route, also the star's gate configuration."""
+
+    form: int | None
+    bracket: FormalSum | None
+    cobracket: Mapping[str, TensorSum]
+    config: GateConfiguration | None = None
+
+
+def star_route_values(
     surface: StarFilledSurface, loops: Mapping[str, Loop]
-) -> dict[str, GateConfiguration]:
-    """Each star's gate configuration of the loops, by star id."""
+) -> dict[str, StarValues]:
+    """Each star's values by the per-star formulas, by star id."""
     loops = starcalc.prepare_loops(surface, loops)
-    return {star.id: starcalc.expand_to_gates(surface, star.id, loops) for star in surface.stars}
+    two = "a" in loops and "b" in loops
+    return {
+        star.id: StarValues(
+            form=starcalc.star_form(surface, star.id, loops["a"], loops["b"]) if two else None,
+            bracket=starcalc.star_bracket(surface, star.id, loops["a"], loops["b"]) if two else None,
+            cobracket={
+                owner: starcalc.star_cobracket(surface, star.id, loop)
+                for owner, loop in loops.items()
+            },
+        )
+        for star in surface.stars
+    }
+
+
+def gate_route_values(
+    surface: StarFilledSurface, loops: Mapping[str, Loop]
+) -> dict[str, StarValues]:
+    """Each star's skew values by the gate calculus, with the configuration
+    they were computed on, by star id."""
+    loops = starcalc.prepare_loops(surface, loops)
+    two = "a" in loops and "b" in loops
+    out = {}
+    for star in surface.stars:
+        config = starcalc.expand_to_gates(surface, star.id, loops)
+        out[star.id] = StarValues(
+            form=gatecalc.form(config) if two else None,
+            bracket=gatecalc.bracket(config) if two else None,
+            cobracket={owner: gatecalc.cobracket(config, owner) for owner in loops},
+            config=config,
+        )
+    return out
 
 
 def oracle_failures(
     surface: StarFilledSurface,
     loops: Mapping[str, Loop],
     inject_bug: bool = False,
-    configs: Mapping[str, GateConfiguration] | None = None,
+    star_values: Mapping[str, StarValues] | None = None,
+    gate_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
     """Per-star disagreement between the star formulas and the gate route."""
     failures = []
     two = "a" in loops and "b" in loops
-    loops = starcalc.prepare_loops(surface, loops)
-    if configs is None:
-        configs = gate_configs(surface, loops)
+    if star_values is None:
+        star_values = star_route_values(surface, loops)
+    if gate_values is None:
+        gate_values = gate_route_values(surface, loops)
     for star in surface.stars:
-        config = configs[star.id]
+        mine, gate = star_values[star.id], gate_values[star.id]
         if two:
-            sf = starcalc.star_form(surface, star.id, loops["a"], loops["b"])
-            gf = gatecalc.form(config)
+            sf, gf = mine.form, gate.form
             if inject_bug:
                 gf = -gf if gf else gf + 2
             if sf != gf:
                 failures.append(f"star {star.id}: form {sf} != gate form {gf}")
-            sb = starcalc.star_bracket(surface, star.id, loops["a"], loops["b"])
-            gb = gatecalc.bracket(config)
-            if sb != gb:
-                failures.append(f"star {star.id}: bracket mismatch {sb!r} vs {gb!r}")
+            if mine.bracket != gate.bracket:
+                failures.append(
+                    f"star {star.id}: bracket mismatch {mine.bracket!r} vs {gate.bracket!r}"
+                )
         for owner in loops:
-            sc = starcalc.star_cobracket(surface, star.id, loops[owner])
-            gc = gatecalc.cobracket(config, owner)
+            sc, gc = mine.cobracket[owner], gate.cobracket[owner]
             if sc != gc:
                 failures.append(
                     f"star {star.id}: cobracket({owner}) mismatch {sc!r} vs {gc!r}"
@@ -280,15 +326,16 @@ def identity_failures(
     surface: StarFilledSurface,
     loops: Mapping[str, Loop],
     rng: random.Random,
-    configs: Mapping[str, GateConfiguration] | None = None,
+    gate_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
     """Flip, reversal, pairing-symmetry and doubling identities on one
     random gate orientation per star."""
     failures = []
-    if configs is None:
-        configs = gate_configs(surface, loops)
+    if gate_values is None:
+        gate_values = gate_route_values(surface, loops)
     for star in surface.stars:
-        config = configs[star.id]
+        values = gate_values[star.id]
+        config = values.config
         omega = random_omega(config.gates, rng)
         rev = omega_reverse(omega)
         for gate in config.gates:
@@ -305,8 +352,7 @@ def identity_failures(
         bo_ba_rev = gatecalc.bracket_omega(config, rev, "b", "a")
         if bo_ab != -bo_ba_rev:
             failures.append(f"star {star.id}: bracket reversal identity failed")
-        skew_form = gatecalc.form(config)
-        skew_bracket = gatecalc.bracket(config)
+        skew_form, skew_bracket = values.form, values.bracket
         if skew_form != -gatecalc.form(config, "b", "a"):
             failures.append(f"star {star.id}: form is not antisymmetric")
         if skew_bracket != -gatecalc.bracket(config, "b", "a"):
@@ -339,16 +385,17 @@ def omega_independence_failures(
     rng: random.Random | None = None,
     exhaustive_limit: int = 6,
     samples: int = 8,
-    configs: Mapping[str, GateConfiguration] | None = None,
+    gate_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
     """Skew operations must not depend on the gate orientation; exhaustive
     when the star has few gates, sampled otherwise."""
     failures = []
     two = "a" in loops and "b" in loops
-    if configs is None:
-        configs = gate_configs(surface, loops)
+    if gate_values is None:
+        gate_values = gate_route_values(surface, loops)
     for star in surface.stars:
-        config = configs[star.id]
+        base = gate_values[star.id]
+        config = base.config
         gates = config.gates
         if len(gates) <= exhaustive_limit:
             omegas = [
@@ -359,28 +406,45 @@ def omega_independence_failures(
             if rng is None:
                 rng = random.Random(0)
             omegas = [random_omega(gates, rng) for _ in range(samples)]
-        base_form = gatecalc.form(config) if two else None
-        base_bracket = gatecalc.bracket(config) if two else None
-        base_nu = gatecalc.cobracket(config, "a")
         for omega in omegas:
-            if two and gatecalc.form(config, omega=omega) != base_form:
+            if two and gatecalc.form(config, omega=omega) != base.form:
                 failures.append(f"star {star.id}: form depends on orientation {omega}")
-            if two and gatecalc.bracket(config, omega=omega) != base_bracket:
+            if two and gatecalc.bracket(config, omega=omega) != base.bracket:
                 failures.append(f"star {star.id}: bracket depends on orientation {omega}")
-            if gatecalc.cobracket(config, "a", omega=omega) != base_nu:
+            if gatecalc.cobracket(config, "a", omega=omega) != base.cobracket["a"]:
                 failures.append(f"star {star.id}: cobracket depends on orientation {omega}")
     return failures
 
 
-def _snapshot(surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]):
+def _operations(loops: Mapping[str, Loop]) -> list[str]:
+    return ["cobracket"] if "b" not in loops else ["form", "bracket", "cobracket"]
+
+
+def _snapshot(
+    surface: StarFilledSurface,
+    loops: Mapping[str, CombinatorialLoop],
+    star_values: Mapping[str, StarValues] | None = None,
+):
+    """The loops' classes and the star route's sums over the filling (the
+    cobracket of ``a``), summed from ``star_values`` when given."""
     out = {name: to_class(surface, loop) for name, loop in loops.items()}
     loops = starcalc.prepare_loops(surface, loops)
     ops = {}
-    if "a" in loops and "b" in loops:
-        ops["form"] = starcalc.aggregate(surface, loops, "form").total
-        ops["bracket"] = starcalc.aggregate(surface, loops, "bracket").total
-    ops["cobracket"] = starcalc.aggregate(surface, {"a": loops["a"]}, "cobracket").total
+    for op in _operations(loops):
+        if star_values is None:
+            args = {"a": loops["a"]} if op == "cobracket" else loops
+            ops[op] = starcalc.aggregate(surface, args, op).total
+        else:
+            ops[op] = starcalc.sum_stars(op, "star", _per_star(star_values, op)).total
     return out, ops
+
+
+def _per_star(star_values: Mapping[str, StarValues], op: str) -> tuple:
+    """Each star's value of ``op``, the cobracket being ``a``'s."""
+    return tuple(
+        (star_id, values.cobracket["a"] if op == "cobracket" else getattr(values, op))
+        for star_id, values in star_values.items()
+    )
 
 
 def move_invariance_failures(
@@ -388,10 +452,11 @@ def move_invariance_failures(
     loops: Mapping[str, CombinatorialLoop],
     rng: random.Random,
     steps: int = 50,
+    star_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
     """Apply a random move sequence to the loops; classes and aggregated
-    outputs must not change."""
-    baseline_classes, baseline_ops = _snapshot(surface, loops)
+    outputs must not change.  ``star_values`` are the unmoved loops'."""
+    baseline_classes, baseline_ops = _snapshot(surface, loops, star_values)
     work = dict(loops)
     names = sorted(work)
     for _ in range(steps):
@@ -415,19 +480,24 @@ def move_invariance_failures(
 
 
 def shadow_failures(
-    surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
+    surface: StarFilledSurface,
+    loops: Mapping[str, CombinatorialLoop],
+    star_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
     """Abelianization shadows: bracket terms sit over h(a) + h(b), cobracket
     tensor factors split h(a), and the bracket's signed coefficient total
     equals the form."""
     failures = []
     loops = starcalc.prepare_loops(surface, loops)
+    if star_values is None:
+        star_values = star_route_values(surface, loops)
     h = abelianization(surface)
     ha = h(loops["a"].loop)
     hb = h(loops["b"].loop) if "b" in loops else None
     for star in surface.stars:
+        values = star_values[star.id]
         if hb is not None:
-            br = starcalc.star_bracket(surface, star.id, loops["a"], loops["b"])
+            br = values.bracket
             expected = tuple(x + y for x, y in zip(ha, hb))
             for cls in br.keys():
                 if h(cls) != expected:
@@ -435,13 +505,12 @@ def shadow_failures(
                         f"star {star.id}: bracket term {cls!r} abelianizes to {h(cls)}, "
                         f"expected {expected}"
                     )
-            sf = starcalc.star_form(surface, star.id, loops["a"], loops["b"])
+            sf = values.form
             if br.total() != sf:
                 failures.append(
                     f"star {star.id}: bracket coefficient total {br.total()} != form {sf}"
                 )
-        nu = starcalc.star_cobracket(surface, star.id, loops["a"])
-        for (left, right) in nu.keys():
+        for (left, right) in values.cobracket["a"].keys():
             got = tuple(x + y for x, y in zip(h(left), h(right)))
             if got != ha:
                 failures.append(
@@ -451,15 +520,18 @@ def shadow_failures(
 
 
 def evenness_failures(
-    surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
+    surface: StarFilledSurface,
+    loops: Mapping[str, CombinatorialLoop],
+    star_values: Mapping[str, StarValues] | None = None,
 ) -> list[str]:
+    """The star route's sums over the filling, the cobracket of ``a``, must
+    halve."""
     failures = []
-    ops = ["cobracket"] if "b" not in loops else ["form", "bracket", "cobracket"]
-    loops = starcalc.prepare_loops(surface, loops)
-    for op in ops:
-        args = {"a": loops["a"]} if op == "cobracket" else loops
+    if star_values is None:
+        star_values = star_route_values(surface, loops)
+    for op in _operations(loops):
         try:
-            starcalc.aggregate(surface, args, op)
+            starcalc.sum_stars(op, "star", _per_star(star_values, op))
         except starcalc.OddCoefficientError as exc:
             failures.append(f"{op}: {exc}")
     return failures
@@ -525,23 +597,28 @@ def run_fuzz(
         a, b = random_loop_pair(surface, rng, max_transits)
         loops = {"a": a, "b": b}
         prepared = starcalc.prepare_loops(surface, loops)
-        configs = gate_configs(surface, prepared)
+        mine = star_route_values(surface, prepared)
+        gate = gate_route_values(surface, prepared)
         record(
             "oracle",
-            oracle_failures(surface, prepared, inject_bug=inject_bug, configs=configs),
+            oracle_failures(surface, prepared, inject_bug, star_values=mine, gate_values=gate),
             loops,
         )
-        record("identities", identity_failures(surface, prepared, rng, configs=configs), loops)
-        record("evenness", evenness_failures(surface, prepared), loops)
-        record("shadows", shadow_failures(surface, prepared), loops)
+        record("identities", identity_failures(surface, prepared, rng, gate_values=gate), loops)
+        record("evenness", evenness_failures(surface, prepared, star_values=mine), loops)
+        record("shadows", shadow_failures(surface, prepared, star_values=mine), loops)
         if index % 5 == 0:
             record(
                 "omega_independence",
                 omega_independence_failures(
-                    surface, prepared, rng, exhaustive_limit=4, samples=4, configs=configs
+                    surface, prepared, rng, exhaustive_limit=4, samples=4, gate_values=gate
                 ),
                 loops,
             )
         if moves and index % 5 == 1:
-            record("moves", move_invariance_failures(surface, loops, rng, moves), loops)
+            record(
+                "moves",
+                move_invariance_failures(surface, loops, rng, moves, star_values=mine),
+                loops,
+            )
     return report

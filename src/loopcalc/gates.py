@@ -17,15 +17,19 @@ inputs outside that regime are the caller's responsibility.
 The splice table.  Every bracket, pairing and cobracket term is the class
 of a splice at a crossing pair.  A configuration keeps a table of the
 classes it has spliced, which :func:`graft_at` and :func:`split_at` fill on
-first use: a graft is keyed by the ordered pair ``(p.owner,
-p.letter_index, q.owner, q.letter_index)`` and a split by ``(owner,
-p1.letter_index, p2.letter_index)``.  So the operations of this module,
-called on one configuration under any number of gate orientations,
-canonicalize each ordered crossing pair once.  Keys stay ordered: the
-graft of ``(p, q)`` and of ``(q, p)`` give the same class, but they are
-spliced apart, so the pairing-symmetry check ``mu(a, b) == mu(b, a)``
-still compares two computations.  The table lives and dies with its
-configuration; nothing is cached across configurations.
+first use, keyed by the word they splice: a graft by ``(p.owner, p's
+rotation start, q.owner, q's rotation start)``, where a crossing rotates
+its owner's word just after an entering letter or at a leaving one, and a
+split by ``(owner, piece start, piece length)``.  A transit of a star
+crosses two gates, and its two crossings rotate the owner's word at the
+same letter, so the crossing pairs of two transits on both gates splice
+one word, canonicalized once.  So the operations of this module, called on
+one configuration under any number of gate orientations, canonicalize once
+per key.  Keys stay ordered: the graft of ``(p, q)`` and of
+``(q, p)`` give the same class, but they are spliced apart, so the
+pairing-symmetry check ``mu(a, b) == mu(b, a)`` still compares two
+computations.  The table lives and dies with its configuration; nothing is
+cached across configurations.
 """
 
 from __future__ import annotations
@@ -149,13 +153,10 @@ def _before(omega_sign: int, q: GateCrossing, p: GateCrossing) -> bool:
 # -- splicing -------------------------------------------------------------------
 
 
-def _rotate_at(config: GateConfiguration, c: GateCrossing) -> list[int]:
-    """The owner's cyclic word rotated at the crossing: an entering
-    crossing contributes its letter at the end of the based word, a leaving
-    one at the start."""
-    word = config.words[c.owner]
-    start = (c.letter_index + 1) % len(word) if c.eps > 0 else c.letter_index
-    return list(word[start:]) + list(word[:start])
+def _start(config: GateConfiguration, c: GateCrossing) -> int:
+    """Where the owner's cyclic word is rotated at the crossing: after an
+    entering crossing's letter, at a leaving one's."""
+    return (c.letter_index + 1) % len(config.words[c.owner]) if c.eps > 0 else c.letter_index
 
 
 def graft_at(
@@ -165,13 +166,12 @@ def graft_at(
     of ``q``'s owner from ``q``, joined along their common gate."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
-    key = (p.owner, p.letter_index, q.owner, q.letter_index)
+    key = (p.owner, _start(config, p), q.owner, _start(config, q))
     cls = config.splices.get(key)
-    if cls is not None:
-        return cls
-    spliced = _rotate_at(config, p) + _rotate_at(config, q)
-    cls = HomotopyClass(config.table.decode_word(canonical(spliced)))
-    config.splices[key] = cls
+    if cls is None:
+        pw, qw = config.words[p.owner], config.words[q.owner]
+        spliced = pw[key[1] :] + pw[: key[1]] + qw[key[3] :] + qw[: key[3]]
+        cls = config.splices[key] = HomotopyClass(config.table.decode_word(canonical(spliced)))
     return cls
 
 
@@ -179,25 +179,19 @@ def split_at(
     config: GateConfiguration, p1: GateCrossing, p2: GateCrossing
 ) -> HomotopyClass:
     """Class of the piece of the loop running from ``p1`` forward to ``p2``,
-    closed up along their common gate."""
+    closed up along their common gate: from ``p1``'s letter, without it
+    when ``p1`` enters, to ``p2``'s letter, without it when ``p2`` leaves."""
     if p1.owner != p2.owner or p1.gate != p2.gate:
         raise GateCalculusError("split crossings must share owner and gate")
     if p1.letter_index == p2.letter_index:
         raise GateCalculusError("split crossings must be distinct")
-    key = (p1.owner, p1.letter_index, p2.letter_index)
-    cls = config.splices.get(key)
-    if cls is not None:
-        return cls
     word = config.words[p1.owner]
-    m = len(word)
-    count = (p2.letter_index - p1.letter_index) % m
-    piece = [word[(p1.letter_index + i) % m] for i in range(count + 1)]
-    if p1.eps > 0:  # entering: its own letter is not part of the forward piece
-        piece = piece[1:]
-    if p2.eps < 0:  # leaving: the piece stops before the crossing letter
-        piece = piece[:-1]
-    cls = HomotopyClass(config.table.decode_word(canonical(piece)))
-    config.splices[key] = cls
+    count = (p2.letter_index - p1.letter_index) % len(word)
+    key = (p1.owner, _start(config, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
+    cls = config.splices.get(key)
+    if cls is None:
+        piece = (word[key[1] :] + word[: key[1]])[: key[2]]
+        cls = config.splices[key] = HomotopyClass(config.table.decode_word(canonical(piece)))
     return cls
 
 

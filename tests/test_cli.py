@@ -320,6 +320,21 @@ def test_fuzz_env_seed(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 99
 
 
+@pytest.mark.parametrize(
+    "argv, seed, message",
+    [
+        (["--pairs", "-3"], None, "--pairs must be 0 or more, got -3"),
+        (["--moves", "-2"], None, "--moves must be 0 or more, got -2"),
+        ([], "abc", "LOOPCALC_SEED 'abc' is not an integer"),
+    ],
+)
+def test_fuzz_that_cannot_be_honored_exits_2(capsys, monkeypatch, argv, seed, message):
+    if seed is not None:
+        monkeypatch.setenv("LOOPCALC_SEED", seed)
+    code, out, err = run_cli(capsys, "fuzz", "--surface", "g0b2", "--pairs", "2", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_fuzz_injected_bug_emits_counterexample(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -3,8 +3,9 @@ are deterministic, and a sabotaged evaluator is caught."""
 
 import doctest
 import random
+from collections import Counter
 
-from loopcalc import _wordpure, stars
+from loopcalc import _wordpure, gates, stars
 from loopcalc.fuzz import (
     random_loop,
     random_loop_pair,
@@ -89,3 +90,77 @@ def test_fuzz_builds_one_configuration_per_star_and_pair(monkeypatch):
         assert run_fuzz(spec, pairs=pairs, moves=3, seed=2).ok
         surface, _ = surface_from_spec(spec)
         assert sorted(calls) == sorted(star.id for star in surface.stars) * pairs
+
+
+def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
+    """Every check reads one per-star evaluation of each route: per pair,
+    one star form and bracket per star, one star cobracket per star and
+    loop, and one skew gate form, bracket and cobracket per star and loop.
+    Only the moves check's post-move snapshot calls ``stars.aggregate``, on
+    the moved loops; what it evaluates is not counted."""
+    counts = Counter()
+    inside_aggregate = []
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if not inside_aggregate:
+                counts[key(*args, **kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def skew(op):
+        def key(config, x="a", y="b", omega=None):
+            return (op, config.gates[0][0], x, y, omega is None)
+
+        return key
+
+    counting(stars, "star_form", lambda surface, star_id, a, b: ("star_form", star_id))
+    counting(stars, "star_bracket", lambda surface, star_id, a, b: ("star_bracket", star_id))
+    counting(stars, "star_cobracket", lambda surface, star_id, a: ("star_cobracket", star_id, a))
+    counting(gates, "form", skew("form"))
+    counting(gates, "bracket", skew("bracket"))
+    counting(
+        gates,
+        "cobracket",
+        lambda config, owner=None, omega=None: ("cobracket", config.gates[0][0], owner, omega is None),
+    )
+    aggregate = stars.aggregate
+
+    def aggregating(*args, **kwargs):
+        counts["aggregate"] += 1
+        inside_aggregate.append(args)
+        try:
+            return aggregate(*args, **kwargs)
+        finally:
+            inside_aggregate.pop()
+
+    monkeypatch.setattr(stars, "aggregate", aggregating)
+    for spec, pairs in (("g1b1", 6), ("g2b1", 4), ("g3b2", 2)):
+        counts.clear()
+        report = run_fuzz(spec, pairs=pairs, moves=3, seed=2)
+        assert report.ok and report.checks["moves"] > 0
+        assert counts["aggregate"] == 3 * report.checks["moves"]
+        surface, _ = surface_from_spec(spec)
+        for star in surface.stars:
+            assert counts["star_form", star.id] == pairs
+            assert counts["star_bracket", star.id] == pairs
+            loops = [k[2] for k in counts if k[:2] == ("star_cobracket", star.id)]
+            assert len(loops) == 2 * pairs  # one per loop of each pair
+            assert all(counts["star_cobracket", star.id, loop] == 1 for loop in loops)
+            assert counts["form", star.id, "a", "b", True] == pairs
+            assert counts["bracket", star.id, "a", "b", True] == pairs
+            for owner in ("a", "b"):
+                assert counts["cobracket", star.id, owner, True] == pairs
+
+
+def test_injected_bug_fails_only_the_oracle():
+    """The sign flip stays in the oracle's copy of the gate form: no other
+    check, reading the same shared values, sees it."""
+    for spec in ("g1b1", "g2b1", "g3b2"):
+        report = run_fuzz(spec, pairs=6, moves=3, seed=3, inject_bug=True)
+        assert report.failures
+        assert {f["check"] for f in report.failures} == {"oracle"}
+        assert report.checks["moves"] > 0 and report.checks["omega_independence"] > 0

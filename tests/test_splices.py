@@ -1,7 +1,8 @@
 """The splice table of a gate configuration: repeated operations on one
-configuration, under every gate orientation, canonicalize each ordered
-crossing pair at most once and give the values of fresh configurations;
-the two orders of a pair are still spliced apart."""
+configuration, under every gate orientation, canonicalize each spliced
+word at most once and give the values of fresh configurations; a transit's
+two gate crossings share their splices; the two orders of a pair are still
+spliced apart."""
 
 import itertools
 import random
@@ -40,17 +41,29 @@ def canonicalized(monkeypatch):
     return words
 
 
-def ordered_pairs(config) -> set:
-    """The splice keys of every ordered pair of distinct crossings on one
-    gate: grafts across owners, splits within one."""
-    keys = set()
-    for gate in config.gates:
-        for p, q in itertools.product(config.gate_crossings(gate), repeat=2):
-            if p.owner != q.owner:
-                keys.add((p.owner, p.letter_index, q.owner, q.letter_index))
-            elif p.letter_index != q.letter_index:
-                keys.add((p.owner, p.letter_index, q.letter_index))
-    return keys
+def start(config, c) -> int:
+    """Where a crossing rotates its owner's word: just after an entering
+    letter, at a leaving one."""
+    return (c.letter_index + 1) % len(config.words[c.owner]) if c.eps > 0 else c.letter_index
+
+
+def splice_key(config, p, q) -> tuple:
+    """The word a pair of crossings on one gate splices: a graft across
+    owners, the piece from ``p`` forward to ``q`` within one."""
+    if p.owner != q.owner:
+        return (p.owner, start(config, p), q.owner, start(config, q))
+    count = (q.letter_index - p.letter_index) % len(config.words[p.owner])
+    return (p.owner, start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
+
+
+def ordered_pairs(config) -> list:
+    """Every ordered pair of distinct crossings on one gate."""
+    return [
+        (p, q)
+        for gate in config.gates
+        for p, q in itertools.product(config.gate_crossings(gate), repeat=2)
+        if p is not q
+    ]
 
 
 def orientations(config) -> list[dict]:
@@ -72,8 +85,8 @@ def values(config, omega) -> tuple:
     )
 
 
-def test_each_ordered_pair_is_canonicalized_once(star_pairs, canonicalized):
-    spliced = 0
+def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
+    spliced = pairs = 0
     for surface, a, b in star_pairs:
         loops = {"a": a, "b": b}
         omegas = orientations(expand_to_gates(surface, "s", loops))
@@ -83,16 +96,46 @@ def test_each_ordered_pair_is_canonicalized_once(star_pairs, canonicalized):
         for _ in range(2):
             assert [values(config, omega) for omega in omegas] == fresh
         assert len(canonicalized) == len(config.splices)
-        assert set(config.splices) <= ordered_pairs(config)
+        assert set(config.splices) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
         spliced += len(canonicalized)
-    assert spliced > 0
+        pairs += len(ordered_pairs(config))
+    assert 0 < spliced < pairs
+
+
+def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
+    """Two transits crossing one edge meet on both gates beside it; each
+    crossing pair of the far gate splices the word of its near-gate pair."""
+    shared = 0
+    for surface, a, b in star_pairs:
+        config = expand_to_gates(surface, "s", {"a": a, "b": b})
+        partner = {}  # each crossing -> the transit's crossing on its other gate
+        by_transit = {}
+        for c in itertools.chain.from_iterable(config.crossings.values()):
+            by_transit.setdefault((c.owner, c.letter_index // 2), []).append(c)
+        for near, far in by_transit.values():
+            assert near.gate != far.gate and start(config, near) == start(config, far)
+            partner[near], partner[far] = far, near
+        for p, q in ordered_pairs(config):
+            if partner[p].gate != partner[q].gate or p.gate > partner[p].gate:
+                continue
+            fresh = expand_to_gates(surface, "s", {"a": a, "b": b})
+            splice = gates.graft_at if p.owner != q.owner else gates.split_at
+            canonicalized.clear()
+            first = splice(fresh, p, q)
+            second = splice(fresh, partner[p], partner[q])
+            assert second == first
+            assert len(canonicalized) == 1 and len(fresh.splices) == 1
+            shared += 1
+    assert shared > 0
 
 
 def test_mu_splices_both_orders(star_pairs, canonicalized):
     checked = 0
     for surface, a, b in star_pairs:
-        config = expand_to_gates(surface, "s", {"a": a, "b": b})
-        for gate in config.gates:
+        for gate in expand_to_gates(surface, "s", {"a": a, "b": b}).gates:
+            # A fresh configuration per gate: the pairs of a neighbouring
+            # gate may already have spliced this gate's words.
+            config = expand_to_gates(surface, "s", {"a": a, "b": b})
             n = len(config.gate_crossings(gate, "a")) * len(config.gate_crossings(gate, "b"))
             canonicalized.clear()
             ab = gates.mu(config, gate, "a", "b")
