@@ -12,17 +12,38 @@ module reuses both containers for its own normalized classes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Hashable, Iterable, Iterator, Tuple
 
 Letter = Tuple[Hashable, int]  # (gate key, direction IN=0 / OUT=1)
 
 
 @dataclass(frozen=True, order=True)
 class HomotopyClass:
-    """A free homotopy class, stored as its canonical cyclic gate word."""
+    """A free homotopy class, stored as its canonical cyclic gate word.
+
+    Its hash is computed on first use and kept in the ``_hash`` slot, outside
+    the instance dict, so ``vars`` shows only ``letters``.  A copy, a
+    pickle or :func:`dataclasses.replace` carries only the letters
+    (``__getstate__``) and hashes afresh: string hashes differ between
+    processes.
+    """
+
+    __slots__ = ("__dict__", "_hash")
 
     letters: tuple[Letter, ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.letters,))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {"letters": self.letters}
 
     @property
     def is_trivial(self) -> bool:
@@ -56,7 +77,10 @@ class FormalSum:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, coeff in items:
                 acc[key] = acc.get(key, 0) + coeff
-        self._terms = {k: c for k, c in acc.items() if c != 0}
+        # Drop zeros in place: a new dict would hash every key again.
+        for key in [k for k, c in acc.items() if c == 0]:
+            del acc[key]
+        self._terms = acc
 
     @property
     def is_zero(self) -> bool:

@@ -63,22 +63,6 @@ def surface_from_spec(spec: str):
 # -- random generation ----------------------------------------------------------
 
 
-def _region_hops(surface: StarFilledSurface):
-    """Hops region -> region through one star: (star, entry edge, exit
-    edge, region reached); the hop's crossings are ``star.passage(entry,
-    exit)``."""
-    hops: dict[str, list[tuple[Star, int, int, str]]] = {r.id: [] for r in surface.regions}
-    for star in surface.stars:
-        gates = star.gates()
-        for gin in gates:
-            for gout in gates:
-                if gin != gout:
-                    hops[surface.region_of(gin)].append(
-                        (star, gin.edge, gout.edge, surface.region_of(gout))
-                    )
-    return hops
-
-
 def random_loop(
     surface: StarFilledSurface, rng: random.Random, max_transits: int = 12
 ) -> CombinatorialLoop:
@@ -86,7 +70,7 @@ def random_loop(
     gate walk closed up by a shortest path back to the start region, with
     random distinct positions."""
     surface.require_valid()
-    hops = _region_hops(surface)
+    hops = surface.region_hops()
     start = rng.choice(surface.regions).id
 
     walk: list[tuple[Star, int, int, str]] = []  # (star, entry, exit, region left)
@@ -577,6 +561,12 @@ def run_fuzz(
     inject_bug: bool = False,
     max_transits: int = 12,
 ) -> FuzzReport:
+    """Check ``pairs`` seeded random loop pairs on the surface ``spec``,
+    with ``moves`` random moves in each move check; raises
+    :class:`ValueError` when either count is negative."""
+    for name, value in (("pairs", pairs), ("moves", moves)):
+        if value < 0:
+            raise ValueError(f"{name} must be 0 or more, got {value}")
     surface, _ = surface_from_spec(spec)
     rng = random.Random(seed)
     report = FuzzReport(spec=spec, seed=seed, pairs=pairs, moves=moves)

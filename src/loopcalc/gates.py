@@ -30,13 +30,36 @@ per key.  Keys stay ordered: the graft of ``(p, q)`` and of
 pairing-symmetry check ``mu(a, b) == mu(b, a)`` still compares two
 computations.  The table lives and dies with its configuration; nothing is
 cached across configurations.
+
+The side table.  Every operation is a sum over gates of terms that depend
+on the gate's sign only through which crossing of a pair comes first.  A
+gate *side* is the set of ordered crossing pairs of one gate that come
+first under one sign, and a configuration keeps a table ``sides`` of the
+signed values of the sides it has summed, keyed by ``(op, gate, sign,
+owners)``: an int for the form, and for the bracket and the cobracket a
+dict of nonzero coefficients by class or by ``(left, right)`` pair.  A side
+is summed by one pass over its pairs on first use (:func:`_side_pass`).
+``form_omega``, ``bracket_omega`` and ``cobracket_omega`` add up the side
+that their omega selects on each gate, skipping a gate that an owner does
+not cross once its sign is checked, and ``mu`` is the ``+1`` side minus the
+``-1`` side.  So a configuration evaluated under all ``2^k`` orientations
+visits each pair once per order of its owners.  Owners stay ordered, so the
+identities of :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still
+compare sides summed by separate passes.  Like the splice table, the side
+table lives and dies with its configuration.
+
+A configuration reads an owner's word on its first splice, so the form
+never encodes a loop, and it lists each owner's crossings of each gate
+once, when it is made.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from operator import attrgetter
+from typing import Hashable
 
 from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
 from loopcalc.words import IN, OUT, LetterTable, canonical
@@ -68,46 +91,106 @@ class GateCrossing:
     slot: int
 
 
+class OwnerWords(Mapping):
+    """Each owner's cyclic letter word, read from its source on first use.
+    A source is a word, or holds one as ``.word`` (a
+    :class:`~loopcalc.loops.PreparedLoop`, which encodes on first use).
+    It keeps the mapping of sources it is given; ``loaded`` is the plain
+    dict of the words read so far, for the splices' hot path."""
+
+    __slots__ = ("_sources", "loaded")
+
+    def __init__(self, sources: Mapping[str, object]):
+        self._sources = sources
+        self.loaded: dict[str, tuple[int, ...]] = {}
+
+    def __getitem__(self, owner: str) -> tuple[int, ...]:
+        try:
+            return self.loaded[owner]
+        except KeyError:
+            source = self._sources[owner]
+            word = self.loaded[owner] = tuple(getattr(source, "word", source))
+            return word
+
+    def __contains__(self, owner) -> bool:
+        return owner in self._sources
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
+def _by_owner(
+    crossings: Mapping[GateKey, tuple[GateCrossing, ...]], owners: Mapping[str, object]
+) -> dict[tuple[GateKey, str], tuple[GateCrossing, ...]]:
+    """The crossings of each gate by each owner that crosses it, in slot
+    order, by ``(gate, owner)``; a lone owner's are the gates' own."""
+    if len(owners) == 1:
+        (owner,) = owners
+        return {(g, owner): cs for g, cs in crossings.items() if cs}
+    owned = {}
+    for g, cs in crossings.items():
+        by_owner: dict[str, list[GateCrossing]] = {}
+        for c in cs:
+            mine = by_owner.get(c.owner)
+            if mine is None:
+                by_owner[c.owner] = [c]
+            else:
+                mine.append(c)
+        for owner, mine in by_owner.items():
+            owned[g, owner] = tuple(mine)
+    return owned
+
+
 class GateConfiguration:
     """Per-gate ordered crossings plus the owning loops' cyclic words, and
-    the table ``splices`` of the classes spliced on it so far."""
+    the tables ``splices`` and ``sides`` of the classes spliced and the gate
+    sides summed on it so far.  ``words`` maps each owner to its word or to
+    a prepared loop (see :class:`OwnerWords`)."""
 
     def __init__(
         self,
         crossings: Mapping[GateKey, Sequence[GateCrossing]],
-        words: Mapping[str, Sequence[int]],
+        words: Mapping[str, object],
         table: LetterTable,
         base_omega: Mapping[GateKey, int] | None = None,
     ):
         self.crossings = {
-            g: tuple(sorted(cs, key=lambda c: c.slot)) for g, cs in crossings.items()
+            g: tuple(sorted(cs, key=attrgetter("slot"))) for g, cs in crossings.items()
         }
-        self.words = {owner: tuple(w) for owner, w in words.items()}
+        sources = dict(words)
+        self.words = OwnerWords(sources)
         self.table = table
         self.gates = tuple(sorted(self.crossings))
         self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
         self.splices: dict[tuple, HomotopyClass] = {}
+        self.sides: dict[tuple, int | dict] = {}
         for g, cs in self.crossings.items():
             if len({c.slot for c in cs}) != len(cs):
                 raise GateCalculusError(f"gate {g}: crossings share a slot")
             for c in cs:
                 if c.gate != g:
                     raise GateCalculusError(f"crossing {c} filed under gate {g}")
-                if c.owner not in self.words:
+                if c.owner not in sources:
                     raise GateCalculusError(f"crossing owner {c.owner!r} has no word")
+        # Each owner's crossings of each gate it crosses, in slot order.
+        self._owned = _by_owner(self.crossings, sources)
 
     @property
     def owners(self) -> tuple[str, ...]:
         return tuple(sorted(self.words))
 
     def gate_crossings(self, gate: GateKey, owner: str | None = None):
+        """The crossings of one gate in slot order, or of one owner's."""
         try:
             cs = self.crossings[gate]
         except KeyError:
             raise GateCalculusError(f"unknown gate {gate!r}") from None
         if owner is None:
             return cs
-        return tuple(c for c in cs if c.owner == owner)
+        return self._owned.get((gate, owner), ())
 
     def omega0(self) -> dict[GateKey, int]:
         return {g: 1 for g in self.gates}
@@ -153,10 +236,10 @@ def _before(omega_sign: int, q: GateCrossing, p: GateCrossing) -> bool:
 # -- splicing -------------------------------------------------------------------
 
 
-def _start(config: GateConfiguration, c: GateCrossing) -> int:
-    """Where the owner's cyclic word is rotated at the crossing: after an
-    entering crossing's letter, at a leaving one's."""
-    return (c.letter_index + 1) % len(config.words[c.owner]) if c.eps > 0 else c.letter_index
+def _start(word: Sequence[int], c: GateCrossing) -> int:
+    """Where the owner's cyclic ``word`` is rotated at the crossing: after
+    an entering crossing's letter, at a leaving one's."""
+    return (c.letter_index + 1) % len(word) if c.eps > 0 else c.letter_index
 
 
 def graft_at(
@@ -166,10 +249,12 @@ def graft_at(
     of ``q``'s owner from ``q``, joined along their common gate."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
-    key = (p.owner, _start(config, p), q.owner, _start(config, q))
+    words = config.words
+    pw = words.loaded.get(p.owner) or words[p.owner]
+    qw = words.loaded.get(q.owner) or words[q.owner]
+    key = (p.owner, _start(pw, p), q.owner, _start(qw, q))
     cls = config.splices.get(key)
     if cls is None:
-        pw, qw = config.words[p.owner], config.words[q.owner]
         spliced = pw[key[1] :] + pw[: key[1]] + qw[key[3] :] + qw[: key[3]]
         cls = config.splices[key] = HomotopyClass(config.table.decode_word(canonical(spliced)))
     return cls
@@ -185,9 +270,10 @@ def split_at(
         raise GateCalculusError("split crossings must share owner and gate")
     if p1.letter_index == p2.letter_index:
         raise GateCalculusError("split crossings must be distinct")
-    word = config.words[p1.owner]
+    words = config.words
+    word = words.loaded.get(p1.owner) or words[p1.owner]
     count = (p2.letter_index - p1.letter_index) % len(word)
-    key = (p1.owner, _start(config, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
+    key = (p1.owner, _start(word, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
     cls = config.splices.get(key)
     if cls is None:
         piece = (word[key[1] :] + word[: key[1]])[: key[2]]
@@ -204,6 +290,71 @@ def v(config: GateConfiguration, gate: GateKey, owner: str = "a") -> int:
     return sum(c.eps for c in config.gate_crossings(gate, owner))
 
 
+def _side_pass(
+    config: GateConfiguration, op: str, gate: GateKey, sign: int, owners: tuple[str, ...]
+) -> int | dict:
+    """One pass over the pairs of a gate side, each weighted by ``sign``
+    and the crossings' signs.  For the form and the bracket these are the
+    pairs ``(p, q)`` of ``x``'s and ``y``'s crossings with ``q`` first
+    under ``sign``, counted or grafted; for the cobracket of one owner, the
+    pairs ``(p1, p2)`` of its crossings with ``p1`` first, where the loop
+    splits into two pieces, contractible pieces dropped.  A bracket or
+    cobracket side is a dict of its nonzero terms."""
+    terms: dict = {}
+    if op == "cobracket":
+        (owner,) = owners
+        cs = config.gate_crossings(gate, owner)
+        for p1 in cs:
+            for p2 in cs:
+                if p1 is p2 or not _before(sign, p1, p2):
+                    continue
+                left = split_at(config, p2, p1)
+                right = split_at(config, p1, p2)
+                if left.is_trivial or right.is_trivial:
+                    continue
+                key = (left, right)
+                terms[key] = terms.get(key, 0) + sign * p1.eps * p2.eps
+    else:
+        x, y = owners
+        ps, qs = config.gate_crossings(gate, x), config.gate_crossings(gate, y)
+        if op == "form":
+            return sum(sign * p.eps * q.eps for p in ps for q in qs if _before(sign, q, p))
+        for p in ps:
+            for q in qs:
+                if _before(sign, q, p):
+                    cls = graft_at(config, p, q)
+                    terms[cls] = terms.get(cls, 0) + sign * p.eps * q.eps
+    for key in [key for key, coeff in terms.items() if not coeff]:
+        del terms[key]
+    return terms
+
+
+def _side(
+    config: GateConfiguration, op: str, gate: GateKey, sign: int, owners: tuple[str, ...]
+) -> int | dict:
+    """The signed value of one gate side, from the configuration's side
+    table or summed now by :func:`_side_pass`."""
+    key = (op, gate, sign, owners)
+    value = config.sides.get(key)
+    if value is None:
+        value = config.sides[key] = _side_pass(config, op, gate, sign, owners)
+    return value
+
+
+def _omega_sides(
+    config: GateConfiguration, op: str, omega: Mapping[GateKey, int], owners: tuple[str, ...]
+) -> list:
+    """The side of every gate that ``omega`` selects.  Each gate's sign is
+    checked; a gate that one of the owners does not cross adds nothing."""
+    owned = config._owned
+    sides = []
+    for gate in config.gates:
+        sign = _eps_omega(omega, gate)
+        if (gate, owners[0]) in owned and (gate, owners[-1]) in owned:
+            sides.append(_side(config, op, gate, sign, owners))
+    return sides
+
+
 def form_omega(
     config: GateConfiguration,
     omega: Mapping[GateKey, int] | None = None,
@@ -214,16 +365,7 @@ def form_omega(
     every gate before ``y`` in the given orientation."""
     config.require_owners(x, y)
     omega = config.base_omega if omega is None else omega
-    total = 0
-    for gate in config.gates:
-        sign = _eps_omega(omega, gate)
-        ps = config.gate_crossings(gate, x)
-        qs = config.gate_crossings(gate, y)
-        for p in ps:
-            for q in qs:
-                if _before(sign, q, p):
-                    total += sign * p.eps * q.eps
-    return total
+    return sum(_omega_sides(config, "form", omega, (x, y)))
 
 
 def form(
@@ -265,16 +407,8 @@ def bracket_omega(
     pair with ``y`` before ``x`` along a gate."""
     config.require_owners(x, y)
     omega = config.base_omega if omega is None else omega
-    terms = []
-    for gate in config.gates:
-        sign = _eps_omega(omega, gate)
-        ps = config.gate_crossings(gate, x)
-        qs = config.gate_crossings(gate, y)
-        for p in ps:
-            for q in qs:
-                if _before(sign, q, p):
-                    terms.append((graft_at(config, p, q), sign * p.eps * q.eps))
-    return FormalSum(terms)
+    sides = _omega_sides(config, "bracket", omega, (x, y))
+    return FormalSum([term for side in sides for term in side.items()])
 
 
 def bracket(
@@ -289,12 +423,14 @@ def bracket(
 
 def mu(config: GateConfiguration, gate: GateKey, x: str = "a", y: str = "b") -> FormalSum:
     """Symmetric per-gate pairing: grafts over all crossing pairs on one
-    gate, with no order condition."""
+    gate, with no order condition; the ``+1`` side minus the ``-1`` side,
+    plus each crossing grafted to itself when ``x`` is ``y``."""
     config.require_owners(x, y)
-    terms = []
-    for p in config.gate_crossings(gate, x):
-        for q in config.gate_crossings(gate, y):
-            terms.append((graft_at(config, p, q), p.eps * q.eps))
+    plus = _side(config, "bracket", gate, 1, (x, y))
+    minus = _side(config, "bracket", gate, -1, (x, y))
+    terms = [*plus.items(), *((cls, -coeff) for cls, coeff in minus.items())]
+    if x == y:
+        terms += [(graft_at(config, p, p), 1) for p in config.gate_crossings(gate, x)]
     return FormalSum(terms)
 
 
@@ -319,20 +455,8 @@ def cobracket_omega(
     dropped."""
     owner = _resolve_owner(config, owner)
     omega = config.base_omega if omega is None else omega
-    terms = []
-    for gate in config.gates:
-        sign = _eps_omega(omega, gate)
-        cs = config.gate_crossings(gate, owner)
-        for p1 in cs:
-            for p2 in cs:
-                if p1 is p2 or not _before(sign, p1, p2):
-                    continue
-                left = split_at(config, p2, p1)
-                right = split_at(config, p1, p2)
-                if left.is_trivial or right.is_trivial:
-                    continue
-                terms.append(((left, right), sign * p1.eps * p2.eps))
-    return TensorSum(terms)
+    sides = _omega_sides(config, "cobracket", omega, (owner,))
+    return TensorSum([term for side in sides for term in side.items()])
 
 
 def cobracket(

@@ -184,8 +184,6 @@ def expand_to_gates(
     loops = prepare_loops(surface, loops)
     _check_disjoint(star, loops)
 
-    words = {name: loop.word for name, loop in loops.items()}
-
     # Crossings per edge: (pos, owner, transit index, sign)
     per_edge = {
         e: [
@@ -219,7 +217,8 @@ def expand_to_gates(
             )
         crossings[gate] = slots
 
-    return GateConfiguration(crossings, words, surface.letter_table())
+    # The configuration reads each loop's word on its first splice.
+    return GateConfiguration(crossings, loops, surface.letter_table())
 
 
 # -- dual-route evaluation and aggregation ------------------------------------

@@ -160,6 +160,7 @@ class StarFilledSurface:
         self._report: ValidationReport | None = None
         self._table: LetterTable | None = None
         self._transits: dict[tuple[str, int, int], TransitGates] | None = None
+        self._hops: dict[str, tuple[tuple[Star, int, int, str], ...]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,6 +215,24 @@ class StarFilledSurface:
                         )
             self._transits = table
         return self._transits
+
+    def region_hops(self) -> dict[str, tuple[tuple[Star, int, int, str], ...]]:
+        """Hops region -> region through one star, by the region left:
+        ``(star, entry edge, exit edge, region reached)``, in star order and
+        then gate order; a hop's crossings are ``star.passage(entry,
+        exit)``.  Built on first use, like :meth:`letter_table`."""
+        if self._hops is None:
+            hops: dict[str, list[tuple[Star, int, int, str]]] = {r.id: [] for r in self.regions}
+            for star in self.stars:
+                gates = star.gates()
+                for gin in gates:
+                    for gout in gates:
+                        if gin != gout:
+                            hops[self.region_of(gin)].append(
+                                (star, gin.edge, gout.edge, self.region_of(gout))
+                            )
+            self._hops = {region: tuple(hs) for region, hs in hops.items()}
+        return self._hops
 
     # -- gate geometry helpers ---------------------------------------------
 

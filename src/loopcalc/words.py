@@ -30,23 +30,26 @@ class LetterTable:
     encodes ``(gate, IN)`` as ``2 * index`` and ``(gate, OUT)`` as
     ``2 * index + 1``.  Integer order therefore matches the lexicographic
     order on ``(gate, direction)``, which makes minimal rotations canonical
-    across every word built from the same table.
+    across every word built from the same table.  Decoding reads a
+    precomputed tuple of the letters, so every decoded word shares the
+    table's letter objects.
     """
 
-    __slots__ = ("gates", "_index")
+    __slots__ = ("gates", "_index", "_letters")
 
     def __init__(self, gates: Iterable[Hashable]):
         self.gates = tuple(sorted(set(gates)))
         self._index = {g: i for i, g in enumerate(self.gates)}
+        self._letters = tuple((g, d) for g in self.gates for d in (IN, OUT))
 
     def encode(self, gate: Hashable, direction: int) -> int:
         return 2 * self._index[gate] + direction
 
     def decode(self, code: int) -> tuple[Hashable, int]:
-        return self.gates[code // 2], code % 2
+        return self._letters[code]
 
     def decode_word(self, word: Sequence[int]) -> tuple[tuple[Hashable, int], ...]:
-        return tuple(self.decode(c) for c in word)
+        return tuple(map(self._letters.__getitem__, word))
 
     def encode_word(self, letters: Sequence[tuple[Hashable, int]]) -> tuple[int, ...]:
         return tuple(self.encode(g, d) for g, d in letters)

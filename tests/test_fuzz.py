@@ -5,6 +5,8 @@ import doctest
 import random
 from collections import Counter
 
+import pytest
+
 from loopcalc import _wordpure, gates, stars
 from loopcalc.fuzz import (
     random_loop,
@@ -164,3 +166,32 @@ def test_injected_bug_fails_only_the_oracle():
         assert report.failures
         assert {f["check"] for f in report.failures} == {"oracle"}
         assert report.checks["moves"] > 0 and report.checks["omega_independence"] > 0
+
+
+def test_run_fuzz_rejects_negative_counts():
+    for kwargs, message in (
+        ({"pairs": -3}, "pairs must be 0 or more, got -3"),
+        ({"moves": -2}, "moves must be 0 or more, got -2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_fuzz("g1b1", seed=1, **kwargs)
+    empty = run_fuzz("g1b1", pairs=0, seed=1)
+    assert empty.ok and empty.checks == {}
+    still = run_fuzz("g1b1", pairs=2, moves=0, seed=1)
+    assert still.ok and "moves" not in still.checks
+
+
+def test_hop_table_is_built_once_per_surface(monkeypatch):
+    """``random_loop`` reads the surface's hop table, built on first use:
+    two gate lookups per hop, once, however many loops are drawn."""
+    surface, _ = surface_from_spec("g2b1")
+    lookups = []
+    region_of = surface.region_of
+    monkeypatch.setattr(surface, "region_of", lambda gate: lookups.append(gate) or region_of(gate))
+    rng = random.Random(4)
+    for _ in range(5):
+        random_loop(surface, rng, 12)
+    hops = surface.region_hops()
+    assert surface.region_hops() is hops
+    assert len(lookups) == 2 * sum(len(h) for h in hops.values())
+    assert len(lookups) == 2 * sum(s.edge_count * (s.edge_count - 1) for s in surface.stars)

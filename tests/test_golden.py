@@ -2,8 +2,8 @@
 few orientation-dependent (``--omega``) runs on ``g2b1``, fuzz reports on
 ``g2b1`` and ``g3b2`` with and without ``--inject-bug``, seeded
 aggregates by both routes on a triangulated torus and on ``g2b1``, seeded
-closed operations on the canonical genus-2 filling graph, and the texts of
-loop errors.
+closed operations on the canonical genus-2 filling graph, the texts of
+loop errors, and one digest of many seeded ``run_fuzz`` reports.
 
 ``golden.json`` holds the inputs (loops as transit JSON) next to the
 outputs, so it does not depend on the random generators staying the same.
@@ -15,6 +15,7 @@ Rewrite it, only when an output is meant to change, with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -30,7 +31,7 @@ from conftest import torus_grid
 from loopcalc import closed, stars
 from loopcalc.cli import main
 from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
-from loopcalc.fuzz import random_loop_pair, surface_from_spec
+from loopcalc.fuzz import random_loop_pair, run_fuzz, surface_from_spec
 from loopcalc.loops import CombinatorialLoop, LoopError, Transit, inverse_loop
 from loopcalc.surface import canonical_surface
 
@@ -82,6 +83,12 @@ CLI_CASES = [
 #: Closed operations run on the canonical genus-2 filling graph with this
 #: normalization bound.
 CLOSED_BOUND = 8
+
+#: ``run_fuzz`` reports pinned by one digest: every surface and seed, with
+#: and without ``inject_bug``, at this many pairs.
+FUZZ_SPECS = ("g1b1", "g2b1", "g3b2")
+FUZZ_SEEDS = range(10)
+FUZZ_PAIRS = 5
 
 
 def cli_inputs() -> dict:
@@ -210,6 +217,17 @@ def error_outputs(surfaces: dict, inputs: dict) -> dict:
     return out
 
 
+def fuzz_digest() -> str:
+    """sha256 of the JSON bytes of every pinned ``run_fuzz`` report, in order."""
+    h = hashlib.sha256()
+    for spec in FUZZ_SPECS:
+        for seed in FUZZ_SEEDS:
+            for inject_bug in (False, True):
+                report = run_fuzz(spec, pairs=FUZZ_PAIRS, seed=seed, inject_bug=inject_bug)
+                h.update(_dump(report.to_json()).encode())
+    return h.hexdigest()
+
+
 def golden_data() -> dict:
     surfaces = golden_surfaces()
     inputs = cli_inputs()
@@ -223,6 +241,7 @@ def golden_data() -> dict:
         "closed": [dict(c, outputs=closed_outputs(graph, c)) for c in closed_inputs(graph)],
         "error_inputs": errors,
         "errors": error_outputs(surfaces, errors),
+        "fuzz_digest": fuzz_digest(),
     }
 
 
@@ -264,6 +283,10 @@ def test_closed_operations_unchanged(golden):
 
 def test_error_texts_unchanged(golden, surfaces):
     assert _dump(error_outputs(surfaces, golden["error_inputs"])) == _dump(golden["errors"])
+
+
+def test_fuzz_reports_unchanged(golden):
+    assert fuzz_digest() == golden["fuzz_digest"]
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Prepared loops: a public call validates each loop once and encodes it at
-most once, whatever the number of stars, and every per-star function gives
-the same value on a prepared loop as on the raw loop."""
+most once, whatever the number of stars, and only when it splices; every
+per-star function gives the same value on a prepared loop as on the raw
+loop."""
 
 import random
 
 import pytest
 from conftest import torus_grid
 
+from loopcalc import gates
 from loopcalc import loops as loopmod
 from loopcalc import stars
 from loopcalc.closed import build_from_graph, from_triangulation
@@ -55,8 +57,28 @@ def test_aggregate_validates_each_loop_once(torus_pairs, counts, op, method):
         ids = sorted(id(loop) for loop in loops.values())
         assert sorted(counts["validate"]) == ids
         assert len(counts["encode"]) == len(set(counts["encode"]))
-        if op == "form" and method == "star":
+        if op == "form":
             assert counts["encode"] == []
+
+
+def test_gate_configuration_encodes_on_first_splice(torus_pairs, counts):
+    """A configuration reads a loop's word on its first splice: the form
+    encodes nothing, and each loop a bracket or cobracket splices is
+    encoded once, however many stars and gates splice it."""
+    for surface, a, b in torus_pairs:
+        loops = stars.prepare_loops(surface, {"a": a, "b": b})
+        configs = [stars.expand_to_gates(surface, star.id, loops) for star in surface.stars]
+        counts["encode"].clear()
+        for config in configs:
+            gates.form(config)
+        assert counts["encode"] == []
+        for config in configs:
+            gates.bracket(config)
+            gates.cobracket(config, "a")
+            gates.cobracket(config, "b")
+        spliced = {owner for config in configs for owner in config.words.loaded}
+        assert sorted(counts["encode"]) == sorted(id(loops[owner].loop) for owner in spliced)
+        assert all(config.words["a"] == loops["a"].word for config in configs)
 
 
 def test_per_star_values_same_on_prepared_loops(torus_pairs):

@@ -83,6 +83,17 @@ def test_letter_table_roundtrip():
             assert code ^ 1 == table.encode(gate, 1 - direction)
 
 
+def test_decode_word_reads_the_shared_letters():
+    table = wordmod.LetterTable([("s", 1), ("s", 0), ("t", 2)])
+    word = [5, 0, 3, 3, 2, 1, 4]
+    decoded = table.decode_word(word)
+    assert decoded == tuple((table.gates[c // 2], c % 2) for c in word)
+    assert decoded[2] is decoded[3] is table.decode(3)
+    assert table.decode_word(()) == ()
+    with pytest.raises(IndexError):
+        table.decode_word([6])
+
+
 def test_backend_selected():
     assert wordmod.BACKEND == "pure"
     assert wordmod.canonical is _wordpure.canonical
