@@ -12,8 +12,10 @@ surfaces and checks every algebraic contract the engine promises:
 * evenness of aggregated coefficients, abelianization shadows, and
   invariance under class-preserving loop moves.
 
-``run_fuzz`` drives all of this and returns a deterministic report; the
-CLI and the acceptance tests are thin wrappers around it.  ``inject_bug``
+``run_fuzz`` drives all of this and returns a deterministic report.  Each
+loop pair becomes one :class:`FuzzPair` (:func:`fuzz_pair`), which holds
+both routes' per-star values, and every check takes that pair; the CLI
+and the acceptance tests are thin wrappers around them.  ``inject_bug``
 deliberately mis-signs one evaluator so the harness can demonstrate that a
 wrong engine is caught.
 """
@@ -28,19 +30,20 @@ from typing import Mapping, Sequence
 
 from loopcalc import gates as gatecalc
 from loopcalc import stars as starcalc
-from loopcalc.algebra import FormalSum
+from loopcalc.algebra import FormalSum, TensorSum
 from loopcalc.gates import GateConfiguration, omega_reverse
 from loopcalc.loops import (
     CombinatorialLoop,
     InsertCancellingPair,
-    Loop,
     LoopError,
+    PreparedLoop,
     RemoveCancellingPair,
     Reposition,
     RotateBasepoint,
     Transit,
     abelianization,
     apply_move,
+    exit_gate,
     make_generic,
     to_class,
 )
@@ -167,8 +170,6 @@ def random_move(surface: StarFilledSurface, loop: CombinatorialLoop, rng: random
         return Reposition(_random_positions(loop, rng))
     where = rng.randrange(max(len(loop.transits), 1))
     if loop.transits:
-        from loopcalc.loops import exit_gate
-
         region = surface.region_of(exit_gate(surface, loop.transits[where - 1]))
     else:
         region = loop.anchor
@@ -211,38 +212,69 @@ def _random_positions(loop: CombinatorialLoop, rng: random.Random):
 
 # -- checks ---------------------------------------------------------------------
 #
-# ``run_fuzz`` evaluates each star of a pair once per route, with
-# :func:`star_route_values` and :func:`gate_route_values`, and every check
-# reads those values: the oracle compares them, the star-route checks
-# (shadows, evenness, the moves baseline) and the gate-route checks
-# (identities, omega independence) read their own route's.  The gate
-# values carry each star's configuration, whose splice table then serves
-# every orientation the gate checks evaluate.  A check given no values
-# computes its own.
+# ``run_fuzz`` makes one :class:`FuzzPair` per loop pair: :func:`fuzz_pair`
+# evaluates each star once per route, with :func:`star_route_values` and
+# :func:`gate_route_values`, and every check reads those values: the oracle
+# compares them, the star-route checks (shadows, evenness, the moves
+# baseline) and the gate-route checks (identities, omega independence) read
+# their own route's.  The gate values carry each star's configuration,
+# whose splice table then serves every orientation the gate checks
+# evaluate.
+
+#: Stars with at most this many gates get every orientation in the
+#: omega-independence check, larger ones ``SAMPLES`` random orientations.
+EXHAUSTIVE_LIMIT = 4
+SAMPLES = 4
 
 
 @dataclass(frozen=True)
 class StarValues:
     """One star's skew values by one route: the form and bracket of ``a``
-    and ``b`` (``None`` for a single loop) and the cobracket of each loop,
-    by name; on the gate route, also the star's gate configuration."""
+    and ``b`` and the cobracket of each loop, by name; on the gate route,
+    also the star's gate configuration."""
 
-    form: int | None
-    bracket: FormalSum | None
+    form: int
+    bracket: FormalSum
     cobracket: Mapping[str, TensorSum]
     config: GateConfiguration | None = None
 
 
+@dataclass(frozen=True)
+class FuzzPair:
+    """A loop pair ``a``, ``b`` on ``surface`` with each star's values by
+    the star route and by the gate route, by star id."""
+
+    surface: StarFilledSurface
+    a: CombinatorialLoop
+    b: CombinatorialLoop
+    star_values: Mapping[str, StarValues]
+    gate_values: Mapping[str, StarValues]
+
+    @property
+    def loops(self) -> dict[str, CombinatorialLoop]:
+        return {"a": self.a, "b": self.b}
+
+
+def fuzz_pair(
+    surface: StarFilledSurface, a: CombinatorialLoop, b: CombinatorialLoop
+) -> FuzzPair:
+    """Prepare the loops once and evaluate each star once by each route."""
+    loops = starcalc.prepare_loops(surface, {"a": a, "b": b})
+    return FuzzPair(
+        surface, a, b, star_route_values(surface, loops), gate_route_values(surface, loops)
+    )
+
+
 def star_route_values(
-    surface: StarFilledSurface, loops: Mapping[str, Loop]
+    surface: StarFilledSurface, loops: Mapping[str, PreparedLoop]
 ) -> dict[str, StarValues]:
-    """Each star's values by the per-star formulas, by star id."""
-    loops = starcalc.prepare_loops(surface, loops)
-    two = "a" in loops and "b" in loops
+    """Each star's values by the per-star formulas on the prepared pair
+    ``a``, ``b``, by star id."""
+    a, b = loops["a"], loops["b"]
     return {
         star.id: StarValues(
-            form=starcalc.star_form(surface, star.id, loops["a"], loops["b"]) if two else None,
-            bracket=starcalc.star_bracket(surface, star.id, loops["a"], loops["b"]) if two else None,
+            form=starcalc.star_form(surface, star.id, a, b),
+            bracket=starcalc.star_bracket(surface, star.id, a, b),
             cobracket={
                 owner: starcalc.star_cobracket(surface, star.id, loop)
                 for owner, loop in loops.items()
@@ -253,51 +285,49 @@ def star_route_values(
 
 
 def gate_route_values(
-    surface: StarFilledSurface, loops: Mapping[str, Loop]
+    surface: StarFilledSurface, loops: Mapping[str, PreparedLoop]
 ) -> dict[str, StarValues]:
-    """Each star's skew values by the gate calculus, with the configuration
-    they were computed on, by star id."""
-    loops = starcalc.prepare_loops(surface, loops)
-    two = "a" in loops and "b" in loops
+    """Each star's skew values by the gate calculus on the prepared pair
+    ``a``, ``b``, with the configuration they were computed on, by star
+    id."""
     out = {}
     for star in surface.stars:
         config = starcalc.expand_to_gates(surface, star.id, loops)
         out[star.id] = StarValues(
-            form=gatecalc.form(config) if two else None,
-            bracket=gatecalc.bracket(config) if two else None,
+            form=gatecalc.form(config),
+            bracket=gatecalc.bracket(config),
             cobracket={owner: gatecalc.cobracket(config, owner) for owner in loops},
             config=config,
         )
     return out
 
 
-def oracle_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, Loop],
-    inject_bug: bool = False,
-    star_values: Mapping[str, StarValues] | None = None,
-    gate_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
+def _sums(star_values: Mapping[str, StarValues]) -> dict[str, object]:
+    """The sums over the filling of the form, the bracket and the
+    cobracket of ``a``, unhalved."""
+    values = star_values.values()
+    return {
+        "form": starcalc.sum_stars("form", [v.form for v in values]),
+        "bracket": starcalc.sum_stars("bracket", [v.bracket for v in values]),
+        "cobracket": starcalc.sum_stars("cobracket", [v.cobracket["a"] for v in values]),
+    }
+
+
+def oracle_failures(pair: FuzzPair, inject_bug: bool = False) -> list[str]:
     """Per-star disagreement between the star formulas and the gate route."""
     failures = []
-    two = "a" in loops and "b" in loops
-    if star_values is None:
-        star_values = star_route_values(surface, loops)
-    if gate_values is None:
-        gate_values = gate_route_values(surface, loops)
-    for star in surface.stars:
-        mine, gate = star_values[star.id], gate_values[star.id]
-        if two:
-            sf, gf = mine.form, gate.form
-            if inject_bug:
-                gf = -gf if gf else gf + 2
-            if sf != gf:
-                failures.append(f"star {star.id}: form {sf} != gate form {gf}")
-            if mine.bracket != gate.bracket:
-                failures.append(
-                    f"star {star.id}: bracket mismatch {mine.bracket!r} vs {gate.bracket!r}"
-                )
-        for owner in loops:
+    for star in pair.surface.stars:
+        mine, gate = pair.star_values[star.id], pair.gate_values[star.id]
+        sf, gf = mine.form, gate.form
+        if inject_bug:
+            gf = -gf if gf else gf + 2
+        if sf != gf:
+            failures.append(f"star {star.id}: form {sf} != gate form {gf}")
+        if mine.bracket != gate.bracket:
+            failures.append(
+                f"star {star.id}: bracket mismatch {mine.bracket!r} vs {gate.bracket!r}"
+            )
+        for owner in ("a", "b"):
             sc, gc = mine.cobracket[owner], gate.cobracket[owner]
             if sc != gc:
                 failures.append(
@@ -306,19 +336,12 @@ def oracle_failures(
     return failures
 
 
-def identity_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, Loop],
-    rng: random.Random,
-    gate_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
+def identity_failures(pair: FuzzPair, rng: random.Random) -> list[str]:
     """Flip, reversal, pairing-symmetry and doubling identities on one
     random gate orientation per star."""
     failures = []
-    if gate_values is None:
-        gate_values = gate_route_values(surface, loops)
-    for star in surface.stars:
-        values = gate_values[star.id]
+    for star in pair.surface.stars:
+        values = pair.gate_values[star.id]
         config = values.config
         omega = random_omega(config.gates, rng)
         rev = omega_reverse(omega)
@@ -363,85 +386,39 @@ def identity_failures(
     return failures
 
 
-def omega_independence_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, Loop],
-    rng: random.Random | None = None,
-    exhaustive_limit: int = 6,
-    samples: int = 8,
-    gate_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
-    """Skew operations must not depend on the gate orientation; exhaustive
-    when the star has few gates, sampled otherwise."""
+def omega_independence_failures(pair: FuzzPair, rng: random.Random) -> list[str]:
+    """Skew operations must not depend on the gate orientation; every
+    orientation of a star with at most ``EXHAUSTIVE_LIMIT`` gates, sampled
+    otherwise."""
     failures = []
-    two = "a" in loops and "b" in loops
-    if gate_values is None:
-        gate_values = gate_route_values(surface, loops)
-    for star in surface.stars:
-        base = gate_values[star.id]
+    for star in pair.surface.stars:
+        base = pair.gate_values[star.id]
         config = base.config
         gates = config.gates
-        if len(gates) <= exhaustive_limit:
+        if len(gates) <= EXHAUSTIVE_LIMIT:
             omegas = [
                 dict(zip(gates, signs))
                 for signs in itertools.product((1, -1), repeat=len(gates))
             ]
         else:
-            if rng is None:
-                rng = random.Random(0)
-            omegas = [random_omega(gates, rng) for _ in range(samples)]
+            omegas = [random_omega(gates, rng) for _ in range(SAMPLES)]
         for omega in omegas:
-            if two and gatecalc.form(config, omega=omega) != base.form:
+            if gatecalc.form(config, omega=omega) != base.form:
                 failures.append(f"star {star.id}: form depends on orientation {omega}")
-            if two and gatecalc.bracket(config, omega=omega) != base.bracket:
+            if gatecalc.bracket(config, omega=omega) != base.bracket:
                 failures.append(f"star {star.id}: bracket depends on orientation {omega}")
             if gatecalc.cobracket(config, "a", omega=omega) != base.cobracket["a"]:
                 failures.append(f"star {star.id}: cobracket depends on orientation {omega}")
     return failures
 
 
-def _operations(loops: Mapping[str, Loop]) -> list[str]:
-    return ["cobracket"] if "b" not in loops else ["form", "bracket", "cobracket"]
-
-
-def _snapshot(
-    surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
-    star_values: Mapping[str, StarValues] | None = None,
-):
-    """The loops' classes and the star route's sums over the filling (the
-    cobracket of ``a``), summed from ``star_values`` when given."""
-    out = {name: to_class(surface, loop) for name, loop in loops.items()}
-    loops = starcalc.prepare_loops(surface, loops)
-    ops = {}
-    for op in _operations(loops):
-        if star_values is None:
-            args = {"a": loops["a"]} if op == "cobracket" else loops
-            ops[op] = starcalc.aggregate(surface, args, op).total
-        else:
-            ops[op] = starcalc.sum_stars(op, "star", _per_star(star_values, op)).total
-    return out, ops
-
-
-def _per_star(star_values: Mapping[str, StarValues], op: str) -> tuple:
-    """Each star's value of ``op``, the cobracket being ``a``'s."""
-    return tuple(
-        (star_id, values.cobracket["a"] if op == "cobracket" else getattr(values, op))
-        for star_id, values in star_values.items()
-    )
-
-
-def move_invariance_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
-    rng: random.Random,
-    steps: int = 50,
-    star_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
-    """Apply a random move sequence to the loops; classes and aggregated
-    outputs must not change.  ``star_values`` are the unmoved loops'."""
-    baseline_classes, baseline_ops = _snapshot(surface, loops, star_values)
-    work = dict(loops)
+def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50) -> list[str]:
+    """Apply a random move sequence to the loops; their classes and the
+    star route's sums over the filling must not change."""
+    surface = pair.surface
+    baseline_classes = {name: to_class(surface, loop) for name, loop in pair.loops.items()}
+    baseline_sums = _sums(pair.star_values)
+    work = pair.loops
     names = sorted(work)
     for _ in range(steps):
         name = rng.choice(names)
@@ -450,50 +427,41 @@ def move_invariance_failures(
             work[name] = apply_move(surface, work[name], move)
         except LoopError:
             continue  # move not applicable against the other loop's points
-    repositioned = make_generic(surface, [work[n] for n in names])
-    work = dict(zip(names, repositioned))
-    classes, ops = _snapshot(surface, work)
+    work = dict(zip(names, make_generic(surface, [work[n] for n in names])))
+    classes = {name: to_class(surface, loop) for name, loop in work.items()}
+    sums = _sums(star_route_values(surface, starcalc.prepare_loops(surface, work)))
     failures = []
     for name in names:
         if classes[name] != baseline_classes[name]:
             failures.append(f"moves changed the class of loop {name!r}")
-    for op, value in baseline_ops.items():
-        if ops[op] != value:
-            failures.append(f"moves changed aggregated {op}: {value!r} -> {ops[op]!r}")
+    for op, value in baseline_sums.items():
+        if sums[op] != value:
+            failures.append(f"moves changed aggregated {op}: {value!r} -> {sums[op]!r}")
     return failures
 
 
-def shadow_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
-    star_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
+def shadow_failures(pair: FuzzPair) -> list[str]:
     """Abelianization shadows: bracket terms sit over h(a) + h(b), cobracket
     tensor factors split h(a), and the bracket's signed coefficient total
     equals the form."""
     failures = []
-    loops = starcalc.prepare_loops(surface, loops)
-    if star_values is None:
-        star_values = star_route_values(surface, loops)
-    h = abelianization(surface)
-    ha = h(loops["a"].loop)
-    hb = h(loops["b"].loop) if "b" in loops else None
-    for star in surface.stars:
-        values = star_values[star.id]
-        if hb is not None:
-            br = values.bracket
-            expected = tuple(x + y for x, y in zip(ha, hb))
-            for cls in br.keys():
-                if h(cls) != expected:
-                    failures.append(
-                        f"star {star.id}: bracket term {cls!r} abelianizes to {h(cls)}, "
-                        f"expected {expected}"
-                    )
-            sf = values.form
-            if br.total() != sf:
+    h = abelianization(pair.surface)
+    ha = h(pair.a)
+    expected = tuple(x + y for x, y in zip(ha, h(pair.b)))
+    for star in pair.surface.stars:
+        values = pair.star_values[star.id]
+        br = values.bracket
+        for cls in br.keys():
+            if h(cls) != expected:
                 failures.append(
-                    f"star {star.id}: bracket coefficient total {br.total()} != form {sf}"
+                    f"star {star.id}: bracket term {cls!r} abelianizes to {h(cls)}, "
+                    f"expected {expected}"
                 )
+        sf = values.form
+        if br.total() != sf:
+            failures.append(
+                f"star {star.id}: bracket coefficient total {br.total()} != form {sf}"
+            )
         for (left, right) in values.cobracket["a"].keys():
             got = tuple(x + y for x, y in zip(h(left), h(right)))
             if got != ha:
@@ -503,19 +471,13 @@ def shadow_failures(
     return failures
 
 
-def evenness_failures(
-    surface: StarFilledSurface,
-    loops: Mapping[str, CombinatorialLoop],
-    star_values: Mapping[str, StarValues] | None = None,
-) -> list[str]:
+def evenness_failures(pair: FuzzPair) -> list[str]:
     """The star route's sums over the filling, the cobracket of ``a``, must
     halve."""
     failures = []
-    if star_values is None:
-        star_values = star_route_values(surface, loops)
-    for op in _operations(loops):
+    for op, total in _sums(pair.star_values).items():
         try:
-            starcalc.sum_stars(op, "star", _per_star(star_values, op))
+            starcalc.halve(total, f"aggregate {op}")
         except starcalc.OddCoefficientError as exc:
             failures.append(f"{op}: {exc}")
     return failures
@@ -559,7 +521,6 @@ def run_fuzz(
     moves: int = 20,
     seed: int = 0,
     inject_bug: bool = False,
-    max_transits: int = 12,
 ) -> FuzzReport:
     """Check ``pairs`` seeded random loop pairs on the surface ``spec``,
     with ``moves`` random moves in each move check; raises
@@ -571,44 +532,26 @@ def run_fuzz(
     rng = random.Random(seed)
     report = FuzzReport(spec=spec, seed=seed, pairs=pairs, moves=moves)
 
-    def record(name: str, failures: list[str], loops) -> None:
+    def record(name: str, failures: list[str], pair: FuzzPair) -> None:
         report.checks[name] = report.checks.get(name, 0) + 1
         for message in failures:
             report.failures.append(
                 {
                     "check": name,
                     "message": message,
-                    "size": sum(len(l.transits) for l in loops.values()),
-                    "loops": {k: v.to_json() for k, v in loops.items()},
+                    "size": len(pair.a.transits) + len(pair.b.transits),
+                    "loops": {k: v.to_json() for k, v in pair.loops.items()},
                 }
             )
 
     for index in range(pairs):
-        a, b = random_loop_pair(surface, rng, max_transits)
-        loops = {"a": a, "b": b}
-        prepared = starcalc.prepare_loops(surface, loops)
-        mine = star_route_values(surface, prepared)
-        gate = gate_route_values(surface, prepared)
-        record(
-            "oracle",
-            oracle_failures(surface, prepared, inject_bug, star_values=mine, gate_values=gate),
-            loops,
-        )
-        record("identities", identity_failures(surface, prepared, rng, gate_values=gate), loops)
-        record("evenness", evenness_failures(surface, prepared, star_values=mine), loops)
-        record("shadows", shadow_failures(surface, prepared, star_values=mine), loops)
+        pair = fuzz_pair(surface, *random_loop_pair(surface, rng))
+        record("oracle", oracle_failures(pair, inject_bug), pair)
+        record("identities", identity_failures(pair, rng), pair)
+        record("evenness", evenness_failures(pair), pair)
+        record("shadows", shadow_failures(pair), pair)
         if index % 5 == 0:
-            record(
-                "omega_independence",
-                omega_independence_failures(
-                    surface, prepared, rng, exhaustive_limit=4, samples=4, gate_values=gate
-                ),
-                loops,
-            )
+            record("omega_independence", omega_independence_failures(pair, rng), pair)
         if moves and index % 5 == 1:
-            record(
-                "moves",
-                move_invariance_failures(surface, loops, rng, moves, star_values=mine),
-                loops,
-            )
+            record("moves", move_invariance_failures(pair, rng, moves), pair)
     return report

@@ -148,7 +148,9 @@ class GateConfiguration:
     """Per-gate ordered crossings plus the owning loops' cyclic words, and
     the tables ``splices`` and ``sides`` of the classes spliced and the gate
     sides summed on it so far.  ``words`` maps each owner to its word or to
-    a prepared loop (see :class:`OwnerWords`)."""
+    a prepared loop (see :class:`OwnerWords`).  ``base_omega`` is the
+    orientation every operation given no ``omega`` uses: ``+1`` on every
+    gate unless a raw configuration sets its gates' ``eps_omega``."""
 
     def __init__(
         self,
@@ -191,9 +193,6 @@ class GateConfiguration:
         if owner is None:
             return cs
         return self._owned.get((gate, owner), ())
-
-    def omega0(self) -> dict[GateKey, int]:
-        return {g: 1 for g in self.gates}
 
     def require_owners(self, *names: str) -> None:
         for name in names:
@@ -377,7 +376,6 @@ def form(
     """Orientation-independent skew form (twice the classical intersection
     number for loops in a plain surface core).  Any gate orientation gives
     the same value; ``omega`` exists so tests can assert that."""
-    omega = config.omega0() if omega is None else omega
     return form_omega(config, omega, x, y) - form_omega(config, omega, y, x)
 
 
@@ -417,7 +415,6 @@ def bracket(
     y: str = "b",
     omega: Mapping[GateKey, int] | None = None,
 ) -> FormalSum:
-    omega = config.omega0() if omega is None else omega
     return bracket_omega(config, omega, x, y) - bracket_omega(config, omega, y, x)
 
 
@@ -464,7 +461,7 @@ def cobracket(
     owner: str | None = None,
     omega: Mapping[GateKey, int] | None = None,
 ) -> TensorSum:
-    nu = cobracket_omega(config, config.omega0() if omega is None else omega, owner)
+    nu = cobracket_omega(config, omega, owner)
     return nu - nu.transpose()
 
 

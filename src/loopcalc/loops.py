@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from loopcalc.algebra import HomotopyClass
-from loopcalc.surface import GateRef, StarFilledSurface, ValidationReport
+from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
 from loopcalc.words import OUT, canonical
 
 
@@ -129,7 +129,7 @@ def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> Valida
         else:
             try:
                 surface.region(loop.anchor)
-            except Exception:
+            except SurfaceError:
                 problems.append(f"empty loop anchored in unknown region {loop.anchor!r}")
         return ValidationReport(tuple(problems))
 
@@ -140,7 +140,7 @@ def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> Valida
             continue
         try:
             star = surface.star(t.star)
-        except Exception:
+        except SurfaceError:
             problems.append(f"transit {i}: unknown star {t.star!r}")
             continue
         found = len(problems)

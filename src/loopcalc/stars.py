@@ -34,10 +34,11 @@ orientation-dependent, runs the same steps: prepare the loops, evaluate
 each star (:func:`star_route` or :func:`gate_route`), sum the per-star
 values, normalize in the closed-surface group when the surface is closed
 (:func:`loopcalc.closed.normalized`), and halve (:func:`halve`, the
-one halving rule).  :func:`sum_stars` is the only place that sums and
-halves over stars: :func:`aggregate` evaluates the stars and calls it, and
-code that already holds per-star values (the fuzz harness) calls it
-directly.
+one halving rule).  :func:`sum_stars` is the only place that sums over
+stars and returns the plain sum: :func:`aggregate` evaluates the stars,
+sums them and halves the sum, and code that already holds per-star values
+(the fuzz harness) sums them with it and halves only where it checks
+evenness.
 
 Its ``omega`` is a gate orientation, a map from every gate ``(star,
 edge)`` of the surface to ``+1`` or ``-1``.  With an omega each star's gate
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum, TensorSum
@@ -321,27 +322,21 @@ def aggregate(
     route = star_route if method == "star" else partial(gate_route, omega=omega)
     loops = prepare_loops(surface, loops)
     per_star = tuple((star.id, route(surface, star.id, loops, op)) for star in surface.stars)
-    return sum_stars(op, method, per_star, oriented=omega is not None)
-
-
-def sum_stars(
-    op: str, method: str, per_star: tuple[tuple[str, object], ...], oriented: bool = False
-) -> AggregateResult:
-    """Sum the per-star values of one operation and halve the sum
-    (:func:`halve`); an orientation-dependent (``oriented``) sum is not
-    halved.  Raises :class:`OddCoefficientError` on an odd skew sum."""
-    values = [value for _, value in per_star]
-    if op == "form":
-        total: object = sum(values)
-    else:
-        total = (FormalSum if op == "bracket" else TensorSum).sum_of(values)
+    total = sum_stars(op, [value for _, value in per_star])
     return AggregateResult(
         op=op,
         method=method,
         per_star=per_star,
         total=total,
-        halved=None if oriented else halve(total, f"aggregate {op}"),
+        halved=None if omega is not None else halve(total, f"aggregate {op}"),
     )
+
+
+def sum_stars(op: str, values: Sequence) -> object:
+    """The plain sum of one operation's per-star values."""
+    if op == "form":
+        return sum(values)
+    return (FormalSum if op == "bracket" else TensorSum).sum_of(values)
 
 
 def methods_agree(

@@ -16,6 +16,7 @@ from loopcalc.algebra import FormalSum
 from loopcalc.closed import build_from_graph, canonical_filling_graph, closed_form
 from loopcalc.fuzz import (
     evenness_failures,
+    fuzz_pair,
     identity_failures,
     move_invariance_failures,
     oracle_failures,
@@ -103,7 +104,7 @@ def test_criterion_3_differential_oracle():
         surf, _ = canonical_surface(genus, boundary)
         for _ in range(250):
             a, b = random_loop_pair(surf, rng, 12)
-            mismatches += oracle_failures(surf, {"a": a, "b": b})
+            mismatches += oracle_failures(fuzz_pair(surf, a, b))
             total += 1
     elapsed = time.time() - start
     assert total == 1000
@@ -155,7 +156,7 @@ def test_criterion_5_identity_suite():
         genus, boundary = SURFACES[index % len(SURFACES)]
         surf, _ = canonical_surface(genus, boundary)
         a, b = random_loop_pair(surf, rng, 10)
-        failures += identity_failures(surf, {"a": a, "b": b}, rng)
+        failures += identity_failures(fuzz_pair(surf, a, b), rng)
     elapsed = time.time() - start
     assert failures == []
     report(5, f"identity suite exact on 500 instances ({elapsed:.1f}s)")
@@ -170,7 +171,7 @@ def test_criterion_6_evenness():
         genus, boundary = SURFACES[index % len(SURFACES)]
         surf, _ = canonical_surface(genus, boundary)
         a, b = random_loop_pair(surf, rng, 12)
-        failures += evenness_failures(surf, {"a": a, "b": b})
+        failures += evenness_failures(fuzz_pair(surf, a, b))
     elapsed = time.time() - start
     assert failures == []
     report(6, f"aggregated coefficients even on 200 instances ({elapsed:.1f}s)")
@@ -186,7 +187,7 @@ def test_criterion_7_homotopy_invariance():
         genus, boundary = SURFACES[index % len(SURFACES)]
         surf, _ = canonical_surface(genus, boundary)
         a, b = random_loop_pair(surf, rng, 8)
-        failures += move_invariance_failures(surf, {"a": a, "b": b}, rng, steps=50)
+        failures += move_invariance_failures(fuzz_pair(surf, a, b), rng, steps=50)
     elapsed = time.time() - start
     assert failures == []
     report(7, f"50-step move invariance on 200 instances ({elapsed:.1f}s)")
@@ -208,7 +209,7 @@ def test_criterion_8_known_values():
         star = aggregate(surf, {"a": a, "b": b}, op, method="star").total
         gate = aggregate(surf, {"a": a, "b": b}, op, method="gate").total
         assert star == gate
-    assert shadow_failures(surf, {"a": a, "b": b}) == []
+    assert shadow_failures(fuzz_pair(surf, a, b)) == []
     report(8, "one-holed torus: form 2, bracket 2<xy>, generator cobrackets 0")
 
 
@@ -222,7 +223,7 @@ def test_criterion_9_abelianization_shadows():
         genus, boundary = SURFACES[index % len(SURFACES)]
         surf, _ = canonical_surface(genus, boundary)
         a, b = random_loop_pair(surf, rng, 12)
-        failures += shadow_failures(surf, {"a": a, "b": b})
+        failures += shadow_failures(fuzz_pair(surf, a, b))
     elapsed = time.time() - start
     assert failures == []
     report(9, f"abelianization shadows exact on 200 instances ({elapsed:.1f}s)")

@@ -2,12 +2,13 @@
 are deterministic, and a sabotaged evaluator is caught."""
 
 import doctest
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from loopcalc import _wordpure, gates, stars
+from loopcalc import _wordpure, cli, fuzz, gates, stars
 from loopcalc.fuzz import (
     random_loop,
     random_loop_pair,
@@ -98,17 +99,15 @@ def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
     """Every check reads one per-star evaluation of each route: per pair,
     one star form and bracket per star, one star cobracket per star and
     loop, and one skew gate form, bracket and cobracket per star and loop.
-    Only the moves check's post-move snapshot calls ``stars.aggregate``, on
-    the moved loops; what it evaluates is not counted."""
+    Each move check adds one star-route evaluation, of the moved pair, and
+    nothing calls ``stars.aggregate``."""
     counts = Counter()
-    inside_aggregate = []
 
     def counting(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            if not inside_aggregate:
-                counts[key(*args, **kwargs)] += 1
+            counts[key(*args, **kwargs)] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -129,33 +128,42 @@ def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
         "cobracket",
         lambda config, owner=None, omega=None: ("cobracket", config.gates[0][0], owner, omega is None),
     )
-    aggregate = stars.aggregate
-
-    def aggregating(*args, **kwargs):
-        counts["aggregate"] += 1
-        inside_aggregate.append(args)
-        try:
-            return aggregate(*args, **kwargs)
-        finally:
-            inside_aggregate.pop()
-
-    monkeypatch.setattr(stars, "aggregate", aggregating)
+    counting(stars, "aggregate", lambda *args, **kwargs: "aggregate")
+    counting(fuzz, "star_route_values", lambda surface, loops: "star_route_values")
     for spec, pairs in (("g1b1", 6), ("g2b1", 4), ("g3b2", 2)):
         counts.clear()
         report = run_fuzz(spec, pairs=pairs, moves=3, seed=2)
         assert report.ok and report.checks["moves"] > 0
-        assert counts["aggregate"] == 3 * report.checks["moves"]
+        assert counts["aggregate"] == 0
+        evaluated = pairs + report.checks["moves"]
+        assert counts["star_route_values"] == evaluated
         surface, _ = surface_from_spec(spec)
         for star in surface.stars:
-            assert counts["star_form", star.id] == pairs
-            assert counts["star_bracket", star.id] == pairs
+            assert counts["star_form", star.id] == evaluated
+            assert counts["star_bracket", star.id] == evaluated
             loops = [k[2] for k in counts if k[:2] == ("star_cobracket", star.id)]
-            assert len(loops) == 2 * pairs  # one per loop of each pair
+            assert len(loops) == 2 * evaluated  # one per loop of each pair
             assert all(counts["star_cobracket", star.id, loop] == 1 for loop in loops)
             assert counts["form", star.id, "a", "b", True] == pairs
             assert counts["bracket", star.id, "a", "b", True] == pairs
             for owner in ("a", "b"):
                 assert counts["cobracket", star.id, owner, True] == pairs
+
+
+def test_odd_star_sum_is_reported_not_raised(monkeypatch, capsys):
+    """A star route whose sums are odd fails the evenness check; the move
+    check compares unhalved sums, so the run reports instead of raising and
+    the CLI exits 1."""
+    star_form = stars.star_form
+    monkeypatch.setattr(stars, "star_form", lambda *args: star_form(*args) + 1)
+    report = run_fuzz("g1b1", pairs=3, moves=2, seed=1)
+    assert report.checks["moves"] == 1
+    assert "form: aggregate form -7 is odd" in {
+        f["message"] for f in report.failures if f["check"] == "evenness"
+    }
+    argv = ["fuzz", "--surface", "g1b1", "--pairs", "3", "--moves", "2", "--seed", "1"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == report.to_json()
 
 
 def test_injected_bug_fails_only_the_oracle():

@@ -240,7 +240,7 @@ def test_flip_noop_when_dual_count_vanishes(annulus):
     )
     a, b = make_generic(surf, [gens["z1"], tongue])
     config = expand_to_gates(surf, "s", {"a": b, "b": a})  # x = tongue, v = 0
-    omega = config.omega0()
+    omega = {g: 1 for g in config.gates}
     for gate in config.gates:
         assert v(config, gate, "a") == 0
         assert form_omega(config, omega_flip(omega, gate)) == form_omega(config, omega)

@@ -76,7 +76,9 @@ def test_empty_loop_needs_anchor(annulus):
     surf, _ = annulus
     assert not validate_loop(surf, CombinatorialLoop(())).valid
     assert validate_loop(surf, CombinatorialLoop((), anchor="r0")).valid
-    assert not validate_loop(surf, CombinatorialLoop((), anchor="nope")).valid
+    assert validate_loop(surf, CombinatorialLoop((), anchor="nope")).problems == (
+        "empty loop anchored in unknown region 'nope'",
+    )
 
 
 def test_annulus_core_class_word(annulus):

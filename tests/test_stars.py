@@ -7,7 +7,7 @@ import pytest
 
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum
-from loopcalc.fuzz import oracle_failures, random_loop_pair
+from loopcalc.fuzz import fuzz_pair, oracle_failures, random_loop_pair
 from loopcalc.loops import (
     CombinatorialLoop,
     InsertCancellingPair,
@@ -157,7 +157,7 @@ def test_differential_oracle_spotcheck_multi_surface():
         surf, _ = canonical_surface(*spec)
         for _ in range(10):
             a, b = random_loop_pair(surf, rng, 10)
-            assert oracle_failures(surf, {"a": a, "b": b}) == []
+            assert oracle_failures(fuzz_pair(surf, a, b)) == []
 
 
 def test_star_ops_position_independent(torus1):
