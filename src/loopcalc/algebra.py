@@ -53,14 +53,21 @@ class HomotopyClass:
         return len(self.letters)
 
     def to_json(self) -> list[dict]:
-        out = []
-        for gate, direction in self.letters:
-            if isinstance(gate, tuple):
-                star, edge = gate
-                out.append({"star": star, "edge": edge, "dir": "in" if direction == 0 else "out"})
-            else:
-                out.append({"gate": gate, "dir": "in" if direction == 0 else "out"})
-        return out
+        return letters_json(self.letters)
+
+
+def letters_json(letters: Iterable[Letter]) -> list[dict]:
+    """Directed gate letters as JSON objects: ``star`` and ``edge`` for a
+    star gate, ``gate`` for a raw one, and ``dir`` ``"in"`` or ``"out"``."""
+    out = []
+    for gate, direction in letters:
+        side = "in" if direction == 0 else "out"
+        if isinstance(gate, tuple):
+            star, edge = gate
+            out.append({"star": star, "edge": edge, "dir": side})
+        else:
+            out.append({"gate": gate, "dir": side})
+    return out
 
 
 TRIVIAL_CLASS = HomotopyClass(())

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
+from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum, letters_json
 from loopcalc.loops import (
     CombinatorialLoop,
-    Transit,
     abelianization,
+    numbered,
     require_valid_loop,
     to_class,
 )
@@ -183,14 +182,7 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
 
     relators = []
     for w, rot in spec.red:
-        crossings = []
-        counts: dict[tuple[str, int], int] = {}
-        for e in rot:
-            b, idx = edge_index[e]
-            key = (b, idx)
-            counts[key] = counts.get(key, 0) + 1
-            crossings.append(Transit(b, idx, 1, Fraction(counts[key])))
-        relator_loop = CombinatorialLoop(tuple(crossings))
+        relator_loop = CombinatorialLoop(numbered((*edge_index[e], 1) for e in rot))
         require_valid_loop(surface, relator_loop)
         relators.append(to_class(surface, relator_loop))
 
@@ -351,12 +343,7 @@ class ClosedClass:
     def to_json(self):
         if self.kind == "abelian":
             return {"homology": list(self.data)}
-        return {
-            "word": [
-                {"star": g[0], "edge": g[1], "dir": "in" if d == 0 else "out"}
-                for g, d in self.data
-            ]
-        }
+        return {"word": letters_json(self.data)}
 
 
 def _hermite_columns(vectors: Sequence[Sequence[int]], dim: int) -> list[list[int]]:

@@ -303,14 +303,18 @@ def gate_route_values(
 
 
 def _sums(star_values: Mapping[str, StarValues]) -> dict[str, object]:
-    """The sums over the filling of the form, the bracket and the
-    cobracket of ``a``, unhalved."""
+    """The sums over the filling of the form, the bracket and each loop's
+    cobracket, unhalved, keyed ``form``, ``bracket`` and ``cobracket(a)``,
+    ``cobracket(b)``."""
     values = star_values.values()
-    return {
+    sums = {
         "form": starcalc.sum_stars("form", [v.form for v in values]),
         "bracket": starcalc.sum_stars("bracket", [v.bracket for v in values]),
-        "cobracket": starcalc.sum_stars("cobracket", [v.cobracket["a"] for v in values]),
     }
+    for owner in ("a", "b"):
+        cobrackets = [v.cobracket[owner] for v in values]
+        sums[f"cobracket({owner})"] = starcalc.sum_stars("cobracket", cobrackets)
+    return sums
 
 
 def oracle_failures(pair: FuzzPair, inject_bug: bool = False) -> list[str]:
@@ -472,8 +476,8 @@ def shadow_failures(pair: FuzzPair) -> list[str]:
 
 
 def evenness_failures(pair: FuzzPair) -> list[str]:
-    """The star route's sums over the filling, the cobracket of ``a``, must
-    halve."""
+    """The star route's sums over the filling, each loop's cobracket
+    included, must halve."""
     failures = []
     for op, total in _sums(pair.star_values).items():
         try:

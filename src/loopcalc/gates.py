@@ -7,12 +7,17 @@ word.  Crossings are kept in the reference slot order (the order induced by
 the core orientation, for which every compatibility sign is ``+1``); a gate
 orientation is stored as a map ``gate -> +-1`` of compatibility signs.
 
-Configurations come from two sources: expanding loop transits across one
-star (:func:`loopcalc.stars.expand_to_gates`) or raw JSON crossing data
-used to encode gate-crossing examples directly.  Raw configurations assume
-the complement of the core is a disjoint union of simply connected pieces
-glued along one component, so classes are words in the crossing letters;
-inputs outside that regime are the caller's responsibility.
+Configurations come from two builders: expanding prepared loops across
+one star (:func:`loopcalc.stars.expand_to_gates`) or parsing raw JSON
+crossing data used to encode gate-crossing examples directly
+(:func:`raw_config_from_json`).  Each builder hands
+:class:`GateConfiguration` every gate's crossings in slot order, filed
+under their own gate and owned by a loop it has a word for, and the
+configuration stores them as given; the raw parser is the one place that
+checks outside input.  Raw configurations assume the complement of the
+core is a disjoint union of simply connected pieces glued along one
+component, so classes are words in the crossing letters; inputs outside
+that regime are the caller's responsibility.
 
 The splice table.  Every bracket, pairing and cobracket term is the class
 of a splice at a crossing pair.  A configuration keeps a table of the
@@ -58,7 +63,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Hashable
 
 from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
@@ -147,38 +151,30 @@ def _by_owner(
 class GateConfiguration:
     """Per-gate ordered crossings plus the owning loops' cyclic words, and
     the tables ``splices`` and ``sides`` of the classes spliced and the gate
-    sides summed on it so far.  ``words`` maps each owner to its word or to
-    a prepared loop (see :class:`OwnerWords`).  ``base_omega`` is the
-    orientation every operation given no ``omega`` uses: ``+1`` on every
-    gate unless a raw configuration sets its gates' ``eps_omega``."""
+    sides summed on it so far.  ``crossings`` maps each gate to its
+    crossings in slot order, stored as the builder hands them.  ``words``
+    maps each owner to its word or to a prepared loop (see
+    :class:`OwnerWords`).  ``base_omega`` is the orientation every
+    operation given no ``omega`` uses: ``+1`` on every gate unless a raw
+    configuration sets its gates' ``eps_omega``."""
 
     def __init__(
         self,
-        crossings: Mapping[GateKey, Sequence[GateCrossing]],
+        crossings: Mapping[GateKey, tuple[GateCrossing, ...]],
         words: Mapping[str, object],
         table: LetterTable,
         base_omega: Mapping[GateKey, int] | None = None,
     ):
-        self.crossings = {
-            g: tuple(sorted(cs, key=attrgetter("slot"))) for g, cs in crossings.items()
-        }
+        self.crossings = crossings
         sources = dict(words)
         self.words = OwnerWords(sources)
         self.table = table
-        self.gates = tuple(sorted(self.crossings))
+        self.gates = tuple(sorted(crossings))
         self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
         self.splices: dict[tuple, HomotopyClass] = {}
         self.sides: dict[tuple, int | dict] = {}
-        for g, cs in self.crossings.items():
-            if len({c.slot for c in cs}) != len(cs):
-                raise GateCalculusError(f"gate {g}: crossings share a slot")
-            for c in cs:
-                if c.gate != g:
-                    raise GateCalculusError(f"crossing {c} filed under gate {g}")
-                if c.owner not in sources:
-                    raise GateCalculusError(f"crossing owner {c.owner!r} has no word")
         # Each owner's crossings of each gate it crosses, in slot order.
-        self._owned = _by_owner(self.crossings, sources)
+        self._owned = _by_owner(crossings, sources)
 
     @property
     def owners(self) -> tuple[str, ...]:
@@ -568,7 +564,10 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
             letter_index[key] = i
         words[owner] = word
 
+    # Each gate's crossings in slot order.
     crossings: dict[GateKey, list[GateCrossing]] = {gid: [] for gid in base_omega}
-    for (gid, slot), (owner, eps) in by_key.items():
+    for (gid, slot), (owner, eps) in sorted(by_key.items()):
         crossings[gid].append(GateCrossing(gid, eps, owner, letter_index[gid, slot], slot))
-    return GateConfiguration(crossings, words, table, base_omega=base_omega)
+    return GateConfiguration(
+        {gid: tuple(cs) for gid, cs in crossings.items()}, words, table, base_omega=base_omega
+    )

@@ -10,13 +10,18 @@ and the entry gate of the next must lie on the same region.
 
 Tracing the entry/exit gates of all transits yields the loop's cyclic word
 in the dual graph, whose canonical form is the free homotopy class.
+
+A :class:`PreparedLoop` is a loop validated for one surface: its
+constructor runs :func:`require_valid_loop`, so holding one means the loop
+is valid there.  The splices :func:`graft` and :func:`subloop` take
+prepared loops only and read their encoded words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
@@ -57,12 +62,7 @@ class CombinatorialLoop:
     ) -> "CombinatorialLoop":
         """Build a loop from ``(edge, sign)`` crossings of a single star,
         assigning fresh sequential positions per edge."""
-        counts: dict[int, int] = {}
-        transits = []
-        for edge, sign in crossings:
-            counts[edge] = counts.get(edge, 0) + 1
-            transits.append(Transit(star_id, edge, sign, Fraction(counts[edge])))
-        return cls(tuple(transits), anchor=anchor)
+        return cls(numbered((star_id, edge, sign) for edge, sign in crossings), anchor=anchor)
 
     def __len__(self) -> int:
         return len(self.transits)
@@ -89,6 +89,17 @@ class CombinatorialLoop:
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise LoopError(f"transit {i} has a malformed value: {item!r}") from None
         return cls(tuple(transits), anchor=anchor)
+
+
+def numbered(crossings: Iterable[tuple[str, int, int]]) -> tuple[Transit, ...]:
+    """Transits for ``(star, edge, sign)`` crossings in order, positioned
+    ``1, 2, ...`` along each ``(star, edge)`` in turn."""
+    counts: dict[tuple[str, int], int] = {}
+    transits = []
+    for star, edge, sign in crossings:
+        count = counts[star, edge] = counts.get((star, edge), 0) + 1
+        transits.append(Transit(star, edge, sign, Fraction(count)))
+    return tuple(transits)
 
 
 def entry_gate(surface: StarFilledSurface, t: Transit) -> GateRef:
@@ -240,13 +251,7 @@ def compile_word(
             raise LoopError("surface has no regions to anchor the empty loop")
         return CombinatorialLoop((), anchor=anchor)
 
-    counts: dict[tuple[str, int], int] = {}
-    fresh: list[Transit] = []
-    for t in transits:
-        key = (t.star, t.edge)
-        counts[key] = counts.get(key, 0) + 1
-        fresh.append(replace(t, pos=Fraction(counts[key])))
-    loop = CombinatorialLoop(tuple(fresh))
+    loop = CombinatorialLoop(numbered((t.star, t.edge, t.sign) for t in transits))
     require_valid_loop(surface, loop)
     return loop
 
@@ -393,13 +398,8 @@ def _reposition(
     loop: CombinatorialLoop, assignment: tuple[Fraction, ...] | None
 ) -> CombinatorialLoop:
     if assignment is None:
-        counts: dict[tuple[str, int], int] = {}
-        fresh = []
-        for t in loop.transits:
-            key = (t.star, t.edge)
-            counts[key] = counts.get(key, 0) + 1
-            fresh.append(replace(t, pos=Fraction(counts[key])))
-        return CombinatorialLoop(tuple(fresh), anchor=loop.anchor)
+        fresh = numbered((t.star, t.edge, t.sign) for t in loop.transits)
+        return CombinatorialLoop(fresh, anchor=loop.anchor)
     if len(assignment) != len(loop.transits):
         raise LoopError("reposition assignment length mismatch")
     transits = tuple(
@@ -416,14 +416,16 @@ class PreparedLoop:
     ``(star, edge)`` in loop order with their indices, and its encoded word
     made on first use.
 
-    Make one with :func:`loopcalc.stars.prepare_loop`, which validates; the
-    star calculus reads only the buckets of the star at hand.  It lives for
-    one call and is never cached across calls.
+    The constructor validates (:func:`require_valid_loop`), so a prepared
+    loop is a valid loop by type; :func:`loopcalc.stars.prepare_loops`
+    prepares a family.  The star calculus reads only the buckets of the
+    star at hand.  It lives for one call and is never cached across calls.
     """
 
     __slots__ = ("surface", "loop", "buckets", "_word")
 
     def __init__(self, surface: StarFilledSurface, loop: CombinatorialLoop):
+        require_valid_loop(surface, loop)
         self.surface = surface
         self.loop = loop
         buckets: dict[tuple[str, int], list[tuple[int, Transit]]] = {}
@@ -447,18 +449,11 @@ class PreparedLoop:
         return self._word
 
 
-Loop = Union[CombinatorialLoop, PreparedLoop]
-
-
-def _word(surface: StarFilledSurface, loop: Loop) -> tuple[int, ...]:
-    return loop.word if isinstance(loop, PreparedLoop) else encoded_word(surface, loop)
-
-
 def graft(
     surface: StarFilledSurface,
-    a: Loop,
+    a: PreparedLoop,
     p: int,
-    b: Loop,
+    b: PreparedLoop,
     q: int,
 ) -> HomotopyClass:
     """Class of the loop that follows all of ``a`` from transit ``p``, then
@@ -466,14 +461,13 @@ def graft(
     ta, tb = a.transits[p], b.transits[q]
     if ta.star != tb.star:
         raise LoopError(f"graft transits lie in different stars {ta.star!r}, {tb.star!r}")
-    wa = _word(surface, a)
-    wb = _word(surface, b)
+    wa, wb = a.word, b.word
     i, j = 2 * p + 1, 2 * q + 1
     spliced = wa[i:] + wa[:i] + wb[j:] + wb[:j]
     return HomotopyClass(surface.letter_table().decode_word(canonical(spliced)))
 
 
-def subloop(surface: StarFilledSurface, a: Loop, p1: int, p2: int) -> HomotopyClass:
+def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> HomotopyClass:
     """Class of the loop that runs along ``a`` from transit ``p1`` to
     transit ``p2`` and closes up through their common star."""
     t1, t2 = a.transits[p1], a.transits[p2]
@@ -481,7 +475,7 @@ def subloop(surface: StarFilledSurface, a: Loop, p1: int, p2: int) -> HomotopyCl
         raise LoopError("subloop endpoints must be distinct transits")
     if t1.star != t2.star:
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
-    word = _word(surface, a)
+    word = a.word
     m = len(word)
     start = (2 * p1 + 1) % m
     end = start + (2 * p2 - 2 * p1) % m  # letters from exit(p1) through entry(p2)

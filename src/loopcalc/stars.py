@@ -17,17 +17,17 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   decreasing position, then the crossings of ``e+``-transits ordered by
   increasing position.
 
-Prepared loops.  The per-star functions (:func:`edge_counts`,
-:func:`star_form`, :func:`star_bracket`, :func:`star_cobracket` and
-:func:`expand_to_gates`) take raw loops or
-:class:`~loopcalc.loops.PreparedLoop` objects.  They prepare a raw loop at
-entry (:func:`prepare_loop`: validate once, bucket the transits by
-``(star, edge)``) and pass a prepared one through, then read only the
-buckets of their own star, so on prepared loops a star's term costs time
-linear in the transits that cross that star.  :func:`aggregate` prepares
-each loop once per call; code that loops over stars itself calls
-:func:`prepare_loops` first.  A prepared loop encodes its word on first
-use, so the star-route form never encodes.
+Prepared loops.  Loops are prepared once, at the boundary:
+:func:`aggregate` prepares the raw loops it is given, and code that loops
+over stars itself (the fuzz harness) calls :func:`prepare_loops` first.  A
+:class:`~loopcalc.loops.PreparedLoop` validates in its constructor and
+buckets its transits by ``(star, edge)``.  The per-star functions
+(:func:`edge_counts`, :func:`star_form`, :func:`star_bracket`,
+:func:`star_cobracket` and :func:`expand_to_gates`) take prepared loops
+only, trust that they are valid, and read only the buckets of their own
+star, so a star's term costs time linear in the transits that cross that
+star.  A prepared loop encodes its word on first use, so the star-route
+form never encodes.
 
 The evaluation pipeline.  Every operation, bounded or closed, skew or
 orientation-dependent, runs the same steps: prepare the loops, evaluate
@@ -58,14 +58,8 @@ from typing import Mapping, Sequence
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum, TensorSum
 from loopcalc.gates import GateConfiguration, GateCrossing
-from loopcalc.loops import (
-    Loop,
-    LoopError,
-    PreparedLoop,
-    graft,
-    require_valid_loop,
-    subloop,
-)
+from loopcalc.loops import CombinatorialLoop, LoopError, PreparedLoop, graft, subloop
+from loopcalc.loops import require_valid_loop  # noqa: F401 (a public name of this module)
 from loopcalc.surface import Star, StarFilledSurface
 
 
@@ -73,26 +67,16 @@ class OddCoefficientError(Exception):
     """An aggregated value failed the evenness contract."""
 
 
-def prepare_loop(surface: StarFilledSurface, loop: Loop) -> PreparedLoop:
-    """Validate a loop and bucket its transits for ``surface``; a loop
-    already prepared for ``surface`` is returned unchanged."""
-    if isinstance(loop, PreparedLoop):
-        if loop.surface is surface:
-            return loop
-        loop = loop.loop
-    require_valid_loop(surface, loop)
-    return PreparedLoop(surface, loop)
-
-
 def prepare_loops(
-    surface: StarFilledSurface, loops: Mapping[str, Loop]
+    surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
 ) -> dict[str, PreparedLoop]:
-    return {name: prepare_loop(surface, loop) for name, loop in loops.items()}
+    """Validate each loop for ``surface`` and bucket its transits, by name;
+    raises :class:`~loopcalc.loops.LoopError` on the first invalid loop."""
+    return {name: PreparedLoop(surface, loop) for name, loop in loops.items()}
 
 
-def edge_counts(surface: StarFilledSurface, star_id: str, loop: Loop) -> list[int]:
+def edge_counts(surface: StarFilledSurface, star_id: str, loop: PreparedLoop) -> list[int]:
     """Signed crossing count of the loop with each edge of the star."""
-    loop = prepare_loop(surface, loop)
     star = surface.star(star_id)
     return [
         sum(t.sign for _, t in loop.on_edge(star_id, e)) for e in range(star.edge_count)
@@ -121,9 +105,10 @@ def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
         seen.update(mine)
 
 
-def star_form(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> int:
+def star_form(
+    surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
+) -> int:
     """Skew pairing of edge-count vectors over consecutive edge pairs."""
-    a, b = prepare_loop(surface, a), prepare_loop(surface, b)
     star = surface.star(star_id)
     ca = edge_counts(surface, star_id, a)
     cb = edge_counts(surface, star_id, b)
@@ -134,9 +119,11 @@ def star_form(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> int
     return total
 
 
-def star_bracket(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> FormalSum:
-    """Grafted classes over crossing pairs of consecutive edges."""
-    a, b = prepare_loop(surface, a), prepare_loop(surface, b)
+def star_bracket(
+    surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
+) -> FormalSum:
+    """Grafted classes over crossing pairs of consecutive edges; the loops
+    must not share a point on the star."""
     star = surface.star(star_id)
     _check_disjoint(star, {"a": a, "b": b})
     terms = []
@@ -151,10 +138,9 @@ def star_bracket(surface: StarFilledSurface, star_id: str, a: Loop, b: Loop) -> 
     return FormalSum(terms)
 
 
-def star_cobracket(surface: StarFilledSurface, star_id: str, a: Loop) -> TensorSum:
+def star_cobracket(surface: StarFilledSurface, star_id: str, a: PreparedLoop) -> TensorSum:
     """Split tensor terms over self-crossing pairs of consecutive edges,
     with contractible pieces dropped."""
-    a = prepare_loop(surface, a)
     star = surface.star(star_id)
     terms = []
     for e in range(star.edge_count):
@@ -174,15 +160,15 @@ def star_cobracket(surface: StarFilledSurface, star_id: str, a: Loop) -> TensorS
 def expand_to_gates(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, Loop],
+    loops: Mapping[str, PreparedLoop],
 ) -> GateConfiguration:
-    """Gate configuration induced by one star on a family of loops.
+    """Gate configuration induced by one star on a family of prepared loops.
 
-    Loops must be valid and jointly generic on the star (no shared
-    ``(edge, pos)``); raises :class:`loopcalc.loops.LoopError` otherwise.
+    The loops must be jointly generic on the star (no shared ``(edge,
+    pos)``); raises :class:`loopcalc.loops.LoopError` otherwise.  Each
+    gate's crossings are handed over in slot order.
     """
     star = surface.star(star_id)
-    loops = prepare_loops(surface, loops)
     _check_disjoint(star, loops)
 
     # Crossings per edge: (pos, owner, transit index, sign)
@@ -195,7 +181,7 @@ def expand_to_gates(
         for e in range(star.edge_count)
     }
 
-    crossings: dict[object, list[GateCrossing]] = {}
+    crossings: dict[object, tuple[GateCrossing, ...]] = {}
     for e in range(star.edge_count):
         gate = (star_id, e)
         slots: list[GateCrossing] = []
@@ -216,7 +202,7 @@ def expand_to_gates(
                     gate=gate, eps=-sign, owner=owner, letter_index=letter, slot=len(slots)
                 )
             )
-        crossings[gate] = slots
+        crossings[gate] = tuple(slots)
 
     # The configuration reads each loop's word on its first splice.
     return GateConfiguration(crossings, loops, surface.letter_table())
@@ -228,7 +214,7 @@ def expand_to_gates(
 def gate_route(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, Loop],
+    loops: Mapping[str, PreparedLoop],
     op: str,
     omega: Mapping[tuple[str, int], int] | None = None,
 ):
@@ -248,7 +234,7 @@ def gate_route(
 def star_route(
     surface: StarFilledSurface,
     star_id: str,
-    loops: Mapping[str, Loop],
+    loops: Mapping[str, PreparedLoop],
     op: str,
 ):
     if op == "form":
@@ -302,18 +288,25 @@ def halve(value, what: str):
 
 def aggregate(
     surface: StarFilledSurface,
-    loops: Mapping[str, Loop],
+    loops: Mapping[str, CombinatorialLoop],
     op: str,
     method: str = "star",
     omega: Mapping[tuple[str, int], int] | None = None,
 ) -> AggregateResult:
     """Sum one operation over every star of the filling.
 
-    Returns both the plain sum (twice the classical operation) and the
-    halved value; raises :class:`OddCoefficientError` if any aggregated
-    coefficient is odd, which the doubling identity rules out.  With an
-    ``omega`` (gate route only) the orientation-dependent operation is
-    summed instead and nothing is halved.
+    Prepares (validates) each raw loop once.  Returns both the plain sum
+    (twice the classical operation) and the halved value; raises
+    :class:`OddCoefficientError` if any aggregated coefficient is odd,
+    which the doubling identity rules out.  With an ``omega`` (gate route
+    only) the orientation-dependent operation is summed instead and nothing
+    is halved.
+
+    The loops of a pair must be generic: no point ``(star, edge, pos)`` is
+    shared.  Only the star-route form does not check: on ``g1b1``, ``x1``
+    with itself has star-route form ``0``, while the star bracket and every
+    gate-route call raise :class:`~loopcalc.loops.LoopError` naming the
+    shared point.  The CLI makes each pair generic first.
     """
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")
@@ -340,9 +333,10 @@ def sum_stars(op: str, values: Sequence) -> object:
 
 
 def methods_agree(
-    surface: StarFilledSurface, loops: Mapping[str, Loop], op: str
+    surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop], op: str
 ) -> tuple[AggregateResult, AggregateResult, bool]:
-    loops = prepare_loops(surface, loops)
+    """One :func:`aggregate` call per route, and whether they agree on
+    every star."""
     star_result = aggregate(surface, loops, op, method="star")
     gate_result = aggregate(surface, loops, op, method="gate")
     agree = (

@@ -1,5 +1,5 @@
-"""Shared inputs: the two band examples as raw gate configurations, and
-the grid triangulations of the torus.
+"""Shared inputs: the two band examples as raw gate configurations, the
+grid triangulations of the torus, and prepared copies of raw loops.
 
 Both encode a square whose core is a middle band.  In the one-gate case
 only the bottom edge is glued, so every loop retracts off the core; in the
@@ -9,6 +9,14 @@ opposite ways along the two sides of the band.
 """
 
 from loopcalc.gates import raw_config_from_json
+from loopcalc.stars import prepare_loops
+
+
+def prepared(surface, *loops):
+    """The loops prepared for ``surface`` by :func:`prepare_loops`, as the
+    per-star functions and the splices take them: one loop, or a tuple."""
+    out = tuple(prepare_loops(surface, dict(enumerate(loops))).values())
+    return out[0] if len(out) == 1 else out
 
 
 def one_gate_config():

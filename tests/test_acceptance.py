@@ -24,7 +24,7 @@ from loopcalc.fuzz import (
     shadow_failures,
 )
 from loopcalc.loops import CombinatorialLoop, compile_word, make_generic, to_class
-from loopcalc.stars import aggregate, expand_to_gates
+from loopcalc.stars import aggregate, expand_to_gates, prepare_loops
 from loopcalc.surface import canonical_surface
 
 SURFACES = ((0, 2), (0, 3), (1, 1), (2, 1))
@@ -125,7 +125,7 @@ def test_criterion_4_omega_independence_exhaustive():
             continue
         for _ in range(5):
             a, b = random_loop_pair(surf, rng, 10)
-            config = expand_to_gates(surf, "s", {"a": a, "b": b})
+            config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": a, "b": b}))
             gates = config.gates
             base = (
                 gatecalc.form(config),

@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from conftest import torus_grid
+from conftest import prepared, torus_grid
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.closed import (
@@ -287,7 +287,8 @@ def test_normalizer_constant_under_relator_grafts(torus, genus2):
             p = next(
                 i for i, t in enumerate(loop.transits) if t.star == blue
             )
-            spliced = graft(fg.surface, loop, p, rel, 0)
+            a, r = prepared(fg.surface, loop, rel)
+            spliced = graft(fg.surface, a, p, r, 0)
             assert norm.normalize(spliced) == base
 
 

@@ -5,10 +5,12 @@ import doctest
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from loopcalc import _wordpure, cli, fuzz, gates, stars
+from loopcalc.algebra import TRIVIAL_CLASS, TensorSum
 from loopcalc.fuzz import (
     random_loop,
     random_loop_pair,
@@ -164,6 +166,38 @@ def test_odd_star_sum_is_reported_not_raised(monkeypatch, capsys):
     argv = ["fuzz", "--surface", "g1b1", "--pairs", "3", "--moves", "2", "--seed", "1"]
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out) == report.to_json()
+
+
+def test_b_cobracket_sums_are_checked(monkeypatch):
+    """The evenness and move checks read ``b``'s star cobracket sum as well
+    as ``a``'s, and their failures name the loop.  The ``k``-th star-route
+    evaluation adds ``k`` to one term of ``b``'s cobracket: the first pair
+    is odd there, and the second pair's moved evaluation differs from its
+    own."""
+    route = fuzz.star_route_values
+    calls = []
+
+    def perturbed(surface, loops):
+        values = route(surface, loops)
+        calls.append(len(calls) + 1)
+        star, first = next(iter(values.items()))
+        extra = TensorSum({(TRIVIAL_CLASS, TRIVIAL_CLASS): calls[-1]})
+        cobracket = {**first.cobracket, "b": first.cobracket["b"] + extra}
+        values[star] = replace(first, cobracket=cobracket)
+        return values
+
+    monkeypatch.setattr(fuzz, "star_route_values", perturbed)
+    report = run_fuzz("g1b1", pairs=2, moves=2, seed=1)
+    assert calls == [1, 2, 3]
+    messages = {
+        check: [f["message"] for f in report.failures if f["check"] == check]
+        for check in ("evenness", "moves")
+    }
+    (odd,) = messages["evenness"]
+    assert odd.startswith("cobracket(b): aggregate cobracket(b) has an odd coefficient")
+    (moved,) = messages["moves"]
+    assert moved.startswith("moves changed aggregated cobracket(b): ")
+    assert not any("cobracket(a)" in f["message"] for f in report.failures)
 
 
 def test_injected_bug_fails_only_the_oracle():

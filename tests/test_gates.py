@@ -23,7 +23,7 @@ from loopcalc.gates import (
     v,
 )
 from loopcalc.loops import CombinatorialLoop, Transit, compile_word, make_generic
-from loopcalc.stars import expand_to_gates
+from loopcalc.stars import expand_to_gates, prepare_loops
 from loopcalc.surface import canonical_surface
 from fractions import Fraction
 
@@ -45,7 +45,7 @@ def torus1():
 
 def test_annulus_core_expansion(annulus):
     surf, gens = annulus
-    config = expand_to_gates(surf, "s", {"a": gens["z1"]})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": gens["z1"]}))
     (c0,) = config.gate_crossings(("s", 0))
     (c1,) = config.gate_crossings(("s", 1))
     assert c0.eps == 1  # the transit enters through gate (s, 0)
@@ -55,7 +55,7 @@ def test_annulus_core_expansion(annulus):
 def test_same_edge_slot_order_outermost_first(annulus):
     surf, gens = annulus
     loop = compile_word(surf, gens, "z1 z1")  # two crossings of edge 0, pos 1 < 2
-    config = expand_to_gates(surf, "s", {"a": loop})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": loop}))
     near = config.gate_crossings(("s", 0))
     # Near-side crossings sit before far-side ones; outermost position first.
     assert [c.eps for c in near] == [1, 1]
@@ -66,7 +66,7 @@ def test_same_edge_slot_order_outermost_first(annulus):
 def test_near_side_precedes_far_side(annulus):
     surf, gens = annulus
     core = gens["z1"]
-    config = expand_to_gates(surf, "s", {"a": core})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": core}))
     # Gate (s, 1): nothing crosses edge 1, so its only crossing is the
     # far-side copy of the edge-0 transit; on gate (s, 0) the near-side
     # crossing of the same transit is the one with eps = +1.
@@ -75,7 +75,7 @@ def test_near_side_precedes_far_side(annulus):
     loop2 = CombinatorialLoop(
         (Transit("s", 0, 1, Fraction(1)), Transit("s", 1, 1, Fraction(1)))
     )
-    config2 = expand_to_gates(surf, "s", {"a": loop2})
+    config2 = expand_to_gates(surf, "s", prepare_loops(surf, {"a": loop2}))
     crossings = config2.gate_crossings(("s", 0))
     assert [c.eps for c in crossings] == [1, -1]  # near before far
 
@@ -86,7 +86,7 @@ def test_expand_rejects_shared_positions(annulus):
     from loopcalc.loops import LoopError
 
     with pytest.raises(LoopError):
-        expand_to_gates(surf, "s", {"a": core, "b": core})
+        expand_to_gates(surf, "s", prepare_loops(surf, {"a": core, "b": core}))
 
 
 # -- dual counts ----------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_expand_rejects_shared_positions(annulus):
 
 def test_v_on_annulus_core(annulus):
     surf, gens = annulus
-    config = expand_to_gates(surf, "s", {"a": gens["z1"]})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": gens["z1"]}))
     assert v(config, ("s", 0)) == 1
     assert v(config, ("s", 1)) == -1
 
@@ -104,20 +104,21 @@ def test_v_on_contractible_tongue(annulus):
     tongue = CombinatorialLoop(
         (Transit("s", 0, 1, Fraction(1)), Transit("s", 0, -1, Fraction(2)))
     )
-    config = expand_to_gates(surf, "s", {"a": tongue})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": tongue}))
     assert v(config, ("s", 0)) == 0
     assert v(config, ("s", 1)) == 0
 
 
 def test_v_on_core_squared(annulus):
     surf, gens = annulus
-    config = expand_to_gates(surf, "s", {"a": compile_word(surf, gens, "z1 z1")})
+    loops = prepare_loops(surf, {"a": compile_word(surf, gens, "z1 z1")})
+    config = expand_to_gates(surf, "s", loops)
     assert v(config, ("s", 0)) == 2
 
 
 def test_v_unknown_gate(annulus):
     surf, gens = annulus
-    config = expand_to_gates(surf, "s", {"a": gens["z1"]})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": gens["z1"]}))
     with pytest.raises(GateCalculusError):
         v(config, ("s", 9))
 
@@ -169,7 +170,7 @@ def test_mu_empty_and_single(annulus):
     core = gens["z1"]
     other = CombinatorialLoop((Transit("s", 1, 1, Fraction(5)),))
     a, b = make_generic(surf, [core, other])
-    config = expand_to_gates(surf, "s", {"a": a, "b": b})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": a, "b": b}))
     # a crosses edge 0, b crosses edge 1: gate (s, 1) carries a's far-side
     # crossing and b's near-side crossing; gate (s, 0) carries a near- and
     # b far-side crossing.
@@ -181,17 +182,17 @@ def test_mu_empty_and_single(annulus):
 def test_cobracket_needs_named_loop_on_two_loop_config(torus1):
     surf, gens = torus1
     x, y = make_generic(surf, [gens["x1"], gens["y1"]])
-    config = expand_to_gates(surf, "s", {"a": x, "b": y})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": x, "b": y}))
     with pytest.raises(GateCalculusError, match="name the one"):
         cobracket_omega(config)
     assert cobracket_omega(config, owner="a") is not None
-    single = expand_to_gates(surf, "s", {"a": x})
+    single = expand_to_gates(surf, "s", prepare_loops(surf, {"a": x}))
     assert cobracket(single) == cobracket(config, owner="a")
 
 
 def test_form_needs_two_loops(torus1):
     surf, gens = torus1
-    single = expand_to_gates(surf, "s", {"a": gens["x1"]})
+    single = expand_to_gates(surf, "s", prepare_loops(surf, {"a": gens["x1"]}))
     with pytest.raises(GateCalculusError, match="no loop 'b'"):
         form_omega(single)
 
@@ -199,7 +200,7 @@ def test_form_needs_two_loops(torus1):
 def test_mu_vanishes_when_a_loop_misses_the_gate(torus1):
     surf, gens = torus1
     x, y = make_generic(surf, [gens["x1"], gens["y1"]])
-    config = expand_to_gates(surf, "s", {"a": x, "b": y})
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": x, "b": y}))
     # x never touches gate (s, 1): no near crossing of edge 1, no far
     # crossing of edge 2.
     assert not config.gate_crossings(("s", 1), "a")
@@ -211,7 +212,7 @@ def test_mu_symmetric_random(torus1):
     rng = random.Random(5)
     for _ in range(20):
         a, b = random_loop_pair(surf, rng, 8)
-        config = expand_to_gates(surf, "s", {"a": a, "b": b})
+        config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": a, "b": b}))
         for gate in config.gates:
             assert mu(config, gate, "a", "b") == mu(config, gate, "b", "a")
 
@@ -224,7 +225,7 @@ def test_flip_identity_and_involution(torus1):
     rng = random.Random(11)
     for _ in range(20):
         a, b = random_loop_pair(surf, rng, 8)
-        config = expand_to_gates(surf, "s", {"a": a, "b": b})
+        config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": a, "b": b}))
         omega = random_omega(config.gates, rng)
         for gate in config.gates:
             lhs, rhs = flip_check(config, omega, gate)
@@ -239,7 +240,8 @@ def test_flip_noop_when_dual_count_vanishes(annulus):
         (Transit("s", 0, 1, Fraction(10)), Transit("s", 0, -1, Fraction(11)))
     )
     a, b = make_generic(surf, [gens["z1"], tongue])
-    config = expand_to_gates(surf, "s", {"a": b, "b": a})  # x = tongue, v = 0
+    # x = tongue, v = 0
+    config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": b, "b": a}))
     omega = {g: 1 for g in config.gates}
     for gate in config.gates:
         assert v(config, gate, "a") == 0
@@ -412,7 +414,7 @@ def test_doubling_identities_random(torus1):
     rng = random.Random(23)
     for _ in range(25):
         a, b = random_loop_pair(surf, rng, 8)
-        config = expand_to_gates(surf, "s", {"a": a, "b": b})
+        config = expand_to_gates(surf, "s", prepare_loops(surf, {"a": a, "b": b}))
         omega = random_omega(config.gates, rng)
         mu_total = FormalSum()
         vv = 0

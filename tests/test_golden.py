@@ -207,13 +207,9 @@ def error_outputs(surfaces: dict, inputs: dict) -> dict:
         out[f"shared.{method}.bracket"] = text(
             stars.aggregate, surface, {"a": loop["a"], "b": loop["rotated"]}, "bracket", method
         )
+    family = stars.prepare_loops(surface, {"c": loop["a"], "a": loop["b"], "b": loop["inverse"]})
     for t in loop["inverse"].transits:
-        out[f"shared.expand.{t.star}"] = text(
-            stars.expand_to_gates,
-            surface,
-            t.star,
-            {"c": loop["a"], "a": loop["b"], "b": loop["inverse"]},
-        )
+        out[f"shared.expand.{t.star}"] = text(stars.expand_to_gates, surface, t.star, family)
     return out
 
 

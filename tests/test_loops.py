@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import prepared, torus_grid
 
 from loopcalc.algebra import HomotopyClass
+from loopcalc.closed import build_from_graph, from_triangulation
+from loopcalc.fuzz import random_loop
 from loopcalc.loops import (
     CombinatorialLoop,
     InsertCancellingPair,
@@ -254,7 +257,7 @@ def test_class_invariant_under_random_move_sequences(torus1):
 def test_graft_core_with_itself_is_core_squared(annulus):
     surf, gens = annulus
     core = gens["z1"]
-    a, b = make_generic(surf, [core, core])
+    a, b = prepared(surf, *make_generic(surf, [core, core]))
     spliced = graft(surf, a, 0, b, 0)
     doubled = to_class(surf, compile_word(surf, gens, "z1 z1"))
     assert spliced == doubled
@@ -267,30 +270,37 @@ def test_graft_with_contractible_factor(annulus):
         (Transit("s", 0, 1, Fraction(10)), Transit("s", 0, -1, Fraction(11)))
     )
     assert to_class(surf, tongue).is_trivial
-    assert graft(surf, core, 0, tongue, 0) == to_class(surf, core)
-    assert graft(surf, core, 0, tongue, 1) == to_class(surf, core)
+    pcore, ptongue = prepared(surf, core, tongue)
+    assert graft(surf, pcore, 0, ptongue, 0) == to_class(surf, core)
+    assert graft(surf, pcore, 0, ptongue, 1) == to_class(surf, core)
 
 
 def test_graft_xy(torus1):
     surf, gens = torus1
-    x, y = make_generic(surf, [gens["x1"], gens["y1"]])
+    x, y = prepared(surf, *make_generic(surf, [gens["x1"], gens["y1"]]))
     expected = to_class(surf, compile_word(surf, gens, "x1 y1"))
     # both transits of x and the first of y run through the star's disk
     assert graft(surf, x, 0, y, 0) == expected
     assert graft(surf, x, 1, y, 0) == expected
 
 
-def test_graft_different_stars_rejected(annulus):
-    surf, gens = annulus
-    core = gens["z1"]
-    other = CombinatorialLoop((Transit("t", 0, 1, Fraction(1)),))
-    with pytest.raises(LoopError):
-        graft(surf, core, 0, other, 0)
+def test_graft_different_stars_rejected():
+    surf = build_from_graph(from_triangulation(torus_grid(3))).surface
+    rng = random.Random(1)
+    loop = next(
+        loop
+        for loop in (random_loop(surf, rng, 8) for _ in range(50))
+        if len({t.star for t in loop.transits}) > 1
+    )
+    q = next(i for i, t in enumerate(loop.transits) if t.star != loop.transits[0].star)
+    a = prepared(surf, loop)
+    with pytest.raises(LoopError, match="^graft transits lie in different stars"):
+        graft(surf, a, 0, a, q)
 
 
 def test_subloop_of_core_squared(annulus):
     surf, gens = annulus
-    loop = compile_word(surf, gens, "z1 z1")
+    loop = prepared(surf, compile_word(surf, gens, "z1 z1"))
     core_class = to_class(surf, gens["z1"])
     assert subloop(surf, loop, 0, 1) == core_class
     assert subloop(surf, loop, 1, 0) == core_class
@@ -301,6 +311,7 @@ def test_subloop_pieces_abelianize_to_whole(torus1):
     h = abelianization(surf)
     loop = compile_word(surf, gens, "x1 y1 x1")
     total = h(loop)
+    loop = prepared(surf, loop)
     for p1 in range(len(loop.transits)):
         for p2 in range(len(loop.transits)):
             if p1 == p2:
@@ -312,16 +323,16 @@ def test_subloop_pieces_abelianize_to_whole(torus1):
 
 def test_subloop_adjacent_transits_with_backtrack(torus1):
     surf, gens = torus1
-    x = gens["x1"]  # two transits crossing edges 0 then 3, consecutively
+    x = prepared(surf, gens["x1"])  # two transits crossing edges 0 then 3, consecutively
     piece = subloop(surf, x, 0, 1)
     assert piece.is_trivial
     other = subloop(surf, x, 1, 0)
-    assert other == to_class(surf, x)
+    assert other == to_class(surf, gens["x1"])
 
 
 def test_subloop_same_transit_rejected(annulus):
     surf, gens = annulus
-    loop = compile_word(surf, gens, "z1 z1")
+    loop = prepared(surf, compile_word(surf, gens, "z1 z1"))
     with pytest.raises(LoopError):
         subloop(surf, loop, 0, 0)
 
@@ -333,6 +344,7 @@ def test_graft_abelianization_additive(torus1):
     b = compile_word(surf, gens, "y1 x1 x1")
     a, b = make_generic(surf, [a, b])
     ha, hb = h(a), h(b)
+    a, b = prepared(surf, a, b)
     for p, tp in enumerate(a.transits):
         for q, tq in enumerate(b.transits):
             if tp.star == tq.star:

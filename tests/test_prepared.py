@@ -1,9 +1,9 @@
-"""Prepared loops: a public call validates each loop once and encodes it at
-most once, whatever the number of stars, and only when it splices; every
-per-star function gives the same value on a prepared loop as on the raw
-loop."""
+"""Prepared loops: a prepared loop is a validated loop, and a public call
+validates each loop once and encodes it at most once, whatever the number
+of stars, and only when it splices."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import torus_grid
@@ -13,7 +13,7 @@ from loopcalc import loops as loopmod
 from loopcalc import stars
 from loopcalc.closed import build_from_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair
-from loopcalc.loops import LoopError, inverse_loop
+from loopcalc.loops import LoopError, PreparedLoop, Transit, inverse_loop
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +30,8 @@ def torus_pairs():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """The ids of the loops passed to the validator (as held by ``stars``)
-    and to the encoder, one entry per call."""
+    """The ids of the loops passed to the validator and to the encoder, one
+    entry per call."""
     seen = {"validate": [], "encode": []}
 
     def counting(kind, fn):
@@ -41,7 +41,8 @@ def counts(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(stars, "require_valid_loop", counting("validate", stars.require_valid_loop))
+    validate = counting("validate", loopmod.require_valid_loop)
+    monkeypatch.setattr(loopmod, "require_valid_loop", validate)
     monkeypatch.setattr(loopmod, "encoded_word", counting("encode", loopmod.encoded_word))
     return seen
 
@@ -81,31 +82,24 @@ def test_gate_configuration_encodes_on_first_splice(torus_pairs, counts):
         assert all(config.words["a"] == loops["a"].word for config in configs)
 
 
-def test_per_star_values_same_on_prepared_loops(torus_pairs):
-    for surface, a, b in torus_pairs:
-        pa, pb = stars.prepare_loop(surface, a), stars.prepare_loop(surface, b)
-        assert stars.prepare_loop(surface, pa) is pa
-        for star in surface.stars:
-            s = star.id
-            assert stars.edge_counts(surface, s, pa) == stars.edge_counts(surface, s, a)
-            assert stars.star_form(surface, s, pa, pb) == stars.star_form(surface, s, a, b)
-            assert stars.star_bracket(surface, s, pa, pb) == stars.star_bracket(surface, s, a, b)
-            assert stars.star_cobracket(surface, s, pa) == stars.star_cobracket(surface, s, a)
-            raw = stars.expand_to_gates(surface, s, {"a": a, "b": b})
-            prepared = stars.expand_to_gates(surface, s, {"a": pa, "b": pb})
-            assert (raw.crossings, raw.words) == (prepared.crossings, prepared.words)
-
-
-def test_splices_same_on_prepared_loops(torus_pairs):
+def test_methods_agree_validates_each_loop_once_per_route(torus_pairs, counts):
     surface, a, b = torus_pairs[0]
-    pa, pb = stars.prepare_loop(surface, a), stars.prepare_loop(surface, b)
-    for p in range(len(a)):
-        for q in range(len(b)):
-            if a.transits[p].star == b.transits[q].star:
-                assert loopmod.graft(surface, pa, p, pb, q) == loopmod.graft(surface, a, p, b, q)
-        for p2 in range(len(a)):
-            if p2 != p and a.transits[p2].star == a.transits[p].star:
-                assert loopmod.subloop(surface, pa, p, p2) == loopmod.subloop(surface, a, p, p2)
+    stars.methods_agree(surface, {"a": a, "b": b}, "bracket")
+    assert sorted(counts["validate"]) == sorted([id(a), id(b)] * 2)
+
+
+def test_preparing_validates(torus_pairs):
+    """A loop that fails validation cannot be prepared, so the per-star
+    functions only ever see valid loops."""
+    surface, a, _ = torus_pairs[0]
+    first = a.transits[0]
+    flipped = replace(a, transits=(replace(first, sign=-first.sign),) + a.transits[1:])
+    stray = replace(a, transits=a.transits + (Transit("nowhere", 0, 1, first.pos),))
+    for loop in (flipped, stray):
+        with pytest.raises(LoopError):
+            PreparedLoop(surface, loop)
+        with pytest.raises(LoopError):
+            stars.prepare_loops(surface, {"a": a, "b": loop})
 
 
 def test_first_shared_point_in_loop_order():
@@ -117,11 +111,12 @@ def test_first_shared_point_in_loop_order():
     for _ in range(40):
         a, _ = random_loop_pair(surface, rng, 12)
         b = inverse_loop(a)
+        loops = stars.prepare_loops(surface, {"a": a, "b": b})
         for star in {t.star for t in a.transits}:
             mine = [(i, t) for i, t in enumerate(b.transits) if t.star == star]
             first = mine[0][1]
             with pytest.raises(LoopError) as info:
-                stars.expand_to_gates(surface, star, {"a": a, "b": b})
+                stars.expand_to_gates(surface, star, loops)
             assert str(info.value) == (
                 f"loops 'a' and 'b' share point edge={first.edge} pos={first.pos} on star {star}"
             )

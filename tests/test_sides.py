@@ -15,7 +15,7 @@ from loopcalc import gates
 from loopcalc.algebra import FormalSum, TensorSum
 from loopcalc.fuzz import random_loop_pair, run_fuzz, surface_from_spec
 from loopcalc.gates import GateCalculusError, raw_config_from_json
-from loopcalc.stars import expand_to_gates
+from loopcalc.stars import expand_to_gates, prepare_loops
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_sides_sum_to_the_pair_definitions(star_pairs):
     rng = random.Random(5)
     checked = 0
     for surface, a, b in star_pairs:
-        loops = {"a": a, "b": b}
+        loops = prepare_loops(surface, {"a": a, "b": b})
         config = expand_to_gates(surface, "s", loops)
         reference = expand_to_gates(surface, "s", loops)
         for omega in rng.sample(orientations(config), 6):
@@ -150,7 +150,7 @@ def visits(monkeypatch):
 
 def test_second_sweep_visits_no_pair(star_pairs, visits):
     for surface, a, b in star_pairs:
-        loops = {"a": a, "b": b}
+        loops = prepare_loops(surface, {"a": a, "b": b})
         omegas = orientations(expand_to_gates(surface, "s", loops))
         fresh = [sweep(expand_to_gates(surface, "s", loops), omega) for omega in omegas]
         config = expand_to_gates(surface, "s", loops)
@@ -169,7 +169,7 @@ def test_side_keys_and_values(star_pairs):
     side."""
     shared = 0
     for surface, a, b in star_pairs:
-        config = expand_to_gates(surface, "s", {"a": a, "b": b})
+        config = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
         gates.form(config)
         gates.bracket(config)
         gates.cobracket(config, "a")
@@ -190,7 +190,7 @@ def test_side_keys_and_values(star_pairs):
                 assert isinstance(value, dict) and all(value.values())
         shared += len(both)
         # Each configuration has its own table.
-        assert not expand_to_gates(surface, "s", {"a": a, "b": b}).sides
+        assert not expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b})).sides
     assert shared > 0
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from loopcalc import gates
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
-from loopcalc.stars import expand_to_gates
+from loopcalc.stars import expand_to_gates, prepare_loops
 from loopcalc.words import canonical
 
 
@@ -88,7 +88,7 @@ def values(config, omega) -> tuple:
 def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
     spliced = pairs = 0
     for surface, a, b in star_pairs:
-        loops = {"a": a, "b": b}
+        loops = prepare_loops(surface, {"a": a, "b": b})
         omegas = orientations(expand_to_gates(surface, "s", loops))
         fresh = [values(expand_to_gates(surface, "s", loops), omega) for omega in omegas]
         config = expand_to_gates(surface, "s", loops)
@@ -107,7 +107,7 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
     crossing pair of the far gate splices the word of its near-gate pair."""
     shared = 0
     for surface, a, b in star_pairs:
-        config = expand_to_gates(surface, "s", {"a": a, "b": b})
+        config = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
         partner = {}  # each crossing -> the transit's crossing on its other gate
         by_transit = {}
         for c in itertools.chain.from_iterable(config.crossings.values()):
@@ -118,7 +118,7 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
         for p, q in ordered_pairs(config):
             if partner[p].gate != partner[q].gate or p.gate > partner[p].gate:
                 continue
-            fresh = expand_to_gates(surface, "s", {"a": a, "b": b})
+            fresh = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
             splice = gates.graft_at if p.owner != q.owner else gates.split_at
             canonicalized.clear()
             first = splice(fresh, p, q)
@@ -132,10 +132,10 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
 def test_mu_splices_both_orders(star_pairs, canonicalized):
     checked = 0
     for surface, a, b in star_pairs:
-        for gate in expand_to_gates(surface, "s", {"a": a, "b": b}).gates:
+        for gate in expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b})).gates:
             # A fresh configuration per gate: the pairs of a neighbouring
             # gate may already have spliced this gate's words.
-            config = expand_to_gates(surface, "s", {"a": a, "b": b})
+            config = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
             n = len(config.gate_crossings(gate, "a")) * len(config.gate_crossings(gate, "b"))
             canonicalized.clear()
             ab = gates.mu(config, gate, "a", "b")
@@ -149,7 +149,7 @@ def test_mu_splices_both_orders(star_pairs, canonicalized):
 
 def test_tables_are_not_shared(star_pairs):
     surface, a, b = star_pairs[0]
-    first = expand_to_gates(surface, "s", {"a": a, "b": b})
+    first = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
     gates.bracket(first)
-    second = expand_to_gates(surface, "s", {"a": a, "b": b})
+    second = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
     assert first.splices and not second.splices

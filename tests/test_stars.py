@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import prepared
 
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum
@@ -25,6 +26,7 @@ from loopcalc.stars import (
     expand_to_gates,
     halve,
     methods_agree,
+    prepare_loops,
     star_bracket,
     star_cobracket,
     star_form,
@@ -44,7 +46,7 @@ def torus1():
 
 def test_star_form_equal_count_vectors_vanish(annulus):
     surf, gens = annulus
-    core = gens["z1"]
+    core = prepared(surf, gens["z1"])
     assert edge_counts(surf, "s", core) == [1, 0]
     assert star_form(surf, "s", core, core) == 0
 
@@ -57,7 +59,7 @@ def test_star_form_torus_star_counts():
     fg = build_from_graph(canonical_filling_graph(1))
     a = CombinatorialLoop.from_crossings("p", [(0, -1), (1, -1)])
     b = CombinatorialLoop.from_crossings("p", [(0, 1), (3, 1)])
-    a, b = make_generic(fg.surface, [a, b])
+    a, b = prepared(fg.surface, *make_generic(fg.surface, [a, b]))
     assert edge_counts(fg.surface, "p", a) == [-1, -1, 0, 0]
     assert edge_counts(fg.surface, "p", b) == [1, 0, 0, 1]
     assert star_form(fg.surface, "p", a, b) == 2
@@ -67,33 +69,33 @@ def test_star_form_antisymmetric_random(torus1):
     surf, _ = torus1
     rng = random.Random(2)
     for _ in range(30):
-        a, b = random_loop_pair(surf, rng, 10)
+        a, b = prepared(surf, *random_loop_pair(surf, rng, 10))
         assert star_form(surf, "s", a, b) == -star_form(surf, "s", b, a)
 
 
 def test_star_bracket_disjoint_cores_vanish(annulus):
     surf, gens = annulus
-    a, b = make_generic(surf, [gens["z1"], gens["z1"]])
+    a, b = prepared(surf, *make_generic(surf, [gens["z1"], gens["z1"]]))
     assert star_bracket(surf, "s", a, b).is_zero
 
 
 def test_star_bracket_requires_disjoint_points(annulus):
     surf, gens = annulus
     with pytest.raises(LoopError):
-        star_bracket(surf, "s", gens["z1"], gens["z1"])
+        star_bracket(surf, "s", *prepared(surf, gens["z1"], gens["z1"]))
 
 
 def test_star_bracket_antisymmetric_random(torus1):
     surf, _ = torus1
     rng = random.Random(3)
     for _ in range(20):
-        a, b = random_loop_pair(surf, rng, 8)
+        a, b = prepared(surf, *random_loop_pair(surf, rng, 8))
         assert star_bracket(surf, "s", a, b) == -star_bracket(surf, "s", b, a)
 
 
 def test_star_cobracket_annulus_core_vanishes(annulus):
     surf, gens = annulus
-    assert star_cobracket(surf, "s", gens["z1"]).is_zero
+    assert star_cobracket(surf, "s", prepared(surf, gens["z1"])).is_zero
 
 
 def test_star_cobracket_antisymmetric(torus1):
@@ -101,7 +103,7 @@ def test_star_cobracket_antisymmetric(torus1):
     rng = random.Random(4)
     for _ in range(20):
         a, _ = random_loop_pair(surf, rng, 10)
-        nu = star_cobracket(surf, "s", a)
+        nu = star_cobracket(surf, "s", prepared(surf, a))
         assert nu.transpose() == -nu
 
 
@@ -168,10 +170,11 @@ def test_star_ops_position_independent(torus1):
     a0 = compile_word(surf, gens, "x1 y1 x1^-1")
     b0 = compile_word(surf, gens, "y1 x1")
     a0, b0 = make_generic(surf, [a0, b0])
+    pa0, pb0 = prepared(surf, a0, b0)
     base = (
-        star_form(surf, "s", a0, b0),
-        star_bracket(surf, "s", a0, b0),
-        star_cobracket(surf, "s", a0),
+        star_form(surf, "s", pa0, pb0),
+        star_bracket(surf, "s", pa0, pb0),
+        star_cobracket(surf, "s", pa0),
     )
     from loopcalc.fuzz import _random_positions
 
@@ -186,9 +189,10 @@ def test_star_ops_position_independent(torus1):
                 "s", 0, 0, 1, (Fraction(rng.randrange(50, 100)), Fraction(rng.randrange(100, 150)))
             ),
         )
+        a = prepared(surf, a)
         got = (
-            star_form(surf, "s", a, b0),
-            star_bracket(surf, "s", a, b0),
+            star_form(surf, "s", a, pb0),
+            star_bracket(surf, "s", a, pb0),
             star_cobracket(surf, "s", a),
         )
         assert got == base
@@ -207,7 +211,7 @@ def test_aggregate_evenness_random(torus1):
 def test_expand_refuses_non_generic(annulus):
     surf, gens = annulus
     with pytest.raises(LoopError):
-        expand_to_gates(surf, "s", {"a": gens["z1"], "b": gens["z1"]})
+        expand_to_gates(surf, "s", prepare_loops(surf, {"a": gens["z1"], "b": gens["z1"]}))
 
 
 def test_aggregate_result_json(torus1):
@@ -240,7 +244,7 @@ def test_aggregate_with_omega_sums_oriented_gate_values():
     for op, fn in evaluate.items():
         loops = {"a": a} if op == "cobracket" else {"a": a, "b": b}
         result = aggregate(surf, loops, op, method="gate", omega=omega)
-        config = expand_to_gates(surf, "s", loops)
+        config = expand_to_gates(surf, "s", prepare_loops(surf, loops))
         assert result.per_star == (("s", fn(config, omega)),)
         assert result.halved is None
         with pytest.raises(ValueError, match="gate route"):
@@ -256,3 +260,17 @@ def test_aggregate_omega_missing_a_gate_names_it(op):
     missing = r"^gate orientation missing gate \('s', 2\)$"
     with pytest.raises(gatecalc.GateCalculusError, match=missing):
         aggregate(surf, loops, op, method="gate", omega=omega)
+
+
+def test_genericity_contract_on_a_loop_with_itself(torus1):
+    """Only the star-route form reads a non-generic pair: ``x1`` with
+    itself has form 0 there, and the star bracket and every gate-route call
+    name the shared point."""
+    surf, gens = torus1
+    loops = {"a": gens["x1"], "b": gens["x1"]}
+    assert aggregate(surf, loops, "form").total == 0
+    shared = r"^loops 'a' and 'b' share point edge=0 pos=1 on star s$"
+    calls = [("bracket", "star")] + [(op, "gate") for op in ("form", "bracket", "cobracket")]
+    for op, method in calls:
+        with pytest.raises(LoopError, match=shared):
+            aggregate(surf, loops, op, method)
