@@ -89,6 +89,15 @@ class FormalSum:
             del acc[key]
         self._terms = acc
 
+    @classmethod
+    def _of(cls, terms: dict) -> "FormalSum":
+        """The sum whose terms are ``terms`` as given: every key once, no
+        zero coefficient.  The arithmetic builds each result dict once and
+        hands it over here, so nothing is added up or hashed again."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -110,20 +119,29 @@ class FormalSum:
         """Sum of many formal sums, collected in one accumulator."""
         return cls(term for part in parts for term in part._terms.items())
 
-    def __add__(self, other: "FormalSum") -> "FormalSum":
+    def _plus(self, other: "FormalSum", sign: int) -> "FormalSum":
         merged = dict(self._terms)
         for k, c in other._terms.items():
-            merged[k] = merged.get(k, 0) + c
-        return type(self)(merged)
+            c = merged.get(k, 0) + sign * c
+            if c:
+                merged[k] = c
+            else:
+                del merged[k]
+        return type(self)._of(merged)
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "FormalSum":
-        return type(self)({k: -c for k, c in self._terms.items()})
+        return type(self)._of({k: -c for k, c in self._terms.items()})
 
     def __rmul__(self, scalar: int) -> "FormalSum":
-        return type(self)({k: scalar * c for k, c in self._terms.items()})
+        if not scalar:
+            return type(self)._of({})
+        return type(self)._of({k: scalar * c for k, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self._terms == other._terms
@@ -146,7 +164,7 @@ class FormalSum:
     def halved(self) -> "FormalSum":
         if not self.all_even():
             raise ValueError("formal sum has an odd coefficient, cannot halve")
-        return type(self)({k: c // 2 for k, c in self._terms.items()})
+        return type(self)._of({k: c // 2 for k, c in self._terms.items()})
 
     def total(self) -> int:
         """Signed sum of all coefficients."""
@@ -164,13 +182,34 @@ class TensorSum(FormalSum):
 
     def transpose(self) -> "TensorSum":
         """Apply the factor-swapping automorphism to every term."""
-        return TensorSum({(right, left): c for (left, right), c in self._terms.items()})
+        return TensorSum._of({(right, left): c for (left, right), c in self._terms.items()})
 
     def to_json(self) -> list[dict]:
         out = []
         for (left, right), coeff in self.items():
             out.append({"left": _key_json(left), "right": _key_json(right), "coeff": coeff})
         return out
+
+
+def decoded(table, terms: Mapping, pairs: bool = False) -> FormalSum:
+    """The nonzero terms of a sum keyed by canonical integer words, or with
+    ``pairs`` by ``(left, right)`` pairs of them, as a :class:`FormalSum`
+    or :class:`TensorSum` of classes.  ``table`` is the
+    :class:`~loopcalc.words.LetterTable` of the words, and each distinct
+    word becomes one :class:`HomotopyClass`."""
+    classes: dict = {}
+
+    def cls(word):
+        value = classes.get(word)
+        if value is None:
+            value = classes[word] = HomotopyClass(table.decode_word(word))
+        return value
+
+    if pairs:
+        return TensorSum._of(
+            {(cls(left), cls(right)): c for (left, right), c in terms.items() if c}
+        )
+    return FormalSum._of({cls(word): c for word, c in terms.items() if c})
 
 
 def _key_json(key):

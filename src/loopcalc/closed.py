@@ -26,9 +26,9 @@ from loopcalc.loops import (
     CombinatorialLoop,
     abelianization,
     numbered,
-    require_valid_loop,
     to_class,
 )
+from loopcalc.loops import require_valid_loop  # noqa: F401 (a public name of this module)
 from loopcalc.stars import AggregateResult, aggregate, halve, value_json
 from loopcalc.surface import (
     ARC,
@@ -183,8 +183,7 @@ def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
     relators = []
     for w, rot in spec.red:
         relator_loop = CombinatorialLoop(numbered((*edge_index[e], 1) for e in rot))
-        require_valid_loop(surface, relator_loop)
-        relators.append(to_class(surface, relator_loop))
+        relators.append(to_class(surface, relator_loop))  # validates the relator
 
     return FillingGraph(
         spec=spec,

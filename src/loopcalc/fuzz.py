@@ -45,7 +45,6 @@ from loopcalc.loops import (
     apply_move,
     exit_gate,
     make_generic,
-    to_class,
 )
 from loopcalc.surface import Star, StarFilledSurface, SurfaceError, canonical_surface
 
@@ -241,12 +240,14 @@ class StarValues:
 
 @dataclass(frozen=True)
 class FuzzPair:
-    """A loop pair ``a``, ``b`` on ``surface`` with each star's values by
-    the star route and by the gate route, by star id."""
+    """A loop pair ``a``, ``b`` on ``surface``, the pair as prepared once
+    by :func:`fuzz_pair` (by name), and each star's values by the star
+    route and by the gate route, by star id."""
 
     surface: StarFilledSurface
     a: CombinatorialLoop
     b: CombinatorialLoop
+    prepared: Mapping[str, PreparedLoop]
     star_values: Mapping[str, StarValues]
     gate_values: Mapping[str, StarValues]
 
@@ -261,7 +262,7 @@ def fuzz_pair(
     """Prepare the loops once and evaluate each star once by each route."""
     loops = starcalc.prepare_loops(surface, {"a": a, "b": b})
     return FuzzPair(
-        surface, a, b, star_route_values(surface, loops), gate_route_values(surface, loops)
+        surface, a, b, loops, star_route_values(surface, loops), gate_route_values(surface, loops)
     )
 
 
@@ -420,7 +421,7 @@ def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50
     """Apply a random move sequence to the loops; their classes and the
     star route's sums over the filling must not change."""
     surface = pair.surface
-    baseline_classes = {name: to_class(surface, loop) for name, loop in pair.loops.items()}
+    baseline_classes = {name: loop.homotopy_class() for name, loop in pair.prepared.items()}
     baseline_sums = _sums(pair.star_values)
     work = pair.loops
     names = sorted(work)
@@ -432,8 +433,9 @@ def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50
         except LoopError:
             continue  # move not applicable against the other loop's points
     work = dict(zip(names, make_generic(surface, [work[n] for n in names])))
-    classes = {name: to_class(surface, loop) for name, loop in work.items()}
-    sums = _sums(star_route_values(surface, starcalc.prepare_loops(surface, work)))
+    prepared = starcalc.prepare_loops(surface, work)
+    classes = {name: loop.homotopy_class() for name, loop in prepared.items()}
+    sums = _sums(star_route_values(surface, prepared))
     failures = []
     for name in names:
         if classes[name] != baseline_classes[name]:
@@ -450,8 +452,8 @@ def shadow_failures(pair: FuzzPair) -> list[str]:
     equals the form."""
     failures = []
     h = abelianization(pair.surface)
-    ha = h(pair.a)
-    expected = tuple(x + y for x, y in zip(ha, h(pair.b)))
+    ha = h(pair.prepared["a"])
+    expected = tuple(x + y for x, y in zip(ha, h(pair.prepared["b"])))
     for star in pair.surface.stars:
         values = pair.star_values[star.id]
         br = values.bracket

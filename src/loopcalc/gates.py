@@ -20,17 +20,18 @@ component, so classes are words in the crossing letters; inputs outside
 that regime are the caller's responsibility.
 
 The splice table.  Every bracket, pairing and cobracket term is the class
-of a splice at a crossing pair.  A configuration keeps a table of the
-classes it has spliced, which :func:`graft_at` and :func:`split_at` fill on
-first use, keyed by the word they splice: a graft by ``(p.owner, p's
-rotation start, q.owner, q's rotation start)``, where a crossing rotates
-its owner's word just after an entering letter or at a leaving one, and a
-split by ``(owner, piece start, piece length)``.  A transit of a star
-crosses two gates, and its two crossings rotate the owner's word at the
-same letter, so the crossing pairs of two transits on both gates splice
-one word, canonicalized once.  So the operations of this module, called on
-one configuration under any number of gate orientations, canonicalize once
-per key.  Keys stay ordered: the graft of ``(p, q)`` and of
+of a splice at a crossing pair.  :func:`graft_at` and :func:`split_at`
+splice on the owners' :class:`~loopcalc.words.CyclicWord` and return the
+canonical integer word of the class.  A configuration keeps a table of the
+words it has spliced, which they fill on first use, keyed by the word they
+splice: a graft by ``(p.owner, p's rotation start, q.owner, q's rotation
+start)``, where a crossing rotates its owner's word just after an entering
+letter or at a leaving one, and a split by ``(owner, piece start, piece
+length)``.  A transit of a star crosses two gates, and its two crossings
+rotate the owner's word at the same letter, so the crossing pairs of two
+transits on both gates splice one word, once.  So the operations of this
+module, called on one configuration under any number of gate orientations,
+splice once per key.  Keys stay ordered: the graft of ``(p, q)`` and of
 ``(q, p)`` give the same class, but they are spliced apart, so the
 pairing-symmetry check ``mu(a, b) == mu(b, a)`` still compares two
 computations.  The table lives and dies with its configuration; nothing is
@@ -42,16 +43,22 @@ gate *side* is the set of ordered crossing pairs of one gate that come
 first under one sign, and a configuration keeps a table ``sides`` of the
 signed values of the sides it has summed, keyed by ``(op, gate, sign,
 owners)``: an int for the form, and for the bracket and the cobracket a
-dict of nonzero coefficients by class or by ``(left, right)`` pair.  A side
-is summed by one pass over its pairs on first use (:func:`_side_pass`).
-``form_omega``, ``bracket_omega`` and ``cobracket_omega`` add up the side
-that their omega selects on each gate, skipping a gate that an owner does
-not cross once its sign is checked, and ``mu`` is the ``+1`` side minus the
-``-1`` side.  So a configuration evaluated under all ``2^k`` orientations
-visits each pair once per order of its owners.  Owners stay ordered, so the
-identities of :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still
-compare sides summed by separate passes.  Like the splice table, the side
-table lives and dies with its configuration.
+dict of nonzero coefficients by integer word or by ``(left, right)`` pair
+of words.  A side is summed by one pass over its pairs on first use
+(:func:`_side_pass`).  ``form_omega``, ``bracket_omega`` and
+``cobracket_omega`` add up the side that their omega selects on each gate,
+skipping a gate that an owner does not cross once its sign is checked, and
+``mu`` is the ``+1`` side minus the ``-1`` side.  So a configuration
+evaluated under all ``2^k`` orientations visits each pair once per order
+of its owners.  Owners stay ordered, so the identities of
+:mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still compare
+sides summed by separate passes.  Like the splice table, the side table
+lives and dies with its configuration.
+
+Each operation sums its sides on the integer words, the skew ones take
+their difference there too, and only its nonzero terms are decoded into
+:class:`~loopcalc.algebra.HomotopyClass`, once, at its return
+(:func:`loopcalc.algebra.decoded`).
 
 A configuration reads an owner's word on its first splice, so the form
 never encodes a loop, and it lists each owner's crossings of each gate
@@ -61,12 +68,12 @@ once, when it is made.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Hashable
 
-from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
-from loopcalc.words import IN, OUT, LetterTable, canonical
+from loopcalc.algebra import FormalSum, TensorSum, decoded
+from loopcalc.words import IN, OUT, CyclicWord, LetterTable, join_canonical
 
 
 class GateCalculusError(Exception):
@@ -97,24 +104,31 @@ class GateCrossing:
 
 class OwnerWords(Mapping):
     """Each owner's cyclic letter word, read from its source on first use.
-    A source is a word, or holds one as ``.word`` (a
-    :class:`~loopcalc.loops.PreparedLoop`, which encodes on first use).
-    It keeps the mapping of sources it is given; ``loaded`` is the plain
-    dict of the words read so far, for the splices' hot path."""
+    A source is a word, or a :class:`~loopcalc.loops.PreparedLoop`, which
+    makes its :class:`~loopcalc.words.CyclicWord` on first use; a plain
+    word is made into one here.  It keeps the mapping of sources it is
+    given and maps each owner to its word; ``loaded`` is the plain dict of
+    the cyclic words read so far, for the splices' hot path."""
 
     __slots__ = ("_sources", "loaded")
 
     def __init__(self, sources: Mapping[str, object]):
         self._sources = sources
-        self.loaded: dict[str, tuple[int, ...]] = {}
+        self.loaded: dict[str, CyclicWord] = {}
 
-    def __getitem__(self, owner: str) -> tuple[int, ...]:
+    def cyclic(self, owner: str) -> CyclicWord:
         try:
             return self.loaded[owner]
         except KeyError:
             source = self._sources[owner]
-            word = self.loaded[owner] = tuple(getattr(source, "word", source))
+            word = getattr(source, "cyclic", None)
+            if word is None:
+                word = CyclicWord(source)
+            self.loaded[owner] = word
             return word
+
+    def __getitem__(self, owner: str) -> tuple[int, ...]:
+        return self.cyclic(owner).word
 
     def __contains__(self, owner) -> bool:
         return owner in self._sources
@@ -150,8 +164,8 @@ def _by_owner(
 
 class GateConfiguration:
     """Per-gate ordered crossings plus the owning loops' cyclic words, and
-    the tables ``splices`` and ``sides`` of the classes spliced and the gate
-    sides summed on it so far.  ``crossings`` maps each gate to its
+    the tables ``splices`` and ``sides`` of the canonical words spliced and
+    the gate sides summed on it so far.  ``crossings`` maps each gate to its
     crossings in slot order, stored as the builder hands them.  ``words``
     maps each owner to its word or to a prepared loop (see
     :class:`OwnerWords`).  ``base_omega`` is the orientation every
@@ -171,7 +185,7 @@ class GateConfiguration:
         self.table = table
         self.gates = tuple(sorted(crossings))
         self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
-        self.splices: dict[tuple, HomotopyClass] = {}
+        self.splices: dict[tuple, tuple[int, ...]] = {}
         self.sides: dict[tuple, int | dict] = {}
         # Each owner's crossings of each gate it crosses, in slot order.
         self._owned = _by_owner(crossings, sources)
@@ -231,7 +245,7 @@ def _before(omega_sign: int, q: GateCrossing, p: GateCrossing) -> bool:
 # -- splicing -------------------------------------------------------------------
 
 
-def _start(word: Sequence[int], c: GateCrossing) -> int:
+def _start(word: CyclicWord, c: GateCrossing) -> int:
     """Where the owner's cyclic ``word`` is rotated at the crossing: after
     an entering crossing's letter, at a leaving one's."""
     return (c.letter_index + 1) % len(word) if c.eps > 0 else c.letter_index
@@ -239,41 +253,43 @@ def _start(word: Sequence[int], c: GateCrossing) -> int:
 
 def graft_at(
     config: GateConfiguration, p: GateCrossing, q: GateCrossing
-) -> HomotopyClass:
-    """Class of the loop following all of ``p``'s owner from ``p``, then all
-    of ``q``'s owner from ``q``, joined along their common gate."""
+) -> tuple[int, ...]:
+    """Canonical word of the loop following all of ``p``'s owner from
+    ``p``, then all of ``q``'s owner from ``q``, joined along their common
+    gate."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
     words = config.words
-    pw = words.loaded.get(p.owner) or words[p.owner]
-    qw = words.loaded.get(q.owner) or words[q.owner]
+    pw = words.loaded.get(p.owner) or words.cyclic(p.owner)
+    qw = words.loaded.get(q.owner) or words.cyclic(q.owner)
     key = (p.owner, _start(pw, p), q.owner, _start(qw, q))
-    cls = config.splices.get(key)
-    if cls is None:
-        spliced = pw[key[1] :] + pw[: key[1]] + qw[key[3] :] + qw[: key[3]]
-        cls = config.splices[key] = HomotopyClass(config.table.decode_word(canonical(spliced)))
-    return cls
+    word = config.splices.get(key)
+    if word is None:
+        word = config.splices[key] = join_canonical(
+            pw.segment(key[1], len(pw)), qw.segment(key[3], len(qw))
+        )
+    return word
 
 
 def split_at(
     config: GateConfiguration, p1: GateCrossing, p2: GateCrossing
-) -> HomotopyClass:
-    """Class of the piece of the loop running from ``p1`` forward to ``p2``,
-    closed up along their common gate: from ``p1``'s letter, without it
-    when ``p1`` enters, to ``p2``'s letter, without it when ``p2`` leaves."""
+) -> tuple[int, ...]:
+    """Canonical word of the piece of the loop running from ``p1`` forward
+    to ``p2``, closed up along their common gate: from ``p1``'s letter,
+    without it when ``p1`` enters, to ``p2``'s letter, without it when
+    ``p2`` leaves."""
     if p1.owner != p2.owner or p1.gate != p2.gate:
         raise GateCalculusError("split crossings must share owner and gate")
     if p1.letter_index == p2.letter_index:
         raise GateCalculusError("split crossings must be distinct")
     words = config.words
-    word = words.loaded.get(p1.owner) or words[p1.owner]
-    count = (p2.letter_index - p1.letter_index) % len(word)
-    key = (p1.owner, _start(word, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
-    cls = config.splices.get(key)
-    if cls is None:
-        piece = (word[key[1] :] + word[: key[1]])[: key[2]]
-        cls = config.splices[key] = HomotopyClass(config.table.decode_word(canonical(piece)))
-    return cls
+    cyclic = words.loaded.get(p1.owner) or words.cyclic(p1.owner)
+    count = (p2.letter_index - p1.letter_index) % len(cyclic)
+    key = (p1.owner, _start(cyclic, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
+    word = config.splices.get(key)
+    if word is None:
+        word = config.splices[key] = join_canonical(cyclic.segment(key[1], key[2]), ())
+    return word
 
 
 # -- the operations -------------------------------------------------------------
@@ -294,7 +310,8 @@ def _side_pass(
     under ``sign``, counted or grafted; for the cobracket of one owner, the
     pairs ``(p1, p2)`` of its crossings with ``p1`` first, where the loop
     splits into two pieces, contractible pieces dropped.  A bracket or
-    cobracket side is a dict of its nonzero terms."""
+    cobracket side is a dict of its nonzero terms, keyed by canonical
+    integer words."""
     terms: dict = {}
     if op == "cobracket":
         (owner,) = owners
@@ -305,7 +322,7 @@ def _side_pass(
                     continue
                 left = split_at(config, p2, p1)
                 right = split_at(config, p1, p2)
-                if left.is_trivial or right.is_trivial:
+                if not left or not right:
                     continue
                 key = (left, right)
                 terms[key] = terms.get(key, 0) + sign * p1.eps * p2.eps
@@ -317,8 +334,8 @@ def _side_pass(
         for p in ps:
             for q in qs:
                 if _before(sign, q, p):
-                    cls = graft_at(config, p, q)
-                    terms[cls] = terms.get(cls, 0) + sign * p.eps * q.eps
+                    word = graft_at(config, p, q)
+                    terms[word] = terms.get(word, 0) + sign * p.eps * q.eps
     for key in [key for key, coeff in terms.items() if not coeff]:
         del terms[key]
     return terms
@@ -348,6 +365,25 @@ def _omega_sides(
         if (gate, owners[0]) in owned and (gate, owners[-1]) in owned:
             sides.append(_side(config, op, gate, sign, owners))
     return sides
+
+
+def _add_terms(terms: dict, more, scale: int = 1) -> None:
+    """Add ``scale`` times the ``(key, coeff)`` pairs ``more`` into
+    ``terms``; zero coefficients stay until the terms are decoded."""
+    for key, coeff in more:
+        terms[key] = terms.get(key, 0) + scale * coeff
+
+
+def _omega_terms(
+    config: GateConfiguration, op: str, omega: Mapping[GateKey, int] | None, owners
+) -> dict:
+    """The bracket or cobracket terms, by integer word, that ``omega``
+    selects (the configuration's own orientation when it is ``None``)."""
+    omega = config.base_omega if omega is None else omega
+    terms: dict = {}
+    for side in _omega_sides(config, op, omega, owners):
+        _add_terms(terms, side.items())
+    return terms
 
 
 def form_omega(
@@ -400,9 +436,7 @@ def bracket_omega(
     """Orientation-dependent bracket: one grafted class per ordered crossing
     pair with ``y`` before ``x`` along a gate."""
     config.require_owners(x, y)
-    omega = config.base_omega if omega is None else omega
-    sides = _omega_sides(config, "bracket", omega, (x, y))
-    return FormalSum([term for side in sides for term in side.items()])
+    return decoded(config.table, _omega_terms(config, "bracket", omega, (x, y)))
 
 
 def bracket(
@@ -411,7 +445,12 @@ def bracket(
     y: str = "b",
     omega: Mapping[GateKey, int] | None = None,
 ) -> FormalSum:
-    return bracket_omega(config, omega, x, y) - bracket_omega(config, omega, y, x)
+    """``bracket_omega(x, y) - bracket_omega(y, x)``, taken on the integer
+    words before they are decoded."""
+    config.require_owners(x, y)
+    terms = _omega_terms(config, "bracket", omega, (x, y))
+    _add_terms(terms, _omega_terms(config, "bracket", omega, (y, x)).items(), -1)
+    return decoded(config.table, terms)
 
 
 def mu(config: GateConfiguration, gate: GateKey, x: str = "a", y: str = "b") -> FormalSum:
@@ -419,12 +458,11 @@ def mu(config: GateConfiguration, gate: GateKey, x: str = "a", y: str = "b") -> 
     gate, with no order condition; the ``+1`` side minus the ``-1`` side,
     plus each crossing grafted to itself when ``x`` is ``y``."""
     config.require_owners(x, y)
-    plus = _side(config, "bracket", gate, 1, (x, y))
-    minus = _side(config, "bracket", gate, -1, (x, y))
-    terms = [*plus.items(), *((cls, -coeff) for cls, coeff in minus.items())]
+    terms = dict(_side(config, "bracket", gate, 1, (x, y)))
+    _add_terms(terms, _side(config, "bracket", gate, -1, (x, y)).items(), -1)
     if x == y:
-        terms += [(graft_at(config, p, p), 1) for p in config.gate_crossings(gate, x)]
-    return FormalSum(terms)
+        _add_terms(terms, ((graft_at(config, p, p), 1) for p in config.gate_crossings(gate, x)))
+    return decoded(config.table, terms)
 
 
 def _resolve_owner(config: GateConfiguration, owner: str | None) -> str:
@@ -447,9 +485,8 @@ def cobracket_omega(
     chord (ordered pair of crossings on one gate), contractible pieces
     dropped."""
     owner = _resolve_owner(config, owner)
-    omega = config.base_omega if omega is None else omega
-    sides = _omega_sides(config, "cobracket", omega, (owner,))
-    return TensorSum([term for side in sides for term in side.items()])
+    terms = _omega_terms(config, "cobracket", omega, (owner,))
+    return decoded(config.table, terms, pairs=True)
 
 
 def cobracket(
@@ -457,8 +494,13 @@ def cobracket(
     owner: str | None = None,
     omega: Mapping[GateKey, int] | None = None,
 ) -> TensorSum:
-    nu = cobracket_omega(config, omega, owner)
-    return nu - nu.transpose()
+    """``nu - nu^T`` for the orientation-dependent cobracket ``nu``, taken
+    on the integer words before they are decoded."""
+    owner = _resolve_owner(config, owner)
+    nu = _omega_terms(config, "cobracket", omega, (owner,))
+    terms = dict(nu)
+    _add_terms(terms, (((right, left), coeff) for (left, right), coeff in nu.items()), -1)
+    return decoded(config.table, terms, pairs=True)
 
 
 # -- raw configurations ----------------------------------------------------------

@@ -14,7 +14,9 @@ in the dual graph, whose canonical form is the free homotopy class.
 A :class:`PreparedLoop` is a loop validated for one surface: its
 constructor runs :func:`require_valid_loop`, so holding one means the loop
 is valid there.  The splices :func:`graft` and :func:`subloop` take
-prepared loops only and read their encoded words.
+prepared loops only, read their words as
+:class:`~loopcalc.words.CyclicWord` and return the canonical integer word
+of the spliced loop; the per-star functions decode the terms that survive.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
-from loopcalc.words import OUT, canonical
+from loopcalc.words import OUT, CyclicWord, canonical, join_canonical
 
 
 class LoopError(Exception):
@@ -202,8 +204,12 @@ def base_region(surface: StarFilledSurface, loop: CombinatorialLoop) -> str:
 
 def to_class(surface: StarFilledSurface, loop: CombinatorialLoop) -> HomotopyClass:
     require_valid_loop(surface, loop)
-    word = canonical(encoded_word(surface, loop))
-    return HomotopyClass(surface.letter_table().decode_word(word))
+    return _word_class(surface, encoded_word(surface, loop))
+
+
+def _word_class(surface: StarFilledSurface, word: Sequence[int]) -> HomotopyClass:
+    """The class of a loop's encoded word, by the reference kernel."""
+    return HomotopyClass(surface.letter_table().decode_word(canonical(word)))
 
 
 def inverse_loop(loop: CombinatorialLoop) -> CombinatorialLoop:
@@ -414,7 +420,8 @@ def _reposition(
 class PreparedLoop:
     """A loop validated for one surface, its transits bucketed by
     ``(star, edge)`` in loop order with their indices, and its encoded word
-    made on first use.
+    made on first use; its :class:`~loopcalc.words.CyclicWord` is made on
+    its first splice.
 
     The constructor validates (:func:`require_valid_loop`), so a prepared
     loop is a valid loop by type; :func:`loopcalc.stars.prepare_loops`
@@ -422,7 +429,7 @@ class PreparedLoop:
     star at hand.  It lives for one call and is never cached across calls.
     """
 
-    __slots__ = ("surface", "loop", "buckets", "_word")
+    __slots__ = ("surface", "loop", "buckets", "_word", "_cyclic")
 
     def __init__(self, surface: StarFilledSurface, loop: CombinatorialLoop):
         require_valid_loop(surface, loop)
@@ -433,6 +440,7 @@ class PreparedLoop:
             buckets.setdefault((t.star, t.edge), []).append((i, t))
         self.buckets = buckets
         self._word: tuple[int, ...] | None = None
+        self._cyclic: CyclicWord | None = None
 
     @property
     def transits(self) -> tuple[Transit, ...]:
@@ -448,6 +456,17 @@ class PreparedLoop:
             self._word = encoded_word(self.surface, self.loop)
         return self._word
 
+    @property
+    def cyclic(self) -> CyclicWord:
+        """The encoded word with its reduced prefixes, for splicing."""
+        if self._cyclic is None:
+            self._cyclic = CyclicWord(self.word)
+        return self._cyclic
+
+    def homotopy_class(self) -> HomotopyClass:
+        """The loop's free homotopy class, read from its encoded word."""
+        return _word_class(self.surface, self.word)
+
 
 def graft(
     surface: StarFilledSurface,
@@ -455,40 +474,38 @@ def graft(
     p: int,
     b: PreparedLoop,
     q: int,
-) -> HomotopyClass:
-    """Class of the loop that follows all of ``a`` from transit ``p``, then
-    all of ``b`` from transit ``q``, spliced through their common star."""
+) -> tuple[int, ...]:
+    """Canonical word of the loop that follows all of ``a`` from transit
+    ``p``, then all of ``b`` from transit ``q``, spliced through their
+    common star."""
     ta, tb = a.transits[p], b.transits[q]
     if ta.star != tb.star:
         raise LoopError(f"graft transits lie in different stars {ta.star!r}, {tb.star!r}")
-    wa, wb = a.word, b.word
-    i, j = 2 * p + 1, 2 * q + 1
-    spliced = wa[i:] + wa[:i] + wb[j:] + wb[:j]
-    return HomotopyClass(surface.letter_table().decode_word(canonical(spliced)))
+    wa, wb = a.cyclic, b.cyclic
+    return join_canonical(wa.segment(2 * p + 1, len(wa)), wb.segment(2 * q + 1, len(wb)))
 
 
-def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> HomotopyClass:
-    """Class of the loop that runs along ``a`` from transit ``p1`` to
-    transit ``p2`` and closes up through their common star."""
+def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tuple[int, ...]:
+    """Canonical word of the loop that runs along ``a`` from transit ``p1``
+    to transit ``p2`` and closes up through their common star."""
     t1, t2 = a.transits[p1], a.transits[p2]
     if p1 == p2:
         raise LoopError("subloop endpoints must be distinct transits")
     if t1.star != t2.star:
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
-    word = a.word
+    word = a.cyclic
     m = len(word)
-    start = (2 * p1 + 1) % m
-    end = start + (2 * p2 - 2 * p1) % m  # letters from exit(p1) through entry(p2)
-    piece = word[start:end] if end <= m else word[start:] + word[: end - m]
-    return HomotopyClass(surface.letter_table().decode_word(canonical(piece)))
+    # The letters from exit(p1) through entry(p2).
+    return join_canonical(word.segment((2 * p1 + 1) % m, (2 * p2 - 2 * p1) % m), ())
 
 
 # -- abelianization -----------------------------------------------------------
 
 
 def abelianization(surface: StarFilledSurface):
-    """Return ``h`` mapping classes/loops to integer vectors in the first
-    homology of the dual graph (one coordinate per non-tree gate)."""
+    """Return ``h`` mapping classes, loops and prepared loops to integer
+    vectors in the first homology of the dual graph (one coordinate per
+    non-tree gate); a prepared loop is read from its encoded word."""
     surface.require_valid()
     table = surface.letter_table()
     # BFS spanning tree over the dual graph, edges scanned in sorted order.
@@ -518,6 +535,8 @@ def abelianization(surface: StarFilledSurface):
     def h(obj) -> tuple[int, ...]:
         if isinstance(obj, CombinatorialLoop):
             letters = loop_letters(surface, obj)
+        elif isinstance(obj, PreparedLoop):
+            letters = table.decode_word(obj.word)
         elif isinstance(obj, HomotopyClass):
             letters = list(obj.letters)
         else:

@@ -29,6 +29,14 @@ star, so a star's term costs time linear in the transits that cross that
 star.  A prepared loop encodes its word on first use, so the star-route
 form never encodes.
 
+Integer words.  The splices :func:`~loopcalc.loops.graft` and
+:func:`~loopcalc.loops.subloop` return canonical integer words, and
+:func:`star_bracket` and :func:`star_cobracket` sum their terms keyed by
+those words (or by pairs of them).  Only the terms that survive a star's
+sum are decoded into :class:`~loopcalc.algebra.HomotopyClass`, once, at
+the function's return (:func:`loopcalc.algebra.decoded`); the gate
+calculus does the same at the return of each of its operations.
+
 The evaluation pipeline.  Every operation, bounded or closed, skew or
 orientation-dependent, runs the same steps: prepare the loops, evaluate
 each star (:func:`star_route` or :func:`gate_route`), sum the per-star
@@ -56,7 +64,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from loopcalc import gates as gatecalc
-from loopcalc.algebra import FormalSum, TensorSum
+from loopcalc.algebra import FormalSum, TensorSum, decoded
 from loopcalc.gates import GateConfiguration, GateCrossing
 from loopcalc.loops import CombinatorialLoop, LoopError, PreparedLoop, graft, subloop
 from loopcalc.loops import require_valid_loop  # noqa: F401 (a public name of this module)
@@ -126,35 +134,37 @@ def star_bracket(
     must not share a point on the star."""
     star = surface.star(star_id)
     _check_disjoint(star, {"a": a, "b": b})
-    terms = []
+    terms: dict[tuple[int, ...], int] = {}
     for e in range(star.edge_count):
         nxt = star.succ(e)
         for p, tp in a.on_edge(star_id, e):
             for q, tq in b.on_edge(star_id, nxt):
-                terms.append((graft(surface, a, p, b, q), tp.sign * tq.sign))
+                word = graft(surface, a, p, b, q)
+                terms[word] = terms.get(word, 0) + tp.sign * tq.sign
         for p, tp in a.on_edge(star_id, nxt):
             for q, tq in b.on_edge(star_id, e):
-                terms.append((graft(surface, a, p, b, q), -tp.sign * tq.sign))
-    return FormalSum(terms)
+                word = graft(surface, a, p, b, q)
+                terms[word] = terms.get(word, 0) - tp.sign * tq.sign
+    return decoded(surface.letter_table(), terms)
 
 
 def star_cobracket(surface: StarFilledSurface, star_id: str, a: PreparedLoop) -> TensorSum:
     """Split tensor terms over self-crossing pairs of consecutive edges,
     with contractible pieces dropped."""
     star = surface.star(star_id)
-    terms = []
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for e in range(star.edge_count):
         nxt = star.succ(e)
         for p1, t1 in a.on_edge(star_id, e):
             for p2, t2 in a.on_edge(star_id, nxt):
                 first = subloop(surface, a, p1, p2)
                 second = subloop(surface, a, p2, p1)
-                if first.is_trivial or second.is_trivial:
+                if not first or not second:
                     continue
                 sign = t1.sign * t2.sign
-                terms.append(((first, second), sign))
-                terms.append(((second, first), -sign))
-    return TensorSum(terms)
+                terms[first, second] = terms.get((first, second), 0) + sign
+                terms[second, first] = terms.get((second, first), 0) - sign
+    return decoded(surface.letter_table(), terms, pairs=True)
 
 
 def expand_to_gates(
@@ -225,10 +235,12 @@ def gate_route(
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")
     config = expand_to_gates(surface, star_id, loops)
+    # The cobracket splits the loop named "a", as on the star route.
+    owner = {"owner": "a"} if op == "cobracket" else {}
     # Looked up by name at call time: gates.form, gates.form_omega, ...
     if omega is None:
-        return getattr(gatecalc, op)(config)
-    return getattr(gatecalc, f"{op}_omega")(config, omega)
+        return getattr(gatecalc, op)(config, **owner)
+    return getattr(gatecalc, f"{op}_omega")(config, omega, **owner)
 
 
 def star_route(
@@ -242,6 +254,8 @@ def star_route(
     if op == "bracket":
         return star_bracket(surface, star_id, loops["a"], loops["b"])
     if op == "cobracket":
+        if len(loops) > 1:
+            _check_disjoint(surface.star(star_id), loops)
         return star_cobracket(surface, star_id, loops["a"])
     raise ValueError(f"unknown operation {op!r}")
 
@@ -302,11 +316,16 @@ def aggregate(
     only) the orientation-dependent operation is summed instead and nothing
     is halved.
 
-    The loops of a pair must be generic: no point ``(star, edge, pos)`` is
-    shared.  Only the star-route form does not check: on ``g1b1``, ``x1``
-    with itself has star-route form ``0``, while the star bracket and every
-    gate-route call raise :class:`~loopcalc.loops.LoopError` naming the
-    shared point.  The CLI makes each pair generic first.
+    The form and the bracket read the loops named ``a`` and ``b``; the
+    cobracket splits the loop named ``a`` on both routes, and any other
+    loop given is validated and checked generic with it, but not split.
+
+    The loops of a family must be generic: no point ``(star, edge, pos)``
+    is shared.  Only the star-route form does not check: on ``g1b1``,
+    ``x1`` with itself has star-route form ``0``, while the star bracket,
+    the star cobracket of a family and every gate-route call raise
+    :class:`~loopcalc.loops.LoopError` naming the shared point.  The CLI
+    makes each pair generic first.
     """
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")

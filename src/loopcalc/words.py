@@ -5,7 +5,17 @@ words over directed gate letters.  The reduction kernel works on integer
 letters (inverse of ``x`` is ``x ^ 1``); :class:`LetterTable` translates
 between integers and ``(gate, direction)`` pairs.  The kernel
 (``reduce_word``, ``cyclic_reduce``, ``least_rotation`` and ``canonical``)
-is the pure-Python ``loopcalc._wordpure``.
+is the pure-Python ``loopcalc._wordpure``; it stays the one reference
+kernel.
+
+Splices.  Every bracket and cobracket term is the class of a spliced word:
+a rotation of one cyclic word followed by a rotation of another, or one
+cyclic segment.  Most of its letters cancel, so the splices do not reduce
+the raw spliced word.  A :class:`CyclicWord` stores the free reduction
+``P_k`` of every prefix of its square, and a segment ``w[s:e]`` reduces to
+``P_s^-1 P_e``; :func:`join_canonical` then canonicalizes the product of
+two reduced words.  A splice therefore costs its reduced length, and
+equals ``canonical`` of the raw spliced word.
 """
 
 from __future__ import annotations
@@ -21,6 +31,98 @@ BACKEND: str = "pure"
 #: raw gate configuration): IN enters, OUT leaves.
 IN = 0
 OUT = 1
+
+
+class CyclicWord:
+    """A cyclic word with the free reduction of every prefix of its square.
+
+    The reduced prefixes form a trie: node ``0`` is the empty word, and a
+    node's children extend it by one letter that does not cancel its last.
+    ``_at[k]`` is the node of the reduced prefix of length ``k`` of
+    ``word + word``; ``_path`` and ``_inverse`` hold each node's word and
+    that word's inverse.
+    """
+
+    __slots__ = ("word", "_at", "_parent", "_depth", "_path", "_inverse")
+
+    def __init__(self, word: Sequence[int]):
+        self.word = word = tuple(word)
+        parent, depth, path, inverse = [0], [0], [()], [()]
+        children: dict[tuple[int, int], int] = {}
+        at = [0]
+        node = 0
+        for x in word + word:
+            if depth[node] and path[node][-1] == x ^ 1:
+                node = parent[node]
+            else:
+                child = children.get((node, x))
+                if child is None:
+                    child = children[node, x] = len(parent)
+                    parent.append(node)
+                    depth.append(depth[node] + 1)
+                    path.append(path[node] + (x,))
+                    inverse.append((x ^ 1,) + inverse[node])
+                node = child
+            at.append(node)
+        self._at, self._parent, self._depth = at, parent, depth
+        self._path, self._inverse = path, inverse
+
+    def __len__(self) -> int:
+        return len(self.word)
+
+    def segment(self, start: int, length: int) -> tuple[int, ...]:
+        """The free reduction of the ``length`` letters from ``start`` on,
+        read cyclically; ``0 <= start < len(self)`` and ``0 <= length <=
+        len(self)``.  It walks from both prefixes to their common one, so
+        it costs the length of the result."""
+        parent, depth = self._parent, self._depth
+        s = self._at[start]
+        e = self._at[start + length]
+        u, v = s, e
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        d = depth[u]
+        return self._inverse[s][: depth[s] - d] + self._path[e][d:]
+
+
+def join_canonical(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """``canonical(u + v)`` for freely reduced words ``u`` and ``v``: cancel
+    at the junction, reduce cyclically, and take the least of the
+    rotations that start at the smallest letter.
+
+    >>> join_canonical((4, 2), (3, 5, 0))
+    (0,)
+    >>> join_canonical((6, 2), (9,))
+    (2, 9, 6)
+    """
+    n = 0
+    top = len(u)
+    while n < top and n < len(v) and u[top - 1 - n] == v[n] ^ 1:
+        n += 1
+    w = u[: top - n] + v[n:] if n else u + v
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] == w[hi - 1] ^ 1:
+        lo += 1
+        hi -= 1
+    if lo:
+        w = w[lo:hi]
+    if len(w) <= 1:
+        return w
+    least = min(w)
+    best = None
+    i = w.index(least)
+    while True:
+        rotation = w[i:] + w[:i]
+        if best is None or rotation < best:
+            best = rotation
+        try:
+            i = w.index(least, i + 1)
+        except ValueError:
+            return best
 
 
 class LetterTable:

@@ -8,6 +8,7 @@ the band.  Slot orders follow the core-induced gate directions, which run
 opposite ways along the two sides of the band.
 """
 
+from loopcalc.algebra import HomotopyClass
 from loopcalc.gates import raw_config_from_json
 from loopcalc.stars import prepare_loops
 
@@ -17,6 +18,12 @@ def prepared(surface, *loops):
     per-star functions and the splices take them: one loop, or a tuple."""
     out = tuple(prepare_loops(surface, dict(enumerate(loops))).values())
     return out[0] if len(out) == 1 else out
+
+
+def as_class(table, word):
+    """The class whose canonical word a splice returned, decoded with the
+    letter table of its surface or configuration."""
+    return HomotopyClass(table.decode_word(word))
 
 
 def one_gate_config():

@@ -1,6 +1,7 @@
 """Homotopy classes hash once and stay plain values: copies, pickles and
 ``dataclasses.replace`` give equal classes with equal hashes, and the
-instance dict holds only the letters."""
+instance dict holds only the letters.  Formal-sum arithmetic builds each
+result once and stores no zero."""
 
 import copy
 import dataclasses
@@ -8,7 +9,7 @@ import pickle
 
 import pytest
 
-from loopcalc.algebra import TRIVIAL_CLASS, FormalSum, HomotopyClass
+from loopcalc.algebra import TRIVIAL_CLASS, FormalSum, HomotopyClass, TensorSum
 
 LETTERS = ((("s", 0), 0), (("s", 2), 1), (("t", 1), 0))
 
@@ -61,3 +62,35 @@ def test_classes_stay_frozen_and_ordered():
     assert hash(HomotopyClass(())) == hash(TRIVIAL_CLASS)
     total = FormalSum([(cls, 2), (copy.deepcopy(cls), -1), (TRIVIAL_CLASS, 1)])
     assert total.coefficient(cls) == 1 and len(total) == 2
+
+
+def test_arithmetic_builds_each_result_once(monkeypatch):
+    """Sums, differences, negation, scaling, halving and the transpose hand
+    their finished terms over without a second pass through the
+    constructor, and keep no zero coefficient."""
+    x, y, z = "x", "y", "z"
+    f = FormalSum({x: 2, y: -4})
+    g = FormalSum({x: -2, z: 6})
+    t = TensorSum({(x, y): 2, (y, z): -2})
+    inits = []
+    original = FormalSum.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormalSum, "__init__", counting)
+    results = {
+        "add": (f + g, {y: -4, z: 6}),
+        "sub": (f - f, {}),
+        "neg": (-f, {x: -2, y: 4}),
+        "scale": (3 * f, {x: 6, y: -12}),
+        "scale by zero": (0 * f, {}),
+        "halve": (f.halved(), {x: 1, y: -2}),
+        "transpose": (t.transpose(), {(y, x): 2, (z, y): -2}),
+    }
+    assert inits == []
+    monkeypatch.undo()
+    for how, (value, terms) in results.items():
+        assert value == FormalSum(terms) and type(value) is type(f if how != "transpose" else t), how
+        assert 0 not in value.coefficients(), how

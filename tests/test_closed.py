@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-from conftest import prepared, torus_grid
+from conftest import as_class, prepared, torus_grid
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.closed import (
@@ -288,7 +288,7 @@ def test_normalizer_constant_under_relator_grafts(torus, genus2):
                 i for i, t in enumerate(loop.transits) if t.star == blue
             )
             a, r = prepared(fg.surface, loop, rel)
-            spliced = graft(fg.surface, a, p, r, 0)
+            spliced = as_class(fg.surface.letter_table(), graft(fg.surface, a, p, r, 0))
             assert norm.normalize(spliced) == base
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import prepared, torus_grid
+from conftest import as_class, prepared, torus_grid
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.closed import build_from_graph, from_triangulation
@@ -258,7 +258,7 @@ def test_graft_core_with_itself_is_core_squared(annulus):
     surf, gens = annulus
     core = gens["z1"]
     a, b = prepared(surf, *make_generic(surf, [core, core]))
-    spliced = graft(surf, a, 0, b, 0)
+    spliced = as_class(surf.letter_table(), graft(surf, a, 0, b, 0))
     doubled = to_class(surf, compile_word(surf, gens, "z1 z1"))
     assert spliced == doubled
 
@@ -271,8 +271,9 @@ def test_graft_with_contractible_factor(annulus):
     )
     assert to_class(surf, tongue).is_trivial
     pcore, ptongue = prepared(surf, core, tongue)
-    assert graft(surf, pcore, 0, ptongue, 0) == to_class(surf, core)
-    assert graft(surf, pcore, 0, ptongue, 1) == to_class(surf, core)
+    table = surf.letter_table()
+    assert as_class(table, graft(surf, pcore, 0, ptongue, 0)) == to_class(surf, core)
+    assert as_class(table, graft(surf, pcore, 0, ptongue, 1)) == to_class(surf, core)
 
 
 def test_graft_xy(torus1):
@@ -280,8 +281,9 @@ def test_graft_xy(torus1):
     x, y = prepared(surf, *make_generic(surf, [gens["x1"], gens["y1"]]))
     expected = to_class(surf, compile_word(surf, gens, "x1 y1"))
     # both transits of x and the first of y run through the star's disk
-    assert graft(surf, x, 0, y, 0) == expected
-    assert graft(surf, x, 1, y, 0) == expected
+    table = surf.letter_table()
+    assert as_class(table, graft(surf, x, 0, y, 0)) == expected
+    assert as_class(table, graft(surf, x, 1, y, 0)) == expected
 
 
 def test_graft_different_stars_rejected():
@@ -302,8 +304,9 @@ def test_subloop_of_core_squared(annulus):
     surf, gens = annulus
     loop = prepared(surf, compile_word(surf, gens, "z1 z1"))
     core_class = to_class(surf, gens["z1"])
-    assert subloop(surf, loop, 0, 1) == core_class
-    assert subloop(surf, loop, 1, 0) == core_class
+    table = surf.letter_table()
+    assert as_class(table, subloop(surf, loop, 0, 1)) == core_class
+    assert as_class(table, subloop(surf, loop, 1, 0)) == core_class
 
 
 def test_subloop_pieces_abelianize_to_whole(torus1):
@@ -316,17 +319,17 @@ def test_subloop_pieces_abelianize_to_whole(torus1):
         for p2 in range(len(loop.transits)):
             if p1 == p2:
                 continue
-            left = h(subloop(surf, loop, p1, p2))
-            right = h(subloop(surf, loop, p2, p1))
+            left = h(as_class(surf.letter_table(), subloop(surf, loop, p1, p2)))
+            right = h(as_class(surf.letter_table(), subloop(surf, loop, p2, p1)))
             assert tuple(l + r for l, r in zip(left, right)) == total
 
 
 def test_subloop_adjacent_transits_with_backtrack(torus1):
     surf, gens = torus1
     x = prepared(surf, gens["x1"])  # two transits crossing edges 0 then 3, consecutively
-    piece = subloop(surf, x, 0, 1)
+    piece = as_class(surf.letter_table(), subloop(surf, x, 0, 1))
     assert piece.is_trivial
-    other = subloop(surf, x, 1, 0)
+    other = as_class(surf.letter_table(), subloop(surf, x, 1, 0))
     assert other == to_class(surf, gens["x1"])
 
 
@@ -348,7 +351,7 @@ def test_graft_abelianization_additive(torus1):
     for p, tp in enumerate(a.transits):
         for q, tq in enumerate(b.transits):
             if tp.star == tq.star:
-                assert h(graft(surf, a, p, b, q)) == tuple(
+                assert h(as_class(surf.letter_table(), graft(surf, a, p, b, q))) == tuple(
                     u + v for u, v in zip(ha, hb)
                 )
 

@@ -8,10 +8,11 @@ from dataclasses import replace
 import pytest
 from conftest import torus_grid
 
-from loopcalc import gates
+from loopcalc import fuzz, gates
 from loopcalc import loops as loopmod
 from loopcalc import stars
-from loopcalc.closed import build_from_graph, from_triangulation
+from loopcalc import closed
+from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair
 from loopcalc.loops import LoopError, PreparedLoop, Transit, inverse_loop
 
@@ -86,6 +87,28 @@ def test_methods_agree_validates_each_loop_once_per_route(torus_pairs, counts):
     surface, a, b = torus_pairs[0]
     stars.methods_agree(surface, {"a": a, "b": b}, "bracket")
     assert sorted(counts["validate"]) == sorted([id(a), id(b)] * 2)
+
+
+def test_fuzz_checks_read_the_prepared_pair(torus_pairs, counts):
+    """The shadow check and the move check's baseline read the words that
+    :func:`~loopcalc.fuzz.fuzz_pair` prepared: each loop of the pair is
+    validated once and encoded at most once."""
+    for surface, a, b in torus_pairs:
+        counts["validate"].clear()
+        counts["encode"].clear()
+        pair = fuzz.fuzz_pair(surface, a, b)
+        assert fuzz.shadow_failures(pair) == []
+        assert fuzz.move_invariance_failures(pair, random.Random(0), steps=0) == []
+        for loop in (a, b):
+            assert counts["validate"].count(id(loop)) == 1
+            assert counts["encode"].count(id(loop)) <= 1
+
+
+def test_build_from_graph_validates_each_relator_once(monkeypatch, counts):
+    monkeypatch.setattr(closed, "require_valid_loop", loopmod.require_valid_loop)
+    spec = canonical_filling_graph(2)
+    graph = build_from_graph(spec)
+    assert len(counts["validate"]) == len(graph.relators) == len(spec.red)
 
 
 def test_preparing_validates(torus_pairs):

@@ -9,7 +9,7 @@ import random
 import re
 
 import pytest
-from conftest import one_gate_config
+from conftest import as_class, one_gate_config
 
 from loopcalc import gates
 from loopcalc.algebra import FormalSum, TensorSum
@@ -64,7 +64,7 @@ def form_by_pairs(config, omega, x, y) -> int:
 
 def bracket_by_pairs(config, omega, x, y) -> FormalSum:
     return FormalSum(
-        (gates.graft_at(config, p, q), omega[g] * p.eps * q.eps)
+        (as_class(config.table, gates.graft_at(config, p, q)), omega[g] * p.eps * q.eps)
         for g, p, q in gate_pairs(config, x, y)
         if first(omega[g], q, p)
     )
@@ -75,7 +75,8 @@ def cobracket_by_pairs(config, omega, owner) -> TensorSum:
     for g, p1, p2 in gate_pairs(config, owner, owner):
         if p1 is p2 or not first(omega[g], p1, p2):
             continue
-        left, right = gates.split_at(config, p2, p1), gates.split_at(config, p1, p2)
+        left = as_class(config.table, gates.split_at(config, p2, p1))
+        right = as_class(config.table, gates.split_at(config, p1, p2))
         if not (left.is_trivial or right.is_trivial):
             terms.append(((left, right), omega[g] * p1.eps * p2.eps))
     return TensorSum(terms)
@@ -83,7 +84,7 @@ def cobracket_by_pairs(config, omega, owner) -> TensorSum:
 
 def mu_by_pairs(config, gate, x, y) -> FormalSum:
     return FormalSum(
-        (gates.graft_at(config, p, q), p.eps * q.eps)
+        (as_class(config.table, gates.graft_at(config, p, q)), p.eps * q.eps)
         for g, p, q in gate_pairs(config, x, y)
         if g == gate
     )

@@ -1,18 +1,19 @@
 """The splice table of a gate configuration: repeated operations on one
-configuration, under every gate orientation, canonicalize each spliced
-word at most once and give the values of fresh configurations; a transit's
-two gate crossings share their splices; the two orders of a pair are still
-spliced apart."""
+configuration, under every gate orientation, run the splice kernel at most
+once per spliced word and give the values of fresh configurations; a
+transit's two gate crossings share their splices; the two orders of a pair
+are still spliced apart.  The table holds the canonical integer word of
+each splice, and each operation decodes only its nonzero terms."""
 
 import itertools
 import random
 
 import pytest
 
-from loopcalc import gates
+from loopcalc import algebra, gates
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
-from loopcalc.stars import expand_to_gates, prepare_loops
-from loopcalc.words import canonical
+from loopcalc.stars import expand_to_gates, prepare_loops, star_bracket, star_cobracket
+from loopcalc.words import canonical, join_canonical
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +30,16 @@ def star_pairs():
 
 @pytest.fixture
 def canonicalized(monkeypatch):
-    """The words handed to the word kernel by the gate calculus, one entry
-    per call."""
-    words = []
+    """The reduced word pairs handed to the splice kernel by the gate
+    calculus, one entry per call."""
+    calls = []
 
-    def counting(word):
-        words.append(tuple(word))
-        return canonical(word)
+    def counting(u, v):
+        calls.append((u, v))
+        return join_canonical(u, v)
 
-    monkeypatch.setattr(gates, "canonical", counting)
-    return words
+    monkeypatch.setattr(gates, "join_canonical", counting)
+    return calls
 
 
 def start(config, c) -> int:
@@ -54,6 +55,19 @@ def splice_key(config, p, q) -> tuple:
         return (p.owner, start(config, p), q.owner, start(config, q))
     count = (q.letter_index - p.letter_index) % len(config.words[p.owner])
     return (p.owner, start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
+
+
+def raw_splice(config, key) -> tuple:
+    """The unreduced word a splice table key names: two rotations for a
+    graft, a piece of one rotation for a split."""
+
+    def rotated(owner, at):
+        word = config.words[owner]
+        return word[at:] + word[:at]
+
+    if len(key) == 4:
+        return rotated(key[0], key[1]) + rotated(key[2], key[3])
+    return rotated(key[0], key[1])[: key[2]]
 
 
 def ordered_pairs(config) -> list:
@@ -97,6 +111,8 @@ def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
             assert [values(config, omega) for omega in omegas] == fresh
         assert len(canonicalized) == len(config.splices)
         assert set(config.splices) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
+        for key, word in config.splices.items():
+            assert word == canonical(raw_splice(config, key))
         spliced += len(canonicalized)
         pairs += len(ordered_pairs(config))
     assert 0 < spliced < pairs
@@ -153,3 +169,56 @@ def test_tables_are_not_shared(star_pairs):
     gates.bracket(first)
     second = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
     assert first.splices and not second.splices
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every class the decoding helper builds, one entry per build."""
+    classes = []
+    original = algebra.HomotopyClass
+
+    def counting(letters):
+        classes.append(letters)
+        return original(letters)
+
+    monkeypatch.setattr(algebra, "HomotopyClass", counting)
+    return classes
+
+
+def support(value) -> set:
+    """The distinct classes among a sum's keys, or its pairs' keys."""
+    out = set()
+    for key in value.keys():
+        out.update(key if isinstance(key, tuple) else (key,))
+    return out
+
+
+def test_only_nonzero_terms_become_classes(star_pairs, built):
+    """Each operation builds one class per distinct class of its nonzero
+    terms; the words of the splices that cancel never become classes."""
+    calls = fewer = 0
+    for surface, a, b in star_pairs:
+        loops = prepare_loops(surface, {"a": a, "b": b})
+        gate_ops = [
+            lambda config: gates.bracket(config),
+            lambda config: gates.bracket_omega(config, {g: -1 for g in config.gates}),
+            lambda config: gates.cobracket(config, "a"),
+            lambda config: gates.cobracket_omega(config, None, "b"),
+            lambda config: gates.mu(config, config.gates[0]),
+        ]
+        for operation in gate_ops:
+            config = expand_to_gates(surface, "s", loops)
+            built.clear()
+            value = operation(config)
+            assert len(built) == len(support(value))
+            fewer += len(built) < len(config.splices)
+            calls += 1
+        for operation in (
+            lambda: star_bracket(surface, "s", loops["a"], loops["b"]),
+            lambda: star_cobracket(surface, "s", loops["b"]),
+        ):
+            built.clear()
+            value = operation()
+            assert len(built) == len(support(value))
+            calls += 1
+    assert calls == 7 * len(star_pairs) and fewer > 0

@@ -274,3 +274,19 @@ def test_genericity_contract_on_a_loop_with_itself(torus1):
     for op, method in calls:
         with pytest.raises(LoopError, match=shared):
             aggregate(surf, loops, op, method)
+
+
+def test_cobracket_of_a_pair_splits_a_on_both_routes():
+    """Given two loops, the cobracket splits the one named ``a`` on either
+    route, and both routes name a point the loops share."""
+    surf, gens = canonical_surface(2, 1)
+    a, b = make_generic(surf, [compile_word(surf, gens, "x1 y1 x2^-1 y2"), gens["y1"]])
+    for method in ("star", "gate"):
+        pair = aggregate(surf, {"a": a, "b": b}, "cobracket", method)
+        alone = aggregate(surf, {"a": a}, "cobracket", method)
+        assert not alone.total.is_zero
+        assert (pair.per_star, pair.total) == (alone.per_star, alone.total)
+    shared = r"^loops 'a' and 'b' share point edge=\d+ pos=1 on star s$"
+    for method in ("star", "gate"):
+        with pytest.raises(LoopError, match=shared):
+            aggregate(surf, {"a": gens["x1"], "b": gens["x1"]}, "cobracket", method)

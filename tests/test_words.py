@@ -1,13 +1,20 @@
-"""Kernel tests: reduction, minimal rotation, canonical forms."""
+"""Kernel tests: reduction, minimal rotation, canonical forms, and the
+splice kernel against the reference kernel."""
 
+import functools
 import random
 
 import pytest
+from conftest import torus_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopcalc import _wordpure
 from loopcalc import words as wordmod
+from loopcalc.closed import build_from_graph, from_triangulation
+from loopcalc.fuzz import random_loop, surface_from_spec
+from loopcalc.loops import encoded_word
+from loopcalc.words import CyclicWord, join_canonical
 
 
 letters = st.integers(min_value=0, max_value=15)
@@ -97,3 +104,62 @@ def test_decode_word_reads_the_shared_letters():
 def test_backend_selected():
     assert wordmod.BACKEND == "pure"
     assert wordmod.canonical is _wordpure.canonical
+
+
+# -- the splice kernel ------------------------------------------------------------
+
+
+def rotation(word, at):
+    return list(word[at:]) + list(word[:at])
+
+
+def check_splices(u, v):
+    """Every segment of ``u`` is its free reduction, and the splice kernel
+    equals ``canonical`` on every piece of ``u`` and every graft of a
+    rotation of ``u`` with one of ``v``."""
+    cu, cv = CyclicWord(u), CyclicWord(v)
+    for i in range(len(u)):
+        for length in range(len(u) + 1):
+            piece = rotation(u, i)[:length]
+            assert cu.segment(i, length) == tuple(_wordpure.reduce_word(piece))
+            assert join_canonical(cu.segment(i, length), ()) == _wordpure.canonical(piece)
+        for j in range(len(v)):
+            spliced = rotation(u, i) + rotation(v, j)
+            assert join_canonical(cu.segment(i, len(u)), cv.segment(j, len(v))) == (
+                _wordpure.canonical(spliced)
+            )
+
+
+# Few letters, so that random words cancel a lot.
+small_words = st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_words, small_words)
+def test_splice_kernel_matches_canonical_on_random_words(u, v):
+    check_splices(u, v)
+
+
+@functools.lru_cache(maxsize=None)
+def loop_surface(name):
+    if name == "torus":
+        return build_from_graph(from_triangulation(torus_grid(3))).surface
+    return surface_from_spec(name)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["g1b1", "g2b1", "torus"]), st.integers(min_value=0, max_value=2**32))
+def test_splice_kernel_matches_canonical_on_loop_words(name, seed):
+    surface = loop_surface(name)
+    rng = random.Random(seed)
+    u, v = (encoded_word(surface, random_loop(surface, rng, 10)) for _ in range(2))
+    if u and v:
+        check_splices(u, v)
+
+
+def test_join_canonical_examples():
+    assert join_canonical((), ()) == ()
+    assert join_canonical((4, 2), (3, 5)) == ()
+    assert join_canonical((3, 8), (2,)) == (8,)
+    assert join_canonical((2, 0, 2), (0,)) == (0, 2, 0, 2)
+    assert CyclicWord([1, 4, 0]).segment(1, 3) == (4,)
