@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum, letters_json
 from loopcalc.loops import (
@@ -123,6 +124,12 @@ class FillingGraph:
     def relator_words(self) -> tuple[tuple[int, ...], ...]:
         table = self.surface.letter_table()
         return tuple(table.encode_word(r.letters) for r in self.relators)
+
+    @cached_property
+    def relator_tables(self) -> RelatorTables:
+        """The tables every :class:`ClosedNormalizer` of this graph reads,
+        built on first use and kept with the graph."""
+        return RelatorTables.of(self)
 
 
 def build_from_graph(spec: FillingGraphSpec) -> FillingGraph:
@@ -386,6 +393,30 @@ def _reduce_mod_lattice(vector: Sequence[int], basis: Sequence[Sequence[int]]) -
 DEFAULT_BOUND = 8
 
 
+@dataclass(frozen=True)
+class RelatorTables:
+    """What normalization reads of a filling graph alone: the
+    abelianization of its bounded surface, the lattice that the relators'
+    homology vectors span, and, for genus >= 2, every rotation of every
+    relator word and of its inverse."""
+
+    abelianize: Callable
+    lattice: tuple[tuple[int, ...], ...]
+    variants: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, graph: FillingGraph) -> RelatorTables:
+        abelianize = abelianization(graph.surface)
+        vectors = [abelianize(r) for r in graph.relators]
+        lattice = tuple(map(tuple, _hermite_columns(vectors, abelianize.rank)))
+        variants = []
+        if graph.genus >= 2:
+            for rel in graph.relator_words():
+                for word in (rel, _invert(rel)):
+                    variants += (word[k:] + word[:k] for k in range(len(word)))
+        return cls(abelianize, lattice, tuple(variants))
+
+
 class ClosedNormalizer:
     """Conjugacy normal forms in the closed-surface group.
 
@@ -393,22 +424,19 @@ class ClosedNormalizer:
     uses cyclic reduction, greedy shortening against relator subwords
     longer than half a relator, and a breadth-limited closure under
     length-preserving half-relator swaps; ``bound`` caps the closure depth
-    and is reported alongside results.
+    and is reported alongside results.  The tables that depend on the graph
+    alone are the graph's :attr:`FillingGraph.relator_tables`, built once
+    per graph; ``saturated`` belongs to one normalizer.
     """
 
     def __init__(self, graph: FillingGraph, bound: int = DEFAULT_BOUND):
         self.graph = graph
         self.bound = bound
         self.table = graph.surface.letter_table()
-        self.abelianize = abelianization(graph.surface)
-        self._relator_vectors = [self.abelianize(r) for r in graph.relators]
-        self._lattice = _hermite_columns(self._relator_vectors, self.abelianize.rank)
-        self._variants: list[tuple[int, ...]] = []
-        if graph.genus >= 2:
-            for rel in graph.relator_words():
-                for word in (rel, _invert(rel)):
-                    for k in range(len(word)):
-                        self._variants.append(word[k:] + word[:k])
+        tables = graph.relator_tables
+        self.abelianize = tables.abelianize
+        self._lattice = tables.lattice
+        self._variants = tables.variants
         self.saturated = True
 
     # -- public API -------------------------------------------------------

@@ -216,9 +216,9 @@ def _random_positions(loop: CombinatorialLoop, rng: random.Random):
 # :func:`gate_route_values`, and every check reads those values: the oracle
 # compares them, the star-route checks (shadows, evenness, the moves
 # baseline) and the gate-route checks (identities, omega independence) read
-# their own route's.  The gate values carry each star's configuration,
-# whose splice table then serves every orientation the gate checks
-# evaluate.
+# their own route's.  The gate values carry each star's configuration, and
+# the pair's prepared loops carry one splice memo, which serves both
+# routes and every orientation the gate checks evaluate.
 
 #: Stars with at most this many gates get every orientation in the
 #: omega-independence check, larger ones ``SAMPLES`` random orientations.
@@ -419,7 +419,10 @@ def omega_independence_failures(pair: FuzzPair, rng: random.Random) -> list[str]
 
 def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50) -> list[str]:
     """Apply a random move sequence to the loops; their classes and the
-    star route's sums over the filling must not change."""
+    star route's sums over the filling must not change.  The pair's loops
+    are valid, and each move's input is the pair's loop or an earlier
+    result, so :func:`~loopcalc.loops.apply_move` validates only each
+    result."""
     surface = pair.surface
     baseline_classes = {name: loop.homotopy_class() for name, loop in pair.prepared.items()}
     baseline_sums = _sums(pair.star_values)
@@ -429,7 +432,7 @@ def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50
         name = rng.choice(names)
         move = random_move(surface, work[name], rng)
         try:
-            work[name] = apply_move(surface, work[name], move)
+            work[name] = apply_move(surface, work[name], move, checked=True)
         except LoopError:
             continue  # move not applicable against the other loop's points
     work = dict(zip(names, make_generic(surface, [work[n] for n in names])))

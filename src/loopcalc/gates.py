@@ -19,23 +19,26 @@ core is a disjoint union of simply connected pieces glued along one
 component, so classes are words in the crossing letters; inputs outside
 that regime are the caller's responsibility.
 
-The splice table.  Every bracket, pairing and cobracket term is the class
+The splice memo.  Every bracket, pairing and cobracket term is the class
 of a splice at a crossing pair.  :func:`graft_at` and :func:`split_at`
 splice on the owners' :class:`~loopcalc.words.CyclicWord` and return the
-canonical integer word of the class.  A configuration keeps a table of the
-words it has spliced, which they fill on first use, keyed by the word they
-splice: a graft by ``(p.owner, p's rotation start, q.owner, q's rotation
-start)``, where a crossing rotates its owner's word just after an entering
-letter or at a leaving one, and a split by ``(owner, piece start, piece
-length)``.  A transit of a star crosses two gates, and its two crossings
-rotate the owner's word at the same letter, so the crossing pairs of two
-transits on both gates splice one word, once.  So the operations of this
-module, called on one configuration under any number of gate orientations,
-splice once per key.  Keys stay ordered: the graft of ``(p, q)`` and of
-``(q, p)`` give the same class, but they are spliced apart, so the
-pairing-symmetry check ``mu(a, b) == mu(b, a)`` still compares two
-computations.  The table lives and dies with its configuration; nothing is
-cached across configurations.
+canonical integer word of the class from the configuration's
+:class:`~loopcalc.words.SpliceMemo`, which works each word out on first
+use.  A configuration expanded from prepared loops shares their family's
+memo (:func:`loopcalc.stars.prepare_loops`), so the star route, the gate
+route on every star and every check on one family fill one memo; a raw
+configuration's words are a family of their own.  The memo keys each
+owner by its index in the family: a graft by ``(p's owner, p's rotation
+start, q's owner, q's rotation start)``, where a crossing rotates its
+owner's word just after an entering letter or at a leaving one, and a
+split by ``(owner, piece start, piece length)``.  A transit of a star
+crosses two gates, and its two crossings rotate the owner's word at the
+same letter as the star route's splices do, so the crossing pairs of two
+transits on both gates and on the star route splice one word, once.  Keys
+stay ordered: the graft of ``(p, q)`` and of ``(q, p)`` give the same
+class, but they are spliced apart, so the pairing-symmetry check ``mu(a,
+b) == mu(b, a)`` still compares two computations.  Each route computes its
+own key, so a wrong rotation start still splices a different word.
 
 The side table.  Every operation is a sum over gates of terms that depend
 on the gate's sign only through which crossing of a pair comes first.  A
@@ -52,8 +55,8 @@ skipping a gate that an owner does not cross once its sign is checked, and
 evaluated under all ``2^k`` orientations visits each pair once per order
 of its owners.  Owners stay ordered, so the identities of
 :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still compare
-sides summed by separate passes.  Like the splice table, the side table
-lives and dies with its configuration.
+sides summed by separate passes.  The side table lives and dies with its
+configuration; the splice memo lives as long as its family's loops.
 
 Each operation sums its sides on the integer words, the skew ones take
 their difference there too, and only its nonzero terms are decoded into
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from loopcalc.algebra import FormalSum, TensorSum, decoded
-from loopcalc.words import IN, OUT, CyclicWord, LetterTable, join_canonical
+from loopcalc.words import IN, OUT, CyclicWord, LetterTable, SpliceMemo
 
 
 class GateCalculusError(Exception):
@@ -108,24 +111,43 @@ class OwnerWords(Mapping):
     makes its :class:`~loopcalc.words.CyclicWord` on first use; a plain
     word is made into one here.  It keeps the mapping of sources it is
     given and maps each owner to its word; ``loaded`` is the plain dict of
-    the cyclic words read so far, for the splices' hot path."""
+    the cyclic words read so far, for the splices' hot path.
 
-    __slots__ = ("_sources", "loaded")
+    ``memo`` is the sources' splice memo and ``index`` each owner's index
+    in it, read with the first word loaded, so a configuration that never
+    splices (the form) never reads them: prepared loops bring their
+    family's, and must all come from one family; plain words get a memo of
+    their own, indexed in the order given."""
+
+    __slots__ = ("_sources", "loaded", "memo", "index")
 
     def __init__(self, sources: Mapping[str, object]):
         self._sources = sources
         self.loaded: dict[str, CyclicWord] = {}
+        self.memo: SpliceMemo | None = None
+        self.index: dict[str, int] = {}
 
     def cyclic(self, owner: str) -> CyclicWord:
         try:
             return self.loaded[owner]
         except KeyError:
+            if self.memo is None:
+                self._read_family()
             source = self._sources[owner]
             word = getattr(source, "cyclic", None)
             if word is None:
                 word = CyclicWord(source)
             self.loaded[owner] = word
             return word
+
+    def _read_family(self) -> None:
+        first = next(iter(self._sources.values()), None)
+        memo = getattr(first, "memo", None) or SpliceMemo()
+        for i, (owner, source) in enumerate(self._sources.items()):
+            if getattr(source, "memo", memo) is not memo:
+                raise GateCalculusError("a configuration's loops must be prepared as one family")
+            self.index[owner] = getattr(source, "index", i)
+        self.memo = memo
 
     def __getitem__(self, owner: str) -> tuple[int, ...]:
         return self.cyclic(owner).word
@@ -163,14 +185,14 @@ def _by_owner(
 
 
 class GateConfiguration:
-    """Per-gate ordered crossings plus the owning loops' cyclic words, and
-    the tables ``splices`` and ``sides`` of the canonical words spliced and
-    the gate sides summed on it so far.  ``crossings`` maps each gate to its
-    crossings in slot order, stored as the builder hands them.  ``words``
-    maps each owner to its word or to a prepared loop (see
-    :class:`OwnerWords`).  ``base_omega`` is the orientation every
-    operation given no ``omega`` uses: ``+1`` on every gate unless a raw
-    configuration sets its gates' ``eps_omega``."""
+    """Per-gate ordered crossings plus the owning loops' cyclic words and
+    their splice memo, and the table ``sides`` of the gate sides summed on
+    it so far.  ``crossings`` maps each gate to its crossings in slot
+    order, stored as the builder hands them.  ``words`` maps each owner to
+    its word or to a prepared loop (see :class:`OwnerWords`).
+    ``base_omega`` is the orientation every operation given no ``omega``
+    uses: ``+1`` on every gate unless a raw configuration sets its gates'
+    ``eps_omega``."""
 
     def __init__(
         self,
@@ -185,7 +207,6 @@ class GateConfiguration:
         self.table = table
         self.gates = tuple(sorted(crossings))
         self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
-        self.splices: dict[tuple, tuple[int, ...]] = {}
         self.sides: dict[tuple, int | dict] = {}
         # Each owner's crossings of each gate it crosses, in slot order.
         self._owned = _by_owner(crossings, sources)
@@ -262,13 +283,8 @@ def graft_at(
     words = config.words
     pw = words.loaded.get(p.owner) or words.cyclic(p.owner)
     qw = words.loaded.get(q.owner) or words.cyclic(q.owner)
-    key = (p.owner, _start(pw, p), q.owner, _start(qw, q))
-    word = config.splices.get(key)
-    if word is None:
-        word = config.splices[key] = join_canonical(
-            pw.segment(key[1], len(pw)), qw.segment(key[3], len(qw))
-        )
-    return word
+    index = words.index
+    return words.memo.graft(index[p.owner], pw, _start(pw, p), index[q.owner], qw, _start(qw, q))
 
 
 def split_at(
@@ -285,11 +301,8 @@ def split_at(
     words = config.words
     cyclic = words.loaded.get(p1.owner) or words.cyclic(p1.owner)
     count = (p2.letter_index - p1.letter_index) % len(cyclic)
-    key = (p1.owner, _start(cyclic, p1), count + 1 - (p1.eps > 0) - (p2.eps < 0))
-    word = config.splices.get(key)
-    if word is None:
-        word = config.splices[key] = join_canonical(cyclic.segment(key[1], key[2]), ())
-    return word
+    length = count + 1 - (p1.eps > 0) - (p2.eps < 0)
+    return words.memo.split(words.index[p1.owner], cyclic, _start(cyclic, p1), length)
 
 
 # -- the operations -------------------------------------------------------------

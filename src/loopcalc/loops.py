@@ -13,21 +13,32 @@ in the dual graph, whose canonical form is the free homotopy class.
 
 A :class:`PreparedLoop` is a loop validated for one surface: its
 constructor runs :func:`require_valid_loop`, so holding one means the loop
-is valid there.  The splices :func:`graft` and :func:`subloop` take
-prepared loops only, read their words as
+is valid there.  Validation keys each point by the integers ``(star, edge,
+numerator, denominator)`` of its position, which is exact because a
+:class:`~fractions.Fraction` is always in lowest terms.  A loop is
+validated once: :func:`apply_move` validates the loop it is given and its
+result, and a move sequence, whose inputs are earlier results, passes
+``checked=True`` so only each result is validated.
+
+Loops prepared together (:func:`loopcalc.stars.prepare_loops`) form a
+family and share one :class:`~loopcalc.words.SpliceMemo`; each knows its
+index in the family.  The splices :func:`graft` and :func:`subloop` take
+prepared loops of one family only, read their words as
 :class:`~loopcalc.words.CyclicWord` and return the canonical integer word
-of the spliced loop; the per-star functions decode the terms that survive.
+of the spliced loop from the memo, which works each word out once for
+every route and check on the family; the per-star functions decode the
+terms that survive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
-from loopcalc.words import OUT, CyclicWord, canonical, join_canonical
+from loopcalc.words import OUT, CyclicWord, SpliceMemo, canonical
 
 
 class LoopError(Exception):
@@ -166,9 +177,10 @@ def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> Valida
     if problems:
         return ValidationReport(tuple(problems))
 
-    seen: dict[tuple[str, int, Fraction], int] = {}
+    seen: dict[tuple[str, int, int, int], int] = {}
     for i, t in enumerate(loop.transits):
-        key = (t.star, t.edge, t.pos)
+        pos = t.pos
+        key = (t.star, t.edge, pos.numerator, pos.denominator)
         if key in seen:
             problems.append(
                 f"transits {seen[key]} and {i} share point (star={t.star}, edge={t.edge}, "
@@ -213,7 +225,7 @@ def _word_class(surface: StarFilledSurface, word: Sequence[int]) -> HomotopyClas
 
 
 def inverse_loop(loop: CombinatorialLoop) -> CombinatorialLoop:
-    transits = tuple(replace(t, sign=-t.sign) for t in reversed(loop.transits))
+    transits = tuple(Transit(t.star, t.edge, -t.sign, t.pos) for t in reversed(loop.transits))
     return CombinatorialLoop(transits, anchor=loop.anchor)
 
 
@@ -223,7 +235,7 @@ def inverse_loop(loop: CombinatorialLoop) -> CombinatorialLoop:
 def compile_word(
     surface: StarFilledSurface,
     generators: Mapping[str, CombinatorialLoop],
-    word: Union[str, Sequence[str]],
+    word: str | Sequence[str],
 ) -> CombinatorialLoop:
     """Concatenate generator loops (all based in one region) into a single
     loop with fresh distinct positions.
@@ -279,7 +291,7 @@ def make_generic(
     out = []
     for li, loop in enumerate(loops):
         transits = tuple(
-            replace(t, pos=new_pos[(li, ti)]) for ti, t in enumerate(loop.transits)
+            Transit(t.star, t.edge, t.sign, new_pos[li, ti]) for ti, t in enumerate(loop.transits)
         )
         out.append(CombinatorialLoop(transits, anchor=loop.anchor))
     return out
@@ -318,14 +330,21 @@ class RotateBasepoint:
     k: int
 
 
-Move = Union[InsertCancellingPair, RemoveCancellingPair, Reposition, RotateBasepoint]
+# A ``|`` union, not ``typing.Union``: typing caches its unions, which would
+# keep every imported copy of this module alive.
+Move = InsertCancellingPair | RemoveCancellingPair | Reposition | RotateBasepoint
 
 
 def apply_move(
-    surface: StarFilledSurface, loop: CombinatorialLoop, move: Move
+    surface: StarFilledSurface, loop: CombinatorialLoop, move: Move, *, checked: bool = False
 ) -> CombinatorialLoop:
-    """Apply a class-preserving move and return the new loop."""
-    require_valid_loop(surface, loop)
+    """Apply a class-preserving move and return the new loop, validated.
+
+    The loop given is validated first unless ``checked`` says it is known
+    valid, as the result of an earlier move is; a move sequence passes
+    ``checked=True`` so that each of its loops is validated once."""
+    if not checked:
+        require_valid_loop(surface, loop)
     if isinstance(move, InsertCancellingPair):
         result = _insert_pair(surface, loop, move)
     elif isinstance(move, RemoveCancellingPair):
@@ -409,7 +428,7 @@ def _reposition(
     if len(assignment) != len(loop.transits):
         raise LoopError("reposition assignment length mismatch")
     transits = tuple(
-        replace(t, pos=Fraction(p)) for t, p in zip(loop.transits, assignment)
+        Transit(t.star, t.edge, t.sign, Fraction(p)) for t, p in zip(loop.transits, assignment)
     )
     return CombinatorialLoop(transits, anchor=loop.anchor)
 
@@ -419,26 +438,41 @@ def _reposition(
 
 class PreparedLoop:
     """A loop validated for one surface, its transits bucketed by
-    ``(star, edge)`` in loop order with their indices, and its encoded word
-    made on first use; its :class:`~loopcalc.words.CyclicWord` is made on
-    its first splice.
+    ``(star, edge)`` in loop order with their indices, the signed count of
+    its crossings of each ``(star, edge)``, and its encoded word made on
+    first use; its :class:`~loopcalc.words.CyclicWord` is made on its first
+    splice.
 
     The constructor validates (:func:`require_valid_loop`), so a prepared
     loop is a valid loop by type; :func:`loopcalc.stars.prepare_loops`
-    prepares a family.  The star calculus reads only the buckets of the
-    star at hand.  It lives for one call and is never cached across calls.
+    prepares a family, whose loops share one ``memo`` and know their
+    ``index`` in it.  A loop prepared alone is a family of its own.  The
+    star calculus reads only the buckets of the star at hand.  It lives for
+    one call and is never cached across calls.
     """
 
-    __slots__ = ("surface", "loop", "buckets", "_word", "_cyclic")
+    __slots__ = ("surface", "loop", "buckets", "counts", "memo", "index", "_word", "_cyclic")
 
-    def __init__(self, surface: StarFilledSurface, loop: CombinatorialLoop):
+    def __init__(
+        self,
+        surface: StarFilledSurface,
+        loop: CombinatorialLoop,
+        memo: SpliceMemo | None = None,
+        index: int = 0,
+    ):
         require_valid_loop(surface, loop)
         self.surface = surface
         self.loop = loop
         buckets: dict[tuple[str, int], list[tuple[int, Transit]]] = {}
+        counts: dict[tuple[str, int], int] = {}
         for i, t in enumerate(loop.transits):
-            buckets.setdefault((t.star, t.edge), []).append((i, t))
+            key = (t.star, t.edge)
+            buckets.setdefault(key, []).append((i, t))
+            counts[key] = counts.get(key, 0) + t.sign
         self.buckets = buckets
+        self.counts = counts
+        self.memo = SpliceMemo() if memo is None else memo
+        self.index = index
         self._word: tuple[int, ...] | None = None
         self._cyclic: CyclicWord | None = None
 
@@ -481,8 +515,10 @@ def graft(
     ta, tb = a.transits[p], b.transits[q]
     if ta.star != tb.star:
         raise LoopError(f"graft transits lie in different stars {ta.star!r}, {tb.star!r}")
-    wa, wb = a.cyclic, b.cyclic
-    return join_canonical(wa.segment(2 * p + 1, len(wa)), wb.segment(2 * q + 1, len(wb)))
+    if a.memo is not b.memo:
+        raise LoopError("spliced loops must be prepared together, as one family")
+    # Each word is rotated just after the transit's entering letter.
+    return a.memo.graft(a.index, a.cyclic, 2 * p + 1, b.index, b.cyclic, 2 * q + 1)
 
 
 def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tuple[int, ...]:
@@ -494,9 +530,8 @@ def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tu
     if t1.star != t2.star:
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
     word = a.cyclic
-    m = len(word)
     # The letters from exit(p1) through entry(p2).
-    return join_canonical(word.segment((2 * p1 + 1) % m, (2 * p2 - 2 * p1) % m), ())
+    return a.memo.split(a.index, word, 2 * p1 + 1, (2 * p2 - 2 * p1) % len(word))
 
 
 # -- abelianization -----------------------------------------------------------

@@ -20,14 +20,24 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
 over stars itself (the fuzz harness) calls :func:`prepare_loops` first.  A
-:class:`~loopcalc.loops.PreparedLoop` validates in its constructor and
-buckets its transits by ``(star, edge)``.  The per-star functions
-(:func:`edge_counts`, :func:`star_form`, :func:`star_bracket`,
-:func:`star_cobracket` and :func:`expand_to_gates`) take prepared loops
-only, trust that they are valid, and read only the buckets of their own
-star, so a star's term costs time linear in the transits that cross that
-star.  A prepared loop encodes its word on first use, so the star-route
-form never encodes.
+:class:`~loopcalc.loops.PreparedLoop` validates in its constructor, buckets
+its transits by ``(star, edge)`` and counts its signed crossings of each.
+The per-star functions (:func:`edge_counts`, :func:`star_form`,
+:func:`star_bracket`, :func:`star_cobracket` and :func:`expand_to_gates`)
+take prepared loops only, trust that they are valid, and read only the
+buckets of their own star, so a star's term costs time linear in the
+transits that cross that star.  A prepared loop encodes its word on first
+use, so the star-route form never encodes.  Points are compared by the
+integers ``(edge, numerator, denominator)`` of their positions, never by
+hashing a :class:`~fractions.Fraction`.
+
+The splice memo.  The loops of one :func:`prepare_loops` call are one
+family and share one :class:`~loopcalc.words.SpliceMemo`, keyed by their
+indices in the family.  The star route's splices and the gate route's
+(:mod:`loopcalc.gates`), on every star, read and fill that memo, so one
+:func:`aggregate` call, or one fuzz pair checked by both routes, works out
+each spliced word once.  Each route computes its own key, so a route that
+rotated a word at the wrong letter would still splice a different word.
 
 Integer words.  The splices :func:`~loopcalc.loops.graft` and
 :func:`~loopcalc.loops.subloop` return canonical integer words, and
@@ -69,6 +79,7 @@ from loopcalc.gates import GateConfiguration, GateCrossing
 from loopcalc.loops import CombinatorialLoop, LoopError, PreparedLoop, graft, subloop
 from loopcalc.loops import require_valid_loop  # noqa: F401 (a public name of this module)
 from loopcalc.surface import Star, StarFilledSurface
+from loopcalc.words import SpliceMemo
 
 
 class OddCoefficientError(Exception):
@@ -78,36 +89,39 @@ class OddCoefficientError(Exception):
 def prepare_loops(
     surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
 ) -> dict[str, PreparedLoop]:
-    """Validate each loop for ``surface`` and bucket its transits, by name;
-    raises :class:`~loopcalc.loops.LoopError` on the first invalid loop."""
-    return {name: PreparedLoop(surface, loop) for name, loop in loops.items()}
+    """Validate each loop for ``surface`` and bucket its transits, by name,
+    as one family with one splice memo; raises
+    :class:`~loopcalc.loops.LoopError` on the first invalid loop."""
+    memo = SpliceMemo()
+    return {
+        name: PreparedLoop(surface, loop, memo, index)
+        for index, (name, loop) in enumerate(loops.items())
+    }
 
 
 def edge_counts(surface: StarFilledSurface, star_id: str, loop: PreparedLoop) -> list[int]:
     """Signed crossing count of the loop with each edge of the star."""
-    star = surface.star(star_id)
-    return [
-        sum(t.sign for _, t in loop.on_edge(star_id, e)) for e in range(star.edge_count)
-    ]
+    counts = loop.counts
+    return [counts.get((star_id, e), 0) for e in range(surface.star(star_id).edge_count)]
 
 
 def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
     """Raise on the first point of a loop, in loop order, that an earlier
     loop of the family already uses on this star."""
-    seen: dict[tuple[int, object], str] = {}
+    seen: dict[tuple[int, int, int], str] = {}
     for name, loop in loops.items():
         mine = {}
         clash = None
         for e in range(star.edge_count):
             for i, t in loop.on_edge(star.id, e):
-                key = (e, t.pos)
+                key = (e, t.pos.numerator, t.pos.denominator)
                 if key in seen and (clash is None or i < clash[0]):
-                    clash = (i, t)
+                    clash = (i, key)
                 mine[key] = name
         if clash is not None:
-            t = clash[1]
+            t = loop.transits[clash[0]]
             raise LoopError(
-                f"loops {seen[t.edge, t.pos]!r} and {name!r} share point edge={t.edge} "
+                f"loops {seen[clash[1]]!r} and {name!r} share point edge={t.edge} "
                 f"pos={t.pos} on star {star.id}"
             )
         seen.update(mine)
@@ -176,7 +190,9 @@ def expand_to_gates(
 
     The loops must be jointly generic on the star (no shared ``(edge,
     pos)``); raises :class:`loopcalc.loops.LoopError` otherwise.  Each
-    gate's crossings are handed over in slot order.
+    gate's crossings are handed over in slot order.  The configuration
+    splices into the family's memo, so the loops must come from one
+    :func:`prepare_loops` call.
     """
     star = surface.star(star_id)
     _check_disjoint(star, loops)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from loopcalc.words import IN, OUT, LetterTable
 
@@ -46,7 +46,9 @@ class GateRef:
         return {"star": self.star, "edge": self.edge}
 
 
-BoundaryItem = Union[GateRef, str]
+# A ``|`` union, not ``typing.Union``: typing caches its unions, which would
+# keep every imported copy of this module alive.
+BoundaryItem = GateRef | str
 
 
 class TransitGates(NamedTuple):

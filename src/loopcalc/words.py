@@ -16,6 +16,12 @@ the raw spliced word.  A :class:`CyclicWord` stores the free reduction
 ``P_s^-1 P_e``; :func:`join_canonical` then canonicalizes the product of
 two reduced words.  A splice therefore costs its reduced length, and
 equals ``canonical`` of the raw spliced word.
+
+A :class:`SpliceMemo` keeps the splices of one family of words: the
+reduced rotations, and the canonical word of each graft and split, keyed
+in order by the words' indices in the family.  The loops prepared together
+share one, so the star route, the gate route and every check on that
+family canonicalize each spliced word once.
 """
 
 from __future__ import annotations
@@ -87,6 +93,54 @@ class CyclicWord:
             u, v = parent[u], parent[v]
         d = depth[u]
         return self._inverse[s][: depth[s] - d] + self._path[e][d:]
+
+
+class SpliceMemo:
+    """The canonical words spliced from one family of cyclic words, each
+    word known by its index in the family.
+
+    ``rotations`` maps ``(i, start)`` to the free reduction of word ``i``
+    rotated to begin at ``start``.  ``spliced`` maps a graft ``(i, s, j,
+    t)``, rotation ``s`` of word ``i`` followed by rotation ``t`` of word
+    ``j``, and a split ``(i, start, length)``, a cyclic segment of word
+    ``i``, to its canonical word.  Each is worked out on first use.  Keys
+    stay ordered: the grafts ``(i, s, j, t)`` and ``(j, t, i, s)`` name one
+    class but are spliced apart.  The memo holds only integers and tuples,
+    so the loops that share it make no reference cycle.
+    """
+
+    __slots__ = ("rotations", "spliced")
+
+    def __init__(self):
+        self.rotations: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.spliced: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def graft(
+        self, i: int, u: CyclicWord, s: int, j: int, v: CyclicWord, t: int
+    ) -> tuple[int, ...]:
+        """Canonical word of ``u`` from letter ``s`` on, then ``v`` from
+        letter ``t`` on; ``u`` and ``v`` are words ``i`` and ``j``."""
+        key = (i, s, j, t)
+        word = self.spliced.get(key)
+        if word is None:
+            rotations = self.rotations
+            left = rotations.get((i, s))
+            if left is None:
+                left = rotations[i, s] = u.segment(s, len(u))
+            right = rotations.get((j, t))
+            if right is None:
+                right = rotations[j, t] = v.segment(t, len(v))
+            word = self.spliced[key] = join_canonical(left, right)
+        return word
+
+    def split(self, i: int, u: CyclicWord, start: int, length: int) -> tuple[int, ...]:
+        """Canonical word of the ``length`` letters of ``u`` (word ``i``)
+        from ``start`` on, read cyclically."""
+        key = (i, start, length)
+        word = self.spliced.get(key)
+        if word is None:
+            word = self.spliced[key] = join_canonical(u.segment(start, length), ())
+        return word
 
 
 def join_canonical(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

@@ -315,6 +315,41 @@ def test_closed_results_even_and_metadata(genus2):
     assert "saturated" in payload["normalization"]
 
 
+def test_relators_are_encoded_once_per_graph(monkeypatch):
+    """The tables a normalizer reads of the graph alone (abelianization,
+    relator lattice, relator variants) are built once per graph; each call
+    still gets a normalizer of its own, with its own ``saturated``."""
+    from loopcalc.closed import FillingGraph
+
+    encoded = []
+    original = FillingGraph.relator_words
+
+    def counting(graph):
+        encoded.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(FillingGraph, "relator_words", counting)
+    made = []
+    init = ClosedNormalizer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClosedNormalizer, "__init__", counting_init)
+    graph = build_from_graph(canonical_filling_graph(2))
+    rng = random.Random(8)
+    results = []
+    for _ in range(4):
+        a, b = random_loop_pair(graph.surface, rng, 8)
+        results += [closed_bracket(graph, a, b), closed_cobracket(graph, a, bound=1)]
+    assert len(encoded) == 1 and len(made) == len(results) == 8
+    assert all(r.bound in (1, 8) for r in results)
+    other = build_from_graph(canonical_filling_graph(2))
+    closed_bracket(other, a, b)
+    assert len(encoded) == 2
+
+
 def test_dual_filling_graph_same_form(torus):
     """Exchanging colors gives the dual filling graph; both compute the
     same doubled intersection number."""

@@ -300,6 +300,16 @@ def test_graft_different_stars_rejected():
         graft(surf, a, 0, a, q)
 
 
+def test_graft_of_loops_prepared_apart_rejected(torus1):
+    """The splice memo keys loops by their index in one family, so loops of
+    two families are not spliced together."""
+    surf, gens = torus1
+    x, y = make_generic(surf, [gens["x1"], gens["y1"]])
+    px, py = prepared(surf, x), prepared(surf, y)
+    with pytest.raises(LoopError, match="^spliced loops must be prepared together"):
+        graft(surf, px, 0, py, 0)
+
+
 def test_subloop_of_core_squared(annulus):
     surf, gens = annulus
     loop = prepared(surf, compile_word(surf, gens, "z1 z1"))

@@ -2,8 +2,10 @@
 validates each loop once and encodes it at most once, whatever the number
 of stars, and only when it splices."""
 
+import gc
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from conftest import torus_grid
@@ -145,3 +147,87 @@ def test_first_shared_point_in_loop_order():
             )
             checked += min(t.edge for _, t in mine) < first.edge
     assert checked > 0
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The number of ``Fraction.__hash__`` calls so far."""
+    calls = [0]
+    original = Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    return calls
+
+
+def test_points_are_compared_without_hashing_fractions(torus_pairs, hashed):
+    """Validation and the disjointness check key each point by the integers
+    of its position, and still find a shared point."""
+    for surface, a, b in torus_pairs:
+        loops = stars.prepare_loops(surface, {"a": a, "b": b})
+        for star in surface.stars:
+            stars.expand_to_gates(surface, star.id, loops)
+        clash = stars.prepare_loops(surface, {"a": a, "b": inverse_loop(a)})
+        star = a.transits[0].star
+        with pytest.raises(LoopError, match="share point"):
+            stars.expand_to_gates(surface, star, clash)
+        t = a.transits[0]
+        twice = replace(a, transits=a.transits + (Transit(t.star, t.edge, t.sign, t.pos),))
+        assert any("share point" in p for p in loopmod.validate_loop(surface, twice).problems)
+    assert hashed[0] == 0
+
+
+def test_move_check_validates_each_loop_once(monkeypatch):
+    """The move check validates each loop of its move sequences once: the
+    pair's loops are valid already, and each move validates its result
+    only; the loops it prepares at the end are validated once too."""
+    surface, _ = fuzz.surface_from_spec("g2b1")
+    rng = random.Random(4)
+    validated = []  # the loops themselves, so no id is reused
+    original = loopmod.require_valid_loop
+
+    def counting(surface, loop):
+        validated.append(loop)
+        return original(surface, loop)
+
+    monkeypatch.setattr(loopmod, "require_valid_loop", counting)
+    moved = 0
+    for _ in range(4):
+        pair = fuzz.fuzz_pair(surface, *random_loop_pair(surface, rng, 12))
+        validated.clear()
+        assert fuzz.move_invariance_failures(pair, rng, steps=20) == []
+        assert all(loop is not pair.a and loop is not pair.b for loop in validated)
+        counts = {}
+        for loop in validated:
+            counts[id(loop)] = counts.get(id(loop), 0) + 1
+        assert set(counts.values()) == {1}
+        moved += len(validated) - 2
+    assert moved > 0
+
+
+def test_apply_move_validates_outside_input(torus_pairs):
+    surface, a, _ = torus_pairs[0]
+    first = a.transits[0]
+    flipped = replace(a, transits=(replace(first, sign=-first.sign),) + a.transits[1:])
+    with pytest.raises(LoopError):
+        loopmod.apply_move(surface, flipped, loopmod.RotateBasepoint(0))
+
+
+@pytest.mark.parametrize("method", ["star", "gate"])
+@pytest.mark.parametrize("op", ["form", "bracket", "cobracket"])
+def test_aggregate_leaves_no_reference_cycle(torus_pairs, op, method):
+    """A prepared family, its splice memo and the configurations made from
+    it are freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for surface, a, b in torus_pairs:
+            stars.aggregate(surface, {"a": a} if op == "cobracket" else {"a": a, "b": b}, op, method)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

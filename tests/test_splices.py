@@ -1,16 +1,19 @@
-"""The splice table of a gate configuration: repeated operations on one
-configuration, under every gate orientation, run the splice kernel at most
-once per spliced word and give the values of fresh configurations; a
-transit's two gate crossings share their splices; the two orders of a pair
-are still spliced apart.  The table holds the canonical integer word of
-each splice, and each operation decodes only its nonzero terms."""
+"""The splice memo of a prepared family: the loops prepared together share
+one memo, so repeated operations on the family, under every gate
+orientation and by both routes, run the splice kernel at most once per
+spliced word and give the values of fresh preparations; a transit's two
+gate crossings share their splices with each other and with the star
+route; the two orders of a pair are still spliced apart; a fresh
+preparation starts with an empty memo.  The memo holds the canonical
+integer word of each splice, and each operation decodes only its nonzero
+terms."""
 
 import itertools
 import random
 
 import pytest
 
-from loopcalc import algebra, gates
+from loopcalc import algebra, fuzz, gates, words
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
 from loopcalc.stars import expand_to_gates, prepare_loops, star_bracket, star_cobracket
 from loopcalc.words import canonical, join_canonical
@@ -30,16 +33,21 @@ def star_pairs():
 
 @pytest.fixture
 def canonicalized(monkeypatch):
-    """The reduced word pairs handed to the splice kernel by the gate
-    calculus, one entry per call."""
+    """The reduced word pairs handed to the splice kernel by the splice
+    memo, for either route, one entry per call."""
     calls = []
 
     def counting(u, v):
         calls.append((u, v))
         return join_canonical(u, v)
 
-    monkeypatch.setattr(gates, "join_canonical", counting)
+    monkeypatch.setattr(words, "join_canonical", counting)
     return calls
+
+
+def family(surface, a, b):
+    """The pair prepared afresh as one family."""
+    return prepare_loops(surface, {"a": a, "b": b})
 
 
 def start(config, c) -> int:
@@ -49,20 +57,23 @@ def start(config, c) -> int:
 
 
 def splice_key(config, p, q) -> tuple:
-    """The word a pair of crossings on one gate splices: a graft across
-    owners, the piece from ``p`` forward to ``q`` within one."""
+    """The word a pair of crossings on one gate splices, with each owner
+    named by its index in the family: a graft across owners, the piece
+    from ``p`` forward to ``q`` within one."""
+    index = config.words.index
     if p.owner != q.owner:
-        return (p.owner, start(config, p), q.owner, start(config, q))
+        return (index[p.owner], start(config, p), index[q.owner], start(config, q))
     count = (q.letter_index - p.letter_index) % len(config.words[p.owner])
-    return (p.owner, start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
+    return (index[p.owner], start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
 
 
-def raw_splice(config, key) -> tuple:
-    """The unreduced word a splice table key names: two rotations for a
+def raw_splice(loops, key) -> tuple:
+    """The unreduced word a memo key names in a family: two rotations for a
     graft, a piece of one rotation for a split."""
+    by_index = [loop.word for loop in loops.values()]
 
-    def rotated(owner, at):
-        word = config.words[owner]
+    def rotated(i, at):
+        word = by_index[i]
         return word[at:] + word[:at]
 
     if len(key) == 4:
@@ -102,17 +113,25 @@ def values(config, omega) -> tuple:
 def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
     spliced = pairs = 0
     for surface, a, b in star_pairs:
-        loops = prepare_loops(surface, {"a": a, "b": b})
-        omegas = orientations(expand_to_gates(surface, "s", loops))
-        fresh = [values(expand_to_gates(surface, "s", loops), omega) for omega in omegas]
+        config = expand_to_gates(surface, "s", family(surface, a, b))
+        omegas = orientations(config)
+        fresh = [values(expand_to_gates(surface, "s", family(surface, a, b)), o) for o in omegas]
+        loops = family(surface, a, b)
+        memo = loops["a"].memo
         config = expand_to_gates(surface, "s", loops)
         canonicalized.clear()
         for _ in range(2):
             assert [values(config, omega) for omega in omegas] == fresh
-        assert len(canonicalized) == len(config.splices)
-        assert set(config.splices) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
-        for key, word in config.splices.items():
-            assert word == canonical(raw_splice(config, key))
+            # The star route reads the same memo, and splices nothing new.
+            before = len(canonicalized)
+            star_bracket(surface, "s", loops["a"], loops["b"])
+            star_cobracket(surface, "s", loops["a"])
+            assert len(canonicalized) == before
+        assert config.words.memo is memo and loops["b"].memo is memo
+        assert len(canonicalized) == len(memo.spliced)
+        assert set(memo.spliced) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
+        for key, word in memo.spliced.items():
+            assert word == canonical(raw_splice(loops, key))
         spliced += len(canonicalized)
         pairs += len(ordered_pairs(config))
     assert 0 < spliced < pairs
@@ -123,7 +142,7 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
     crossing pair of the far gate splices the word of its near-gate pair."""
     shared = 0
     for surface, a, b in star_pairs:
-        config = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
+        config = expand_to_gates(surface, "s", family(surface, a, b))
         partner = {}  # each crossing -> the transit's crossing on its other gate
         by_transit = {}
         for c in itertools.chain.from_iterable(config.crossings.values()):
@@ -134,13 +153,13 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
         for p, q in ordered_pairs(config):
             if partner[p].gate != partner[q].gate or p.gate > partner[p].gate:
                 continue
-            fresh = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
+            fresh = expand_to_gates(surface, "s", family(surface, a, b))
             splice = gates.graft_at if p.owner != q.owner else gates.split_at
             canonicalized.clear()
             first = splice(fresh, p, q)
             second = splice(fresh, partner[p], partner[q])
             assert second == first
-            assert len(canonicalized) == 1 and len(fresh.splices) == 1
+            assert len(canonicalized) == 1 and len(fresh.words.memo.spliced) == 1
             shared += 1
     assert shared > 0
 
@@ -148,10 +167,10 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
 def test_mu_splices_both_orders(star_pairs, canonicalized):
     checked = 0
     for surface, a, b in star_pairs:
-        for gate in expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b})).gates:
-            # A fresh configuration per gate: the pairs of a neighbouring
-            # gate may already have spliced this gate's words.
-            config = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
+        for gate in expand_to_gates(surface, "s", family(surface, a, b)).gates:
+            # A fresh family per gate: the pairs of a neighbouring gate may
+            # already have spliced this gate's words.
+            config = expand_to_gates(surface, "s", family(surface, a, b))
             n = len(config.gate_crossings(gate, "a")) * len(config.gate_crossings(gate, "b"))
             canonicalized.clear()
             ab = gates.mu(config, gate, "a", "b")
@@ -164,11 +183,60 @@ def test_mu_splices_both_orders(star_pairs, canonicalized):
 
 
 def test_tables_are_not_shared(star_pairs):
+    """Configurations of one family share its memo; a fresh preparation
+    starts with an empty one."""
     surface, a, b = star_pairs[0]
-    first = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
+    loops = family(surface, a, b)
+    first = expand_to_gates(surface, "s", loops)
+    again = expand_to_gates(surface, "s", loops)
     gates.bracket(first)
-    second = expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
-    assert first.splices and not second.splices
+    gates.cobracket(again, "a")
+    memo = loops["a"].memo
+    assert memo.spliced and first.words.memo is memo and again.words.memo is memo
+    fresh = family(surface, a, b)["a"].memo
+    assert fresh is not memo and not fresh.spliced and not fresh.rotations
+
+
+def test_loops_of_two_families_are_not_expanded_together(star_pairs):
+    """Memo keys are indices in one family, so a configuration does not
+    splice the loops of two preparations."""
+    surface, a, b = star_pairs[0]
+    mixed = {"a": family(surface, a, b)["a"], "b": family(surface, a, b)["b"]}
+    with pytest.raises(gates.GateCalculusError, match="prepared as one family"):
+        gates.bracket(expand_to_gates(surface, "s", mixed))
+
+
+def test_an_empty_configuration_has_no_words():
+    config = gates.raw_config_from_json({"gates": [{"id": "g", "crossings": []}]})
+    assert config.words.get("a") is None
+
+
+def test_fuzz_pair_canonicalizes_each_key_once(canonicalized):
+    """On one fuzz pair, the star route, the gate route and every check that
+    reads the pair run the splice kernel once per distinct key, and the two
+    routes share most of their words."""
+    rng = random.Random(3)
+    surface, _ = surface_from_spec("g2b1")
+    shared = 0
+    for _ in range(4):
+        a, b = random_loop_pair(surface, rng, 12)
+        alone = 0
+        for route in (fuzz.star_route_values, fuzz.gate_route_values):
+            canonicalized.clear()
+            route(surface, family(surface, a, b))
+            alone += len(canonicalized)
+        canonicalized.clear()
+        pair = fuzz.fuzz_pair(surface, a, b)
+        assert fuzz.oracle_failures(pair) == []
+        assert fuzz.identity_failures(pair, rng) == []
+        assert fuzz.omega_independence_failures(pair, rng) == []
+        assert fuzz.shadow_failures(pair) == []
+        assert fuzz.evenness_failures(pair) == []
+        memo = pair.prepared["a"].memo
+        assert len(canonicalized) == len(memo.spliced) == len(set(memo.spliced))
+        assert len(memo.spliced) <= alone
+        shared += alone - len(memo.spliced)
+    assert shared > 0
 
 
 @pytest.fixture
@@ -198,7 +266,6 @@ def test_only_nonzero_terms_become_classes(star_pairs, built):
     terms; the words of the splices that cancel never become classes."""
     calls = fewer = 0
     for surface, a, b in star_pairs:
-        loops = prepare_loops(surface, {"a": a, "b": b})
         gate_ops = [
             lambda config: gates.bracket(config),
             lambda config: gates.bracket_omega(config, {g: -1 for g in config.gates}),
@@ -207,12 +274,14 @@ def test_only_nonzero_terms_become_classes(star_pairs, built):
             lambda config: gates.mu(config, config.gates[0]),
         ]
         for operation in gate_ops:
+            loops = family(surface, a, b)
             config = expand_to_gates(surface, "s", loops)
             built.clear()
             value = operation(config)
             assert len(built) == len(support(value))
-            fewer += len(built) < len(config.splices)
+            fewer += len(built) < len(loops["a"].memo.spliced)
             calls += 1
+        loops = family(surface, a, b)
         for operation in (
             lambda: star_bracket(surface, "s", loops["a"], loops["b"]),
             lambda: star_cobracket(surface, "s", loops["b"]),

@@ -189,10 +189,11 @@ def test_star_ops_position_independent(torus1):
                 "s", 0, 0, 1, (Fraction(rng.randrange(50, 100)), Fraction(rng.randrange(100, 150)))
             ),
         )
-        a = prepared(surf, a)
+        # Spliced loops are prepared together, as one family.
+        a, b = prepared(surf, a, b0)
         got = (
-            star_form(surf, "s", a, pb0),
-            star_bracket(surf, "s", a, pb0),
+            star_form(surf, "s", a, b),
+            star_bracket(surf, "s", a, b),
             star_cobracket(surf, "s", a),
         )
         assert got == base
