@@ -72,8 +72,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from loopcalc.algebra import FormalSum, TensorSum, decoded
 from loopcalc.words import IN, OUT, CyclicWord, LetterTable, SpliceMemo
@@ -86,9 +85,8 @@ class GateCalculusError(Exception):
 GateKey = Hashable  # (star, edge) for star-derived gates, str for raw gates
 
 
-@dataclass(frozen=True)
-class GateCrossing:
-    """One crossing of a gate by a loop.
+class GateCrossing(NamedTuple):
+    """One crossing of a gate by a loop, an immutable named tuple.
 
     ``eps`` is ``+1`` when the loop enters the core through the gate and
     ``-1`` when it leaves; ``slot`` ranks the crossing along its gate in
@@ -174,11 +172,7 @@ def _by_owner(
     for g, cs in crossings.items():
         by_owner: dict[str, list[GateCrossing]] = {}
         for c in cs:
-            mine = by_owner.get(c.owner)
-            if mine is None:
-                by_owner[c.owner] = [c]
-            else:
-                mine.append(c)
+            by_owner.setdefault(c.owner, []).append(c)
         for owner, mine in by_owner.items():
             owned[g, owner] = tuple(mine)
     return owned
@@ -269,7 +263,7 @@ def _before(omega_sign: int, q: GateCrossing, p: GateCrossing) -> bool:
 def _start(word: CyclicWord, c: GateCrossing) -> int:
     """Where the owner's cyclic ``word`` is rotated at the crossing: after
     an entering crossing's letter, at a leaving one's."""
-    return (c.letter_index + 1) % len(word) if c.eps > 0 else c.letter_index
+    return (c.letter_index + 1) % word.size if c.eps > 0 else c.letter_index
 
 
 def graft_at(
@@ -300,7 +294,7 @@ def split_at(
         raise GateCalculusError("split crossings must be distinct")
     words = config.words
     cyclic = words.loaded.get(p1.owner) or words.cyclic(p1.owner)
-    count = (p2.letter_index - p1.letter_index) % len(cyclic)
+    count = (p2.letter_index - p1.letter_index) % cyclic.size
     length = count + 1 - (p1.eps > 0) - (p2.eps < 0)
     return words.memo.split(words.index[p1.owner], cyclic, _start(cyclic, p1), length)
 

@@ -531,7 +531,7 @@ def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tu
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
     word = a.cyclic
     # The letters from exit(p1) through entry(p2).
-    return a.memo.split(a.index, word, 2 * p1 + 1, (2 * p2 - 2 * p1) % len(word))
+    return a.memo.split(a.index, word, 2 * p1 + 1, (2 * p2 - 2 * p1) % word.size)
 
 
 # -- abelianization -----------------------------------------------------------

@@ -15,7 +15,8 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   one on gate ``(s, e-)`` with the opposite sign;
 * along gate ``(s, e)``, first the crossings of ``e``-transits ordered by
   decreasing position, then the crossings of ``e+``-transits ordered by
-  increasing position.
+  increasing position; :func:`expand_to_gates` sorts each crossed edge
+  once, by increasing position, and reads edge ``e``'s in reverse.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from loopcalc import gates as gatecalc
@@ -197,37 +199,32 @@ def expand_to_gates(
     star = surface.star(star_id)
     _check_disjoint(star, loops)
 
-    # Crossings per edge: (pos, owner, transit index, sign)
-    per_edge = {
-        e: [
-            (t.pos, name, i, t.sign)
+    # Each crossed edge's rows (pos, owner, near letter, sign), sorted once
+    # by ascending position; the far letter is the near one ^ 1.
+    rows = {}
+    for e in range(star.edge_count):
+        edge = [
+            (t.pos, name, 2 * i + (t.sign < 0), t.sign)
             for name, loop in loops.items()
             for i, t in loop.on_edge(star_id, e)
         ]
-        for e in range(star.edge_count)
-    }
+        if edge:
+            edge.sort(key=itemgetter(0))
+            rows[e] = edge
 
     crossings: dict[object, tuple[GateCrossing, ...]] = {}
     for e in range(star.edge_count):
         gate = (star_id, e)
-        slots: list[GateCrossing] = []
-        # Near-side crossings: transits across e, outermost first.
-        for pos, owner, i, sign in sorted(per_edge[e], key=lambda r: r[0], reverse=True):
-            letter = 2 * i if sign > 0 else 2 * i + 1
-            slots.append(
-                GateCrossing(
-                    gate=gate, eps=sign, owner=owner, letter_index=letter, slot=len(slots)
-                )
-            )
-        # Far-side crossings: transits across e+, innermost first.
-        nxt = star.succ(e)
-        for pos, owner, i, sign in sorted(per_edge[nxt], key=lambda r: r[0]):
-            letter = 2 * i + 1 if sign > 0 else 2 * i
-            slots.append(
-                GateCrossing(
-                    gate=gate, eps=-sign, owner=owner, letter_index=letter, slot=len(slots)
-                )
-            )
+        # Near side: transits across e, outermost first.
+        slots = [
+            GateCrossing(gate, sign, owner, letter, slot)
+            for slot, (_, owner, letter, sign) in enumerate(reversed(rows.get(e, ())))
+        ]
+        # Far side: transits across e+, innermost first.
+        slots += [
+            GateCrossing(gate, -sign, owner, letter ^ 1, slot)
+            for slot, (_, owner, letter, sign) in enumerate(rows.get(star.succ(e), ()), len(slots))
+        ]
         crossings[gate] = tuple(slots)
 
     # The configuration reads each loop's word on its first splice.

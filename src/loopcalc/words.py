@@ -14,8 +14,10 @@ cyclic segment.  Most of its letters cancel, so the splices do not reduce
 the raw spliced word.  A :class:`CyclicWord` stores the free reduction
 ``P_k`` of every prefix of its square, and a segment ``w[s:e]`` reduces to
 ``P_s^-1 P_e``; :func:`join_canonical` then canonicalizes the product of
-two reduced words.  A splice therefore costs its reduced length, and
-equals ``canonical`` of the raw spliced word.
+two reduced words.  The prefixes are trie nodes kept in three int arrays
+(parent, depth and last letter), so ``n`` letters build in ``O(n)`` into
+at most ``2n + 1`` nodes.  A splice therefore costs its reduced length,
+and equals ``canonical`` of the raw spliced word.
 
 A :class:`SpliceMemo` keeps the splices of one family of words: the
 reduced rotations, and the canonical word of each graft and split, keyed
@@ -45,20 +47,21 @@ class CyclicWord:
     The reduced prefixes form a trie: node ``0`` is the empty word, and a
     node's children extend it by one letter that does not cancel its last.
     ``_at[k]`` is the node of the reduced prefix of length ``k`` of
-    ``word + word``; ``_path`` and ``_inverse`` hold each node's word and
-    that word's inverse.
+    ``word + word``; ``_parent``, ``_depth`` and ``_last`` hold each node's
+    parent, depth and last letter (``-1`` at the root); ``size`` is ``len(word)``.
     """
 
-    __slots__ = ("word", "_at", "_parent", "_depth", "_path", "_inverse")
+    __slots__ = ("word", "size", "_at", "_parent", "_depth", "_last")
 
     def __init__(self, word: Sequence[int]):
         self.word = word = tuple(word)
-        parent, depth, path, inverse = [0], [0], [()], [()]
+        self.size = len(word)
+        parent, depth, last = [0], [0], [-1]
         children: dict[tuple[int, int], int] = {}
         at = [0]
         node = 0
         for x in word + word:
-            if depth[node] and path[node][-1] == x ^ 1:
+            if last[node] == x ^ 1:
                 node = parent[node]
             else:
                 child = children.get((node, x))
@@ -66,33 +69,38 @@ class CyclicWord:
                     child = children[node, x] = len(parent)
                     parent.append(node)
                     depth.append(depth[node] + 1)
-                    path.append(path[node] + (x,))
-                    inverse.append((x ^ 1,) + inverse[node])
+                    last.append(x)
                 node = child
             at.append(node)
-        self._at, self._parent, self._depth = at, parent, depth
-        self._path, self._inverse = path, inverse
-
-    def __len__(self) -> int:
-        return len(self.word)
+        self._at, self._parent, self._depth, self._last = at, parent, depth, last
 
     def segment(self, start: int, length: int) -> tuple[int, ...]:
         """The free reduction of the ``length`` letters from ``start`` on,
-        read cyclically; ``0 <= start < len(self)`` and ``0 <= length <=
-        len(self)``.  It walks from both prefixes to their common one, so
-        it costs the length of the result."""
-        parent, depth = self._parent, self._depth
-        s = self._at[start]
-        e = self._at[start + length]
-        u, v = s, e
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
+        read cyclically; ``0 <= start < size`` and ``0 <= length <= size``.
+        It walks from both prefixes to their common one, spelling the
+        letters it undoes and adds, so it costs the length of the result.
+
+        >>> word = CyclicWord([0, 4, 5, 2])
+        >>> word.segment(0, 4)
+        (0, 2)
+        >>> word.segment(3, 3)
+        (2, 0, 4)
+        >>> word.segment(1, 2)
+        ()
+        """
+        parent, depth, last = self._parent, self._depth, self._last
+        u, v = self._at[start], self._at[start + length]
+        undo, add = [], []
         while u != v:
-            u, v = parent[u], parent[v]
-        d = depth[u]
-        return self._inverse[s][: depth[s] - d] + self._path[e][d:]
+            # The deeper node (u, at equal depths) lies below the common prefix.
+            if depth[u] >= depth[v]:
+                undo.append(last[u] ^ 1)
+                u = parent[u]
+            else:
+                add.append(last[v])
+                v = parent[v]
+        add.reverse()
+        return tuple(undo + add)
 
 
 class SpliceMemo:
@@ -126,10 +134,10 @@ class SpliceMemo:
             rotations = self.rotations
             left = rotations.get((i, s))
             if left is None:
-                left = rotations[i, s] = u.segment(s, len(u))
+                left = rotations[i, s] = u.segment(s, u.size)
             right = rotations.get((j, t))
             if right is None:
-                right = rotations[j, t] = v.segment(t, len(v))
+                right = rotations[j, t] = v.segment(t, v.size)
             word = self.spliced[key] = join_canonical(left, right)
         return word
 

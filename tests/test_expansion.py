@@ -1,0 +1,149 @@
+"""The expansion of a star into its gate configuration, checked from the
+outside: every gate's crossings rebuilt from the raw transits, the gates a
+configuration lists, and the work one expansion does."""
+
+import functools
+import random
+
+import pytest
+from conftest import torus_grid
+
+from loopcalc import stars
+from loopcalc.closed import build_from_graph, from_triangulation
+from loopcalc.fuzz import random_loop_pair, random_move, surface_from_spec
+from loopcalc.gates import GateCrossing
+from loopcalc.loops import LoopError, apply_move
+from loopcalc.stars import expand_to_gates, prepare_loops
+from loopcalc.words import IN, OUT
+
+
+@functools.lru_cache(maxsize=None)
+def surface_of(name):
+    if name == "torus":
+        return build_from_graph(from_triangulation(torus_grid(3))).surface
+    return surface_from_spec(name)[0]
+
+
+def moved_pairs(surface, seed, count=6, moves=6):
+    """Fuzz pairs, made generic by ``make_generic``, then moved so that
+    inserted and repositioned transits sit at positions with denominators
+    other than 1; a pair whose moves made it share a point is skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        loops = dict(zip("ab", random_loop_pair(surface, rng)))
+        for _ in range(moves):
+            name = rng.choice("ab")
+            try:
+                loops[name] = apply_move(surface, loops[name], random_move(surface, loops[name], rng))
+            except LoopError:
+                continue
+        points = [{(t.star, t.edge, t.pos) for t in loop.transits} for loop in loops.values()]
+        if not points[0] & points[1]:
+            out.append(loops)
+    return out
+
+
+def expected_crossings(star, loops):
+    """Each gate's crossings as ``(gate, eps, owner, letter_index, slot)``,
+    rebuilt from the raw transits by the convention of :mod:`loopcalc.stars`.
+    A transit ``i`` across edge ``e`` with sign ``s`` owns letters ``2i``
+    (entry) and ``2i + 1`` (exit); it crosses gate ``(star, e)`` with sign
+    ``s``, entering there when ``s`` is ``+1``, and gate ``(star, e-)``
+    with sign ``-s``.  Along gate ``(star, e)`` come first the transits
+    across ``e`` by decreasing position, then those across ``e+`` by
+    increasing position."""
+
+    def across(edge):
+        return [
+            (t.pos, owner, i, t.sign)
+            for owner, loop in loops.items()
+            for i, t in enumerate(loop.transits)
+            if (t.star, t.edge) == (star.id, edge)
+        ]
+
+    out = {}
+    for e in range(star.edge_count):
+        gate = (star.id, e)
+        near = [
+            (gate, sign, owner, 2 * i if sign > 0 else 2 * i + 1)
+            for _, owner, i, sign in sorted(across(e), reverse=True)
+        ]
+        far = [
+            (gate, -sign, owner, 2 * i + 1 if sign > 0 else 2 * i)
+            for _, owner, i, sign in sorted(across(star.succ(e)))
+        ]
+        out[gate] = [row + (slot,) for slot, row in enumerate(near + far)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["g1b1", "g2b1", "torus"])
+def test_expansion_matches_the_raw_transits(name):
+    surface = surface_of(name)
+    table = surface.letter_table()
+    pairs = moved_pairs(surface, seed=name)
+    assert any(
+        t.pos.denominator != 1 for loops in pairs for loop in loops.values() for t in loop.transits
+    )
+    for loops in pairs:
+        prepared = prepare_loops(surface, loops)
+        for star in surface.stars:
+            config = expand_to_gates(surface, star.id, prepared)
+            expected = expected_crossings(star, loops)
+            assert list(config.crossings) == list(expected)
+            for gate, rows in expected.items():
+                got = config.gate_crossings(gate)
+                assert [
+                    (c.gate, c.eps, c.owner, c.letter_index, c.slot) for c in got
+                ] == rows
+                # Each crossing's letter is its gate, entered when eps is +1.
+                for c in got:
+                    word = prepared[c.owner].word
+                    assert table.decode(word[c.letter_index]) == (gate, IN if c.eps > 0 else OUT)
+
+
+def test_configuration_lists_every_gate_and_its_crossings_are_immutable():
+    # The fuzzer draws one random sign per listed gate, so its stream
+    # depends on every gate being listed, crossed or not.
+    surface = surface_of("g2b1")
+    (loops,) = moved_pairs(surface, seed=3, count=1)
+    (star,) = surface.stars
+    for family in (loops, {"a": loops["a"]}):
+        config = expand_to_gates(surface, star.id, prepare_loops(surface, family))
+        assert config.gates == tuple((star.id, e) for e in range(star.edge_count))
+    # The lone loop leaves some gate uncrossed.
+    assert any(not config.gate_crossings(gate) for gate in config.gates)
+    crossing = next(c for gate in config.gates for c in config.gate_crossings(gate))
+    assert isinstance(crossing, GateCrossing)
+    with pytest.raises(AttributeError):
+        crossing.eps = -crossing.eps
+    with pytest.raises(AttributeError):
+        crossing.extra = 1
+
+
+def test_expansion_sorts_each_crossed_edge_once(monkeypatch):
+    sorts = []  # the rows keyed by each sort, one list per sort key made
+
+    def counting_itemgetter(index):
+        keyed = []
+        sorts.append(keyed)
+
+        def key(row):
+            keyed.append(row)
+            return row[index]
+
+        return key
+
+    monkeypatch.setattr(stars, "itemgetter", counting_itemgetter)
+    surface = surface_of("torus")
+    for loops in moved_pairs(surface, seed=5, count=3):
+        prepared = prepare_loops(surface, loops)
+        for star in surface.stars:
+            sorts.clear()
+            expand_to_gates(surface, star.id, prepared)
+            crossed = {}
+            for loop in loops.values():
+                for t in loop.transits:
+                    if t.star == star.id:
+                        crossed[t.edge] = crossed.get(t.edge, 0) + 1
+            assert sorted(map(len, sorts)) == sorted(crossed.values())

@@ -163,3 +163,30 @@ def test_join_canonical_examples():
     assert join_canonical((3, 8), (2,)) == (8,)
     assert join_canonical((2, 0, 2), (0,)) == (0, 2, 0, 2)
     assert CyclicWord([1, 4, 0]).segment(1, 3) == (4,)
+
+
+def test_cyclic_word_keeps_linear_node_arrays():
+    # A cyclically reduced word never cancels, so its square's prefixes
+    # make the most nodes: 2n + 1, the empty word included.
+    for word in ([0, 2, 4, 2] * 25, [1, 4, 0] * 30, [3] * 7, []):
+        n = len(word)
+        cyclic = CyclicWord(word)
+        assert cyclic.size == n
+        assert len(cyclic._at) == 2 * n + 1
+        nodes = {len(a) for a in (cyclic._parent, cyclic._depth, cyclic._last)}
+        assert len(nodes) == 1 and nodes.pop() <= 2 * n + 1
+        # Past the word itself, every field is an int or a list of ints.
+        for name in CyclicWord.__slots__:
+            value = getattr(cyclic, name)
+            if name != "word":
+                assert type(value) is int or all(type(x) is int for x in value)
+    assert len(CyclicWord([0, 2, 4, 2] * 25)._parent) == 201
+
+
+def test_segments_of_a_long_word_are_reduced_rotations():
+    rng = random.Random(2000)
+    word = [rng.randrange(6) for _ in range(2000)]
+    cyclic = CyclicWord(word)
+    n = len(word)
+    for s in range(n):
+        assert cyclic.segment(s, n) == tuple(_wordpure.reduce_word(rotation(word, s)))
