@@ -583,20 +583,28 @@ def normalized(
     """The closed-surface result of an aggregate over the filling's bounded
     surface: the total normalized in the closed-surface group, then halved
     (``per_star`` keeps the bounded values).  The form is an integer and
-    needs no normalization, so it reports no bound."""
+    needs no normalization, so it reports no bound.  Each distinct class is
+    normalized once per call; the normalizer is deterministic, so
+    ``saturated`` is as if every term were normalized."""
     op = agg.op
     if op == "form":
         return ClosedResult(op, agg.total, agg.halved, graph.genus, None, True, agg.per_star)
     normalizer = ClosedNormalizer(graph, bound)
+    forms: dict[HomotopyClass, ClosedClass] = {}
+
+    def normalize(cls: HomotopyClass) -> ClosedClass:
+        form = forms.get(cls)
+        if form is None:
+            form = forms[cls] = normalizer.normalize(cls)
+        return form
+
     if op == "bracket":
-        doubled = FormalSum(
-            (normalizer.normalize(cls), coeff) for cls, coeff in agg.total.items()
-        )
+        doubled = FormalSum((normalize(cls), coeff) for cls, coeff in agg.total.items())
     else:
         terms = []
         for (left, right), coeff in agg.total.items():
-            nl = normalizer.normalize(left)
-            nr = normalizer.normalize(right)
+            nl = normalize(left)
+            nr = normalize(right)
             if nl.is_trivial or nr.is_trivial:
                 continue  # contractible factors in the closed surface drop out
             terms.append(((nl, nr), coeff))

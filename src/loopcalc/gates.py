@@ -49,9 +49,12 @@ owners)``: an int for the form, and for the bracket and the cobracket a
 dict of nonzero coefficients by integer word or by ``(left, right)`` pair
 of words.  A side is summed by one pass over its pairs on first use
 (:func:`_side_pass`).  ``form_omega``, ``bracket_omega`` and
-``cobracket_omega`` add up the side that their omega selects on each gate,
-skipping a gate that an owner does not cross once its sign is checked, and
-``mu`` is the ``+1`` side minus the ``-1`` side.  So a configuration
+``cobracket_omega`` add up the side that their omega selects on each gate
+both owners cross, found from the configuration's per-owner crossings, so
+a gate an owner does not cross is never visited.  A caller's omega is
+first checked on every gate, in gate order; the configuration's own
+``base_omega`` (all ``+1``, or checked by the raw parser) is not checked
+again.  ``mu`` is the ``+1`` side minus the ``-1`` side.  So a configuration
 evaluated under all ``2^k`` orientations visits each pair once per order
 of its owners.  Owners stay ordered, so the identities of
 :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still compare
@@ -363,15 +366,20 @@ def _side(
 def _omega_sides(
     config: GateConfiguration, op: str, omega: Mapping[GateKey, int], owners: tuple[str, ...]
 ) -> list:
-    """The side of every gate that ``omega`` selects.  Each gate's sign is
-    checked; a gate that one of the owners does not cross adds nothing."""
+    """The side that ``omega`` selects of every gate both owners cross; a
+    gate that one of them does not cross adds nothing.  A caller's omega
+    has its sign on every gate checked first, in gate order; the
+    configuration's own ``base_omega`` was checked when it was made."""
+    if omega is not config.base_omega:
+        for gate in config.gates:
+            _eps_omega(omega, gate)
     owned = config._owned
-    sides = []
-    for gate in config.gates:
-        sign = _eps_omega(omega, gate)
-        if (gate, owners[0]) in owned and (gate, owners[-1]) in owned:
-            sides.append(_side(config, op, gate, sign, owners))
-    return sides
+    x, y = owners[0], owners[-1]
+    return [
+        _side(config, op, gate, omega[gate], owners)
+        for gate, owner in owned
+        if owner == x and (gate, y) in owned
+    ]
 
 
 def _add_terms(terms: dict, more, scale: int = 1) -> None:

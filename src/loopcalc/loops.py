@@ -439,19 +439,23 @@ def _reposition(
 class PreparedLoop:
     """A loop validated for one surface, its transits bucketed by
     ``(star, edge)`` in loop order with their indices, the signed count of
-    its crossings of each ``(star, edge)``, and its encoded word made on
-    first use; its :class:`~loopcalc.words.CyclicWord` is made on its first
-    splice.
+    its crossings of each ``(star, edge)``, the edges it crosses on each
+    star (``edges``, in order of first crossing), and its encoded word made
+    on first use; its :class:`~loopcalc.words.CyclicWord` is made on its
+    first splice.
 
     The constructor validates (:func:`require_valid_loop`), so a prepared
     loop is a valid loop by type; :func:`loopcalc.stars.prepare_loops`
     prepares a family, whose loops share one ``memo`` and know their
     ``index`` in it.  A loop prepared alone is a family of its own.  The
-    star calculus reads only the buckets of the star at hand.  It lives for
-    one call and is never cached across calls.
+    star calculus reads only the buckets of the edges the loops cross on
+    the star at hand.  It lives for one call and is never cached across
+    calls.
     """
 
-    __slots__ = ("surface", "loop", "buckets", "counts", "memo", "index", "_word", "_cyclic")
+    __slots__ = (
+        "surface", "loop", "buckets", "counts", "edges", "memo", "index", "_word", "_cyclic"
+    )
 
     def __init__(
         self,
@@ -469,8 +473,12 @@ class PreparedLoop:
             key = (t.star, t.edge)
             buckets.setdefault(key, []).append((i, t))
             counts[key] = counts.get(key, 0) + t.sign
+        edges: dict[str, list[int]] = {}
+        for star, edge in buckets:
+            edges.setdefault(star, []).append(edge)
         self.buckets = buckets
         self.counts = counts
+        self.edges = edges
         self.memo = SpliceMemo() if memo is None else memo
         self.index = index
         self._word: tuple[int, ...] | None = None
@@ -483,6 +491,10 @@ class PreparedLoop:
     def on_edge(self, star_id: str, edge: int) -> Sequence[tuple[int, Transit]]:
         """``(index, transit)`` of the transits across one edge, in loop order."""
         return self.buckets.get((star_id, edge), ())
+
+    def crossed(self, star_id: str) -> Sequence[int]:
+        """The edges of one star that the loop crosses."""
+        return self.edges.get(star_id, ())
 
     @property
     def word(self) -> tuple[int, ...]:

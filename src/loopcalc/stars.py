@@ -16,21 +16,29 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
 * along gate ``(s, e)``, first the crossings of ``e``-transits ordered by
   decreasing position, then the crossings of ``e+``-transits ordered by
   increasing position; :func:`expand_to_gates` sorts each crossed edge
-  once, by increasing position, and reads edge ``e``'s in reverse.
+  once, by increasing position, and reads edge ``e``'s in reverse;
+* only the two gates next to a crossed edge get crossings; every other
+  gate of the star is listed with ``()``.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
 over stars itself (the fuzz harness) calls :func:`prepare_loops` first.  A
 :class:`~loopcalc.loops.PreparedLoop` validates in its constructor, buckets
-its transits by ``(star, edge)`` and counts its signed crossings of each.
-The per-star functions (:func:`edge_counts`, :func:`star_form`,
-:func:`star_bracket`, :func:`star_cobracket` and :func:`expand_to_gates`)
-take prepared loops only, trust that they are valid, and read only the
-buckets of their own star, so a star's term costs time linear in the
-transits that cross that star.  A prepared loop encodes its word on first
-use, so the star-route form never encodes.  Points are compared by the
-integers ``(edge, numerator, denominator)`` of their positions, never by
-hashing a :class:`~fractions.Fraction`.
+its transits by ``(star, edge)``, counts its signed crossings of each and
+lists the edges it crosses on each star.  The per-star functions
+(:func:`edge_counts`, :func:`star_form`, :func:`star_bracket`,
+:func:`star_cobracket` and :func:`expand_to_gates`) take prepared loops
+only and trust that they are valid.  All but :func:`edge_counts`, which
+lists a count for every edge, walk only the edges the loops cross on
+their own star: :func:`star_form` sums ``ca[e] * (cb[e+] - cb[e-])``
+over the edges ``e`` that ``a`` crosses, an exact re-indexing of the skew
+sum over all edges, and :func:`star_bracket` and :func:`star_cobracket`
+read the buckets at ``e+`` and ``e-``.  So a star's term costs time
+linear in the transits that cross that star, not in its edges; every
+star is still evaluated, and ``per_star`` lists each one.  A prepared
+loop encodes its word on first use, so the star-route form never encodes.
+Points are compared by the integers ``(edge, numerator, denominator)`` of
+their positions, never by hashing a :class:`~fractions.Fraction`.
 
 The splice memo.  The loops of one :func:`prepare_loops` call are one
 family and share one :class:`~loopcalc.words.SpliceMemo`, keyed by their
@@ -62,8 +70,9 @@ evenness.
 Its ``omega`` is a gate orientation, a map from every gate ``(star,
 edge)`` of the surface to ``+1`` or ``-1``.  With an omega each star's gate
 configuration is evaluated by ``form_omega``, ``bracket_omega`` or
-``cobracket_omega`` of :mod:`loopcalc.gates`, which read the signs of that
-star's gates; those sums can be odd, so the result's ``halved`` is
+``cobracket_omega`` of :mod:`loopcalc.gates`, which check the signs of all
+of that star's gates, crossed or not, and read those of the crossed ones;
+those sums can be odd, so the result's ``halved`` is
 ``None``.  An omega needs the gate route: with ``method="star"`` it raises
 :class:`ValueError`.
 """
@@ -114,7 +123,7 @@ def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
     for name, loop in loops.items():
         mine = {}
         clash = None
-        for e in range(star.edge_count):
+        for e in loop.crossed(star.id):
             for i, t in loop.on_edge(star.id, e):
                 key = (e, t.pos.numerator, t.pos.denominator)
                 if key in seen and (clash is None or i < clash[0]):
@@ -132,35 +141,35 @@ def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
 def star_form(
     surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
 ) -> int:
-    """Skew pairing of edge-count vectors over consecutive edge pairs."""
-    star = surface.star(star_id)
-    ca = edge_counts(surface, star_id, a)
-    cb = edge_counts(surface, star_id, b)
+    """Skew pairing of edge-count vectors over consecutive edge pairs,
+    summed over the edges ``e`` that ``a`` crosses as ``ca[e] * (cb[e+] -
+    cb[e-])``."""
+    n = surface.star(star_id).edge_count
+    ca, cb = a.counts, b.counts
     total = 0
-    for e in range(star.edge_count):
-        nxt = star.succ(e)
-        total += ca[e] * cb[nxt] - cb[e] * ca[nxt]
+    for e in a.crossed(star_id):
+        total += ca[star_id, e] * (
+            cb.get((star_id, (e + 1) % n), 0) - cb.get((star_id, (e - 1) % n), 0)
+        )
     return total
 
 
 def star_bracket(
     surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
 ) -> FormalSum:
-    """Grafted classes over crossing pairs of consecutive edges; the loops
-    must not share a point on the star."""
+    """Grafted classes over crossing pairs of consecutive edges, ``a``
+    crossing ``e`` and ``b`` crossing ``e+`` (sign ``+``) or ``e-`` (sign
+    ``-``); the loops must not share a point on the star."""
     star = surface.star(star_id)
     _check_disjoint(star, {"a": a, "b": b})
     terms: dict[tuple[int, ...], int] = {}
-    for e in range(star.edge_count):
-        nxt = star.succ(e)
-        for p, tp in a.on_edge(star_id, e):
-            for q, tq in b.on_edge(star_id, nxt):
-                word = graft(surface, a, p, b, q)
-                terms[word] = terms.get(word, 0) + tp.sign * tq.sign
-        for p, tp in a.on_edge(star_id, nxt):
-            for q, tq in b.on_edge(star_id, e):
-                word = graft(surface, a, p, b, q)
-                terms[word] = terms.get(word, 0) - tp.sign * tq.sign
+    for e in a.crossed(star_id):
+        for sign, f in ((1, star.succ(e)), (-1, star.pred(e))):
+            qs = b.on_edge(star_id, f)
+            for p, tp in a.on_edge(star_id, e):
+                for q, tq in qs:
+                    word = graft(surface, a, p, b, q)
+                    terms[word] = terms.get(word, 0) + sign * tp.sign * tq.sign
     return decoded(surface.letter_table(), terms)
 
 
@@ -169,10 +178,10 @@ def star_cobracket(surface: StarFilledSurface, star_id: str, a: PreparedLoop) ->
     with contractible pieces dropped."""
     star = surface.star(star_id)
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for e in range(star.edge_count):
-        nxt = star.succ(e)
+    for e in a.crossed(star_id):
+        nxt = a.on_edge(star_id, star.succ(e))
         for p1, t1 in a.on_edge(star_id, e):
-            for p2, t2 in a.on_edge(star_id, nxt):
+            for p2, t2 in nxt:
                 first = subloop(surface, a, p1, p2)
                 second = subloop(surface, a, p2, p1)
                 if not first or not second:
@@ -201,29 +210,31 @@ def expand_to_gates(
 
     # Each crossed edge's rows (pos, owner, near letter, sign), sorted once
     # by ascending position; the far letter is the near one ^ 1.
-    rows = {}
-    for e in range(star.edge_count):
-        edge = [
-            (t.pos, name, 2 * i + (t.sign < 0), t.sign)
-            for name, loop in loops.items()
-            for i, t in loop.on_edge(star_id, e)
-        ]
-        if edge:
-            edge.sort(key=itemgetter(0))
-            rows[e] = edge
+    rows: dict[int, list] = {}
+    for name, loop in loops.items():
+        for e in loop.crossed(star_id):
+            rows.setdefault(e, []).extend(
+                [(t.pos, name, 2 * i + (t.sign < 0), t.sign) for i, t in loop.on_edge(star_id, e)]
+            )
+    for edge in rows.values():
+        edge.sort(key=itemgetter(0))
 
     crossings: dict[object, tuple[GateCrossing, ...]] = {}
     for e in range(star.edge_count):
         gate = (star_id, e)
+        near, far = rows.get(e, ()), rows.get(star.succ(e), ())
+        if not (near or far):
+            crossings[gate] = ()
+            continue
         # Near side: transits across e, outermost first.
         slots = [
             GateCrossing(gate, sign, owner, letter, slot)
-            for slot, (_, owner, letter, sign) in enumerate(reversed(rows.get(e, ())))
+            for slot, (_, owner, letter, sign) in enumerate(reversed(near))
         ]
         # Far side: transits across e+, innermost first.
         slots += [
             GateCrossing(gate, -sign, owner, letter ^ 1, slot)
-            for slot, (_, owner, letter, sign) in enumerate(rows.get(star.succ(e), ()), len(slots))
+            for slot, (_, owner, letter, sign) in enumerate(far, len(slots))
         ]
         crossings[gate] = tuple(slots)
 

@@ -460,6 +460,20 @@ def test_broken_pipe_process_exits_0_quietly():
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+@pytest.mark.parametrize("extra, code", [((), 0), (("--inject-bug",), 1)])
+def test_python_dash_m_loopcalc_runs_the_cli(extra, code):
+    """``python -m loopcalc`` exits with the code of ``cli.main``: 0 for a
+    clean fuzz run, 1 when a bug is injected."""
+    paths = [str(Path(loopcalc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["fuzz", "--surface", "g2b1", "--pairs", "5", *extra]
+    done = subprocess.run(
+        [sys.executable, "-m", "loopcalc", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == code == main(argv)
+    assert json.loads(done.stdout)["ok"] is (code == 0)
+
+
 # -- malformed files: every mutation exits with a documented code, no traceback --
 
 RETYPED = [None, True, -1, 2.5, float("inf"), "x", [], {}]

@@ -9,12 +9,13 @@ import random
 import pytest
 from conftest import as_class, prepared, torus_grid
 
-from loopcalc.algebra import HomotopyClass
+from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
 from loopcalc.closed import (
     ClosedNormalizer,
     FillingGraphError,
     build_from_graph,
     canonical_filling_graph,
+    closed_aggregate,
     closed_bracket,
     closed_cobracket,
     closed_form,
@@ -22,6 +23,7 @@ from loopcalc.closed import (
     validate_filling_spec,
 )
 from loopcalc.fuzz import random_loop, random_loop_pair
+from loopcalc.stars import aggregate
 from loopcalc.loops import (
     CombinatorialLoop,
     abelianization,
@@ -386,3 +388,43 @@ def _transfer(src, dst, loop):
         db, didx = dst.edge_index[edge_id]
         crossings.append((didx, -t.sign))
     return CombinatorialLoop.from_crossings(dst_blue, crossings)
+
+
+def test_each_class_is_normalized_once_per_call(monkeypatch, genus2):
+    """A closed bracket or cobracket normalizes each distinct class of its
+    bounded sum once: a cobracket term puts its classes on both sides, and
+    bracket terms repeat classes.  The results equal a normalization of
+    every term, and ``saturated`` keeps its meaning."""
+    normalized = []
+    original = ClosedNormalizer.normalize
+
+    def counting(self, cls):
+        normalized.append(cls)
+        return original(self, cls)
+
+    rng = random.Random(7)
+    repeated = 0
+    for _ in range(12):
+        a, b = random_loop_pair(genus2.surface, rng, 12)
+        for op, loops in (("bracket", {"a": a, "b": b}), ("cobracket", {"a": a})):
+            agg = aggregate(genus2.surface, loops, op)
+            keys = [k for key in agg.total.keys() for k in (key if op == "cobracket" else (key,))]
+            monkeypatch.setattr(ClosedNormalizer, "normalize", counting)
+            normalized.clear()
+            result = closed_aggregate(genus2, loops, op)
+            monkeypatch.undo()
+            assert sorted(normalized) == sorted(set(keys))
+            repeated += len(keys) - len(set(keys))
+            reference = ClosedNormalizer(genus2)
+            if op == "bracket":
+                doubled = FormalSum((reference.normalize(c), n) for c, n in agg.total.items())
+            else:
+                pairs = [
+                    ((reference.normalize(left), reference.normalize(right)), n)
+                    for (left, right), n in agg.total.items()
+                ]
+                doubled = TensorSum(
+                    (key, n) for key, n in pairs if not (key[0].is_trivial or key[1].is_trivial)
+                )
+            assert (result.doubled, result.saturated) == (doubled, reference.saturated)
+    assert repeated > 0

@@ -1,0 +1,151 @@
+"""Per-star work that follows the crossings: the star and gate routes on
+many-star surfaces checked against a skew sum read from the raw transits,
+work counters that stay flat as a star grows, and the caller's omega still
+checked on the gates no loop crosses."""
+
+import functools
+import random
+import re
+
+import pytest
+from conftest import torus_grid
+
+from loopcalc import gates, stars
+from loopcalc.algebra import FormalSum, TensorSum
+from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
+from loopcalc.fuzz import random_loop_pair, surface_from_spec
+from loopcalc.gates import GateCalculusError
+from loopcalc.loops import PreparedLoop
+from loopcalc.stars import aggregate, expand_to_gates, methods_agree, prepare_loops
+
+OPS = ("form", "bracket", "cobracket")
+ZERO = {"form": 0, "bracket": FormalSum(), "cobracket": TensorSum()}
+
+
+@functools.lru_cache(maxsize=None)
+def surface_of(name):
+    if name.startswith("torus"):
+        n = int(name[len("torus"):])
+        return build_from_graph(from_triangulation(torus_grid(n))).surface
+    if name == "closed-g2":
+        return build_from_graph(canonical_filling_graph(2)).surface
+    return surface_from_spec(name)[0]
+
+
+def pairs_on(surface, seed, count):
+    rng = random.Random(seed)
+    return [dict(zip("ab", random_loop_pair(surface, rng, 12))) for _ in range(count)]
+
+
+def skew_sum(star, a, b):
+    """The star's form from the raw transits: the skew pairing of the two
+    signed edge-count vectors over every consecutive edge pair."""
+
+    def counts(loop):
+        c = [0] * star.edge_count
+        for t in loop.transits:
+            if t.star == star.id:
+                c[t.edge] += t.sign
+        return c
+
+    ca, cb = counts(a), counts(b)
+    return sum(ca[e] * cb[star.succ(e)] - cb[e] * ca[star.succ(e)] for e in range(star.edge_count))
+
+
+@pytest.mark.parametrize("name", ["torus3", "torus5", "closed-g2"])
+def test_routes_agree_and_star_forms_match_the_raw_skew_sum(name):
+    surface = surface_of(name)
+    uncrossed = 0
+    for loops in pairs_on(surface, name, 20):
+        crossed = {t.star for loop in loops.values() for t in loop.transits}
+        for op in OPS:
+            star_result, gate_result, agree = methods_agree(surface, loops, op)
+            assert agree, op
+            ids = [s for s, _ in star_result.per_star]
+            assert ids == [star.id for star in surface.stars]
+            for star_id, value in star_result.per_star:
+                if star_id not in crossed:
+                    uncrossed += 1
+                    assert value == ZERO[op]
+        form = dict(methods_agree(surface, loops, "form")[0].per_star)
+        for star in surface.stars:
+            assert form[star.id] == skew_sum(star, loops["a"], loops["b"])
+    if name != "closed-g2":  # its one star is crossed by every loop
+        assert uncrossed > 0
+
+
+def work_per_call(monkeypatch, surface, pairs):
+    """Per aggregate call, by route and op: ``on_edge`` lookups, gate
+    crossings built and gate sides asked for."""
+    counts = {"on_edge": 0, "crossings": 0, "sides": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PreparedLoop, "on_edge", counting("on_edge", PreparedLoop.on_edge))
+    monkeypatch.setattr(stars, "GateCrossing", counting("crossings", stars.GateCrossing))
+    monkeypatch.setattr(gates, "_side", counting("sides", gates._side))
+    work = {}
+    for method in ("star", "gate"):
+        for op in OPS:
+            for key in counts:
+                counts[key] = 0
+            for loops in pairs:
+                aggregate(surface, loops if op != "cobracket" else {"a": loops["a"]}, op, method)
+            work[method, op] = {key: n / len(pairs) for key, n in counts.items()}
+    monkeypatch.undo()
+    return work
+
+
+def test_work_per_call_does_not_grow_with_the_star(monkeypatch):
+    small, large = surface_of("g10b1"), surface_of("g100b1")
+    (star,) = large.stars
+    assert star.edge_count == 10 * small.stars[0].edge_count
+    pairs = {s: pairs_on(s, 11, 10) for s in (small, large)}
+    work = {s: work_per_call(monkeypatch, s, pairs[s]) for s in (small, large)}
+    for call, counts in work[large].items():
+        for key, n in counts.items():
+            assert n <= 2 * max(work[small][call][key], 1), (call, key)
+    assert work[large]["gate", "form"]["crossings"] > 0
+    assert work[large]["star", "bracket"]["on_edge"] > 0
+    # Every gate is still listed; those no loop crosses hold no crossing.
+    for loops in pairs[large]:
+        config = expand_to_gates(large, star.id, prepare_loops(large, loops))
+        assert config.gates == tuple((star.id, e) for e in range(star.edge_count))
+        crossed = {
+            e for loop in loops.values() for t in loop.transits for e in (t.edge, star.pred(t.edge))
+        }
+        for e in range(star.edge_count):
+            assert bool(config.gate_crossings((star.id, e))) == (e in crossed)
+
+
+def uncrossed_star(surface, loops):
+    crossed = {t.star for loop in loops.values() for t in loop.transits}
+    return next(star for star in surface.stars if star.id not in crossed)
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_a_callers_omega_is_checked_on_uncrossed_gates(op):
+    surface = surface_of("torus3")
+    loops = pairs_on(surface, 3, 1)[0]
+    star = uncrossed_star(surface, loops)
+    full = {g: 1 for s in surface.stars for g in ((s.id, e) for e in range(s.edge_count))}
+    prepared = prepare_loops(surface, loops)
+    missing = dict(full)
+    del missing[star.id, 2], missing[star.id, 1]
+    text = f"gate orientation missing gate {(star.id, 1)!r}"
+    with pytest.raises(GateCalculusError, match=re.escape(text)):
+        aggregate(surface, loops, op, "gate", omega=missing)
+    with pytest.raises(GateCalculusError, match=re.escape(text)):
+        stars.gate_route(surface, star.id, prepared, op, omega=missing)
+    bad = dict(full)
+    bad[star.id, 0] = 2
+    with pytest.raises(GateCalculusError, match=re.escape("gate orientation sign 2 is not +-1")):
+        aggregate(surface, loops, op, "gate", omega=bad)
+    with pytest.raises(GateCalculusError, match="is not \\+-1"):
+        stars.gate_route(surface, star.id, prepared, op, omega=bad)
+    assert aggregate(surface, loops, op, "gate", omega=full).per_star
