@@ -41,7 +41,13 @@ import sys
 from loopcalc import closed as closedmod
 from loopcalc import fuzz as fuzzmod
 from loopcalc import stars as starcalc
-from loopcalc.loops import CombinatorialLoop, LoopError, compile_word, make_generic
+from loopcalc.loops import (
+    CombinatorialLoop,
+    LoopError,
+    compile_word,
+    make_generic,
+    require_valid_loop,
+)
 from loopcalc.stars import OddCoefficientError
 from loopcalc.surface import (
     StarFilledSurface,
@@ -205,6 +211,10 @@ def cmd_compute(args) -> int:
     for role in needed:
         if role not in loops:
             return _fail(f"compute {args.op} needs --{role}", EXIT_INVALID)
+    # Each loop must be valid on its own; only two loops' shared points are
+    # moved apart.
+    for role in needed:
+        require_valid_loop(surface, loops[role])
     loops = dict(zip(needed, make_generic(surface, [loops[r] for r in needed])))
     omega = None if args.omega is None else _parse_omega(args.omega, surface)
 

@@ -66,9 +66,10 @@ their difference there too, and only its nonzero terms are decoded into
 :class:`~loopcalc.algebra.HomotopyClass`, once, at its return
 (:func:`loopcalc.algebra.decoded`).
 
-A configuration reads an owner's word on its first splice, so the form
-never encodes a loop, and it lists each owner's crossings of each gate
-once, when it is made.
+A configuration encodes nothing: a prepared loop's word comes from the
+scan that validated it, and the configuration reads an owner's cyclic word
+on its first splice, so the form makes none.  It lists each owner's
+crossings of each gate once, when it is made.
 """
 
 from __future__ import annotations

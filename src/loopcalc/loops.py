@@ -11,10 +11,16 @@ and the entry gate of the next must lie on the same region.
 Tracing the entry/exit gates of all transits yields the loop's cyclic word
 in the dual graph, whose canonical form is the free homotopy class.
 
-A :class:`PreparedLoop` is a loop validated for one surface: its
-constructor runs :func:`require_valid_loop`, so holding one means the loop
-is valid there.  Validation keys each point by the integers ``(star, edge,
-numerator, denominator)`` of its position, which is exact because a
+One scan per loop.  :func:`scan_loop` is the only pass over a loop's
+transits and the only validation code path.  Keyed by the edge numbers of
+``surface.transit_table()``, it checks that each transit exists, that no
+two transits of one edge share a point and that the region chain closes,
+and in the same pass it buckets and counts the transits by edge, lists the
+edges crossed on each star and encodes the word.  :func:`validate_loop`
+reports its problems, :func:`require_valid_loop` raises them and returns
+the scan, and a :class:`PreparedLoop` is built from that scan, so holding
+one means the loop is valid there.  Points are compared by the integers
+``(numerator, denominator)`` of their positions, which is exact because a
 :class:`~fractions.Fraction` is always in lowest terms.  A loop is
 validated once: :func:`apply_move` validates the loop it is given and its
 result, and a move sequence, whose inputs are earlier results, passes
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
@@ -137,72 +143,153 @@ def encoded_word(surface: StarFilledSurface, loop: CombinatorialLoop) -> tuple[i
     word: list[int] = []
     try:
         for t in loop.transits:
-            gates = table[t.star, t.edge, t.sign]
-            word += (gates.entry_code, gates.exit_code)
+            word += table[t.star, t.edge, t.sign].codes
     except KeyError as exc:
         raise LoopError(f"no transit (star, edge, sign) = {exc.args[0]} on this surface") from None
     return tuple(word)
 
 
-def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> ValidationReport:
-    surface.require_valid()
-    problems: list[str] = []
-    if not loop.transits:
+class LoopScan(NamedTuple):
+    """What one pass over a loop's transits finds on one surface.
+
+    ``problems`` is the validation report's, in its order: the transits
+    the surface has no gates for, else every point two transits share and
+    then every break in the region chain.  The rest is read only from a
+    valid loop: ``buckets`` maps each edge number the loop crosses
+    (:attr:`~loopcalc.surface.StarFilledSurface.first_edge`) to its
+    ``(index, transit)`` pairs in loop order, ``counts`` to its signed
+    crossing count, ``edges`` lists the edges crossed on each star in
+    order of first crossing, and ``word`` is the encoded word, two letters
+    per transit, entry then exit."""
+
+    problems: tuple[str, ...]
+    buckets: dict[int, list[tuple[int, Transit]]]
+    counts: dict[int, int]
+    edges: dict[str, list[int]]
+    word: tuple[int, ...]
+
+
+def scan_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> LoopScan:
+    """Validate, bucket, count and encode a loop in one pass over its
+    transits, keyed by the edge numbers of ``surface.transit_table()``,
+    which raises :class:`~loopcalc.surface.SurfaceError` on an invalid
+    surface.
+
+    Two transits share a point when their positions have equal
+    ``(numerator, denominator)``, which is exact because a
+    :class:`~fractions.Fraction` is always in lowest terms; only the
+    buckets of more than one transit are compared, and no ``Fraction`` is
+    hashed."""
+    transits = loop.transits
+    if not transits:
+        surface.require_valid()
+        problems = ()
         if loop.anchor is None:
-            problems.append("empty loop has no anchor region")
+            problems = ("empty loop has no anchor region",)
         else:
             try:
                 surface.region(loop.anchor)
             except SurfaceError:
-                problems.append(f"empty loop anchored in unknown region {loop.anchor!r}")
-        return ValidationReport(tuple(problems))
+                problems = (f"empty loop anchored in unknown region {loop.anchor!r}",)
+        return LoopScan(problems, {}, {}, {}, ())
 
     table = surface.transit_table()
-    gates = [table.get((t.star, t.edge, t.sign)) for t in loop.transits]
-    for i, t in enumerate(loop.transits):
-        if gates[i] is not None:
-            continue
+    buckets: dict[int, list[tuple[int, Transit]]] = {}
+    counts: dict[int, int] = {}
+    edges: dict[str, list[int]] = {}
+    word: list[int] = []
+    missing: list[int] = []
+    chain: list[str] = []
+    exit_region = None
+    for i, t in enumerate(transits):
+        star, edge, sign = t.star, t.edge, t.sign
         try:
-            star = surface.star(t.star)
-        except SurfaceError:
-            problems.append(f"transit {i}: unknown star {t.star!r}")
+            number, entry_region, next_exit, codes = table[star, edge, sign]
+        except KeyError:
+            missing.append(i)
             continue
-        found = len(problems)
-        if not 0 <= t.edge < star.edge_count:
-            problems.append(f"transit {i}: edge {t.edge} out of range for star {t.star}")
-        if t.sign not in (1, -1):
-            problems.append(f"transit {i}: sign {t.sign} is not +1/-1")
-        if len(problems) == found:
-            problems.append(f"transit {i}: edge {t.edge!r} is not an edge of star {t.star}")
-    if problems:
-        return ValidationReport(tuple(problems))
+        if entry_region != exit_region and i:
+            chain.append(_chain_break(i - 1, i, exit_region, entry_region))
+        exit_region = next_exit
+        word += codes
+        bucket = buckets.get(number)
+        if bucket is None:
+            buckets[number] = [(i, t)]
+            counts[number] = sign
+            crossed = edges.get(star)
+            if crossed is None:
+                edges[star] = [edge]
+            else:
+                crossed.append(edge)
+        else:
+            bucket.append((i, t))
+            counts[number] += sign
+    if missing:
+        problems = [p for i in missing for p in _transit_problems(surface, i, transits[i])]
+    else:
+        first = transits[0]
+        entry_region = table[first.star, first.edge, first.sign].entry_region
+        if exit_region != entry_region:
+            chain.append(_chain_break(len(transits) - 1, 0, exit_region, entry_region))
+        shared: list[tuple[int, str]] = []
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                points = set()
+                for _, t in bucket:
+                    points.add(t.pos.as_integer_ratio())
+                if len(points) < len(bucket):
+                    shared += _shared_points(bucket)
+        shared.sort()
+        problems = [problem for _, problem in shared] + chain
+    return LoopScan(tuple(problems), buckets, counts, edges, tuple(word))
 
-    seen: dict[tuple[str, int, int, int], int] = {}
-    for i, t in enumerate(loop.transits):
-        pos = t.pos
-        key = (t.star, t.edge, pos.numerator, pos.denominator)
+
+def _transit_problems(surface: StarFilledSurface, i: int, t: Transit) -> list[str]:
+    """Why the surface has no gates for transit ``i``."""
+    try:
+        star = surface.star(t.star)
+    except SurfaceError:
+        return [f"transit {i}: unknown star {t.star!r}"]
+    problems = []
+    if not 0 <= t.edge < star.edge_count:
+        problems.append(f"transit {i}: edge {t.edge} out of range for star {t.star}")
+    if t.sign not in (1, -1):
+        problems.append(f"transit {i}: sign {t.sign} is not +1/-1")
+    return problems or [f"transit {i}: edge {t.edge!r} is not an edge of star {t.star}"]
+
+
+def _shared_points(bucket: Sequence[tuple[int, Transit]]) -> list[tuple[int, str]]:
+    """Each transit of one edge's bucket that lands on a point an earlier
+    one holds, by index, with the problem naming the latest such earlier
+    transit."""
+    seen: dict[tuple[int, int], int] = {}
+    found = []
+    for i, t in bucket:
+        key = t.pos.as_integer_ratio()
         if key in seen:
-            problems.append(
+            found.append((i, (
                 f"transits {seen[key]} and {i} share point (star={t.star}, edge={t.edge}, "
                 f"pos={t.pos})"
-            )
+            )))
         seen[key] = i
-
-    n = len(gates)
-    for i in range(n):
-        r_out = gates[i].exit_region
-        r_in = gates[(i + 1) % n].entry_region
-        if r_out != r_in:
-            problems.append(
-                f"transits {i} -> {(i + 1) % n}: exit region {r_out} != entry region {r_in}"
-            )
-    return ValidationReport(tuple(problems))
+    return found
 
 
-def require_valid_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> None:
-    report = validate_loop(surface, loop)
-    if not report.valid:
-        raise LoopError("; ".join(report.problems))
+def _chain_break(i: int, j: int, exit_region: str | None, entry_region: str | None) -> str:
+    return f"transits {i} -> {j}: exit region {exit_region} != entry region {entry_region}"
+
+
+def validate_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> ValidationReport:
+    return ValidationReport(scan_loop(surface, loop).problems)
+
+
+def require_valid_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> LoopScan:
+    """The loop's scan; raises :class:`LoopError` with its problems, joined
+    by ``"; "``, when it is invalid."""
+    scan = scan_loop(surface, loop)
+    if scan.problems:
+        raise LoopError("; ".join(scan.problems))
+    return scan
 
 
 def base_region(surface: StarFilledSurface, loop: CombinatorialLoop) -> str:
@@ -215,8 +302,7 @@ def base_region(surface: StarFilledSurface, loop: CombinatorialLoop) -> str:
 
 
 def to_class(surface: StarFilledSurface, loop: CombinatorialLoop) -> HomotopyClass:
-    require_valid_loop(surface, loop)
-    return _word_class(surface, encoded_word(surface, loop))
+    return _word_class(surface, require_valid_loop(surface, loop).word)
 
 
 def _word_class(surface: StarFilledSurface, word: Sequence[int]) -> HomotopyClass:
@@ -437,24 +523,25 @@ def _reposition(
 
 
 class PreparedLoop:
-    """A loop validated for one surface, its transits bucketed by
-    ``(star, edge)`` in loop order with their indices, the signed count of
-    its crossings of each ``(star, edge)``, the edges it crosses on each
-    star (``edges``, in order of first crossing), and its encoded word made
-    on first use; its :class:`~loopcalc.words.CyclicWord` is made on its
-    first splice.
+    """A loop validated for one surface, built from its :class:`LoopScan`:
+    its transits bucketed by edge number in loop order with their indices,
+    the signed count of its crossings of each edge, the edges it crosses on
+    each star (in order of first crossing) and its encoded word.  Its
+    :class:`~loopcalc.words.CyclicWord` is made on its first splice.
 
-    The constructor validates (:func:`require_valid_loop`), so a prepared
-    loop is a valid loop by type; :func:`loopcalc.stars.prepare_loops`
-    prepares a family, whose loops share one ``memo`` and know their
-    ``index`` in it.  A loop prepared alone is a family of its own.  The
-    star calculus reads only the buckets of the edges the loops cross on
-    the star at hand.  It lives for one call and is never cached across
-    calls.
+    The constructor takes the scan from :func:`require_valid_loop`, so a
+    prepared loop is a valid loop by type, and the scan is the only pass
+    over its transits; :func:`loopcalc.stars.prepare_loops` prepares a
+    family, whose loops share one ``memo`` and know their ``index`` in it.
+    A loop prepared alone is a family of its own.  The star calculus reads
+    the buckets through :meth:`on_edge` and :meth:`crossed` only, and only
+    those of the edges the loops cross on the star at hand.  It lives for
+    one call and is never cached across calls.
     """
 
     __slots__ = (
-        "surface", "loop", "buckets", "counts", "edges", "memo", "index", "_word", "_cyclic"
+        "surface", "loop", "buckets", "counts", "edges", "word", "first_edge", "memo", "index",
+        "_cyclic",
     )
 
     def __init__(
@@ -464,24 +551,12 @@ class PreparedLoop:
         memo: SpliceMemo | None = None,
         index: int = 0,
     ):
-        require_valid_loop(surface, loop)
+        _, self.buckets, self.counts, self.edges, self.word = require_valid_loop(surface, loop)
         self.surface = surface
         self.loop = loop
-        buckets: dict[tuple[str, int], list[tuple[int, Transit]]] = {}
-        counts: dict[tuple[str, int], int] = {}
-        for i, t in enumerate(loop.transits):
-            key = (t.star, t.edge)
-            buckets.setdefault(key, []).append((i, t))
-            counts[key] = counts.get(key, 0) + t.sign
-        edges: dict[str, list[int]] = {}
-        for star, edge in buckets:
-            edges.setdefault(star, []).append(edge)
-        self.buckets = buckets
-        self.counts = counts
-        self.edges = edges
+        self.first_edge = surface.first_edge
         self.memo = SpliceMemo() if memo is None else memo
         self.index = index
-        self._word: tuple[int, ...] | None = None
         self._cyclic: CyclicWord | None = None
 
     @property
@@ -490,17 +565,11 @@ class PreparedLoop:
 
     def on_edge(self, star_id: str, edge: int) -> Sequence[tuple[int, Transit]]:
         """``(index, transit)`` of the transits across one edge, in loop order."""
-        return self.buckets.get((star_id, edge), ())
+        return self.buckets.get(self.first_edge[star_id] + edge, ())
 
     def crossed(self, star_id: str) -> Sequence[int]:
         """The edges of one star that the loop crosses."""
         return self.edges.get(star_id, ())
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        if self._word is None:
-            self._word = encoded_word(self.surface, self.loop)
-        return self._word
 
     @property
     def cyclic(self) -> CyclicWord:

@@ -23,22 +23,24 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
 over stars itself (the fuzz harness) calls :func:`prepare_loops` first.  A
-:class:`~loopcalc.loops.PreparedLoop` validates in its constructor, buckets
-its transits by ``(star, edge)``, counts its signed crossings of each and
-lists the edges it crosses on each star.  The per-star functions
-(:func:`edge_counts`, :func:`star_form`, :func:`star_bracket`,
-:func:`star_cobracket` and :func:`expand_to_gates`) take prepared loops
-only and trust that they are valid.  All but :func:`edge_counts`, which
-lists a count for every edge, walk only the edges the loops cross on
-their own star: :func:`star_form` sums ``ca[e] * (cb[e+] - cb[e-])``
-over the edges ``e`` that ``a`` crosses, an exact re-indexing of the skew
-sum over all edges, and :func:`star_bracket` and :func:`star_cobracket`
+:class:`~loopcalc.loops.PreparedLoop` is built from the one scan of its
+loop (:func:`loopcalc.loops.scan_loop`), which validates it, buckets and
+counts its transits by edge number, lists the edges it crosses on each
+star and encodes its word.  The per-star functions (:func:`edge_counts`,
+:func:`star_form`, :func:`star_bracket`, :func:`star_cobracket` and
+:func:`expand_to_gates`) take prepared loops only, trust that they are
+valid, and read the buckets through ``on_edge`` and ``crossed`` only.  All
+but :func:`edge_counts`, which lists a count for every edge, walk only the
+edges the loops cross on their own star: :func:`star_form` sums ``ca[e] *
+(cb[e+] - cb[e-])`` over the edges ``e`` that ``a`` crosses, an exact
+re-indexing of the skew sum over all edges, reading the counts at the
+surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
 read the buckets at ``e+`` and ``e-``.  So a star's term costs time
 linear in the transits that cross that star, not in its edges; every
-star is still evaluated, and ``per_star`` lists each one.  A prepared
-loop encodes its word on first use, so the star-route form never encodes.
-Points are compared by the integers ``(edge, numerator, denominator)`` of
-their positions, never by hashing a :class:`~fractions.Fraction`.
+star is still evaluated, and ``per_star`` lists each one.  Points are
+compared by the integers ``(numerator, denominator)`` of their positions,
+and :func:`expand_to_gates` sorts an edge's crossings by integer keys, so
+no :class:`~fractions.Fraction` is hashed or compared.
 
 The splice memo.  The loops of one :func:`prepare_loops` call are one
 family and share one :class:`~loopcalc.words.SpliceMemo`, keyed by their
@@ -81,8 +83,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Callable, Mapping, Sequence
 
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum, TensorSum, decoded
@@ -100,8 +102,8 @@ class OddCoefficientError(Exception):
 def prepare_loops(
     surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
 ) -> dict[str, PreparedLoop]:
-    """Validate each loop for ``surface`` and bucket its transits, by name,
-    as one family with one splice memo; raises
+    """Scan each loop for ``surface`` once (validate, bucket, count and
+    encode), by name, as one family with one splice memo; raises
     :class:`~loopcalc.loops.LoopError` on the first invalid loop."""
     memo = SpliceMemo()
     return {
@@ -112,20 +114,20 @@ def prepare_loops(
 
 def edge_counts(surface: StarFilledSurface, star_id: str, loop: PreparedLoop) -> list[int]:
     """Signed crossing count of the loop with each edge of the star."""
-    counts = loop.counts
-    return [counts.get((star_id, e), 0) for e in range(surface.star(star_id).edge_count)]
+    counts, first = loop.counts, surface.first_edge[star_id]
+    return [counts.get(first + e, 0) for e in range(surface.star(star_id).edge_count)]
 
 
 def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
     """Raise on the first point of a loop, in loop order, that an earlier
     loop of the family already uses on this star."""
-    seen: dict[tuple[int, int, int], str] = {}
+    seen: dict[tuple[int, tuple[int, int]], str] = {}
     for name, loop in loops.items():
         mine = {}
         clash = None
         for e in loop.crossed(star.id):
             for i, t in loop.on_edge(star.id, e):
-                key = (e, t.pos.numerator, t.pos.denominator)
+                key = (e, t.pos.as_integer_ratio())
                 if key in seen and (clash is None or i < clash[0]):
                     clash = (i, key)
                 mine[key] = name
@@ -145,11 +147,12 @@ def star_form(
     summed over the edges ``e`` that ``a`` crosses as ``ca[e] * (cb[e+] -
     cb[e-])``."""
     n = surface.star(star_id).edge_count
+    first = surface.first_edge[star_id]
     ca, cb = a.counts, b.counts
     total = 0
     for e in a.crossed(star_id):
-        total += ca[star_id, e] * (
-            cb.get((star_id, (e + 1) % n), 0) - cb.get((star_id, (e - 1) % n), 0)
+        total += ca[first + e] * (
+            cb.get(first + (e + 1) % n, 0) - cb.get(first + (e - 1) % n, 0)
         )
     return total
 
@@ -208,16 +211,21 @@ def expand_to_gates(
     star = surface.star(star_id)
     _check_disjoint(star, loops)
 
-    # Each crossed edge's rows (pos, owner, near letter, sign), sorted once
-    # by ascending position; the far letter is the near one ^ 1.
+    # Each crossed edge's rows ((numerator, denominator), owner, near letter,
+    # sign), sorted once by ascending position (:func:`_position_key`); the
+    # far letter is the near one ^ 1.
     rows: dict[int, list] = {}
     for name, loop in loops.items():
         for e in loop.crossed(star_id):
             rows.setdefault(e, []).extend(
-                [(t.pos, name, 2 * i + (t.sign < 0), t.sign) for i, t in loop.on_edge(star_id, e)]
+                [
+                    (t.pos.as_integer_ratio(), name, 2 * i + (t.sign < 0), t.sign)
+                    for i, t in loop.on_edge(star_id, e)
+                ]
             )
     for edge in rows.values():
-        edge.sort(key=itemgetter(0))
+        if len(edge) > 1:
+            edge.sort(key=_position_key(edge))
 
     crossings: dict[object, tuple[GateCrossing, ...]] = {}
     for e in range(star.edge_count):
@@ -238,8 +246,16 @@ def expand_to_gates(
         ]
         crossings[gate] = tuple(slots)
 
-    # The configuration reads each loop's word on its first splice.
+    # The configuration reads each loop's cyclic word on its first splice.
     return GateConfiguration(crossings, loops, surface.letter_table())
+
+
+def _position_key(rows: Sequence[tuple]) -> Callable[[tuple], int]:
+    """The sort key of one edge's rows, each led by its position as
+    ``(numerator, denominator)``: the integer ``n * (L // d)``, with ``L``
+    the lcm of the edge's denominators, so no Fraction is compared."""
+    scale = lcm(*[row[0][1] for row in rows])
+    return lambda row: row[0][0] * (scale // row[0][1])
 
 
 # -- dual-route evaluation and aggregation ------------------------------------

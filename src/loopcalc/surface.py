@@ -52,14 +52,15 @@ BoundaryItem = GateRef | str
 
 
 class TransitGates(NamedTuple):
-    """Where a transit enters and leaves its star disk: the regions behind
-    its entry and exit gates (``None`` for a gate in no region) and the
-    letter codes of entering and leaving through them."""
+    """Where a transit enters and leaves its star disk: the number of the
+    edge it crosses (:attr:`StarFilledSurface.first_edge`), the regions
+    behind its entry and exit gates (``None`` for a gate in no region) and
+    the letter codes ``(entering, leaving)`` through them."""
 
+    edge_number: int
     entry_region: str | None
     exit_region: str | None
-    entry_code: int
-    exit_code: int
+    codes: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,13 @@ class StarFilledSurface:
         self.genus_hint = genus_hint
         self.boundary_hint = boundary_hint
         self._star_by_id = {s.id: s for s in self.stars}
+        # The surface numbers its edges once, star by star in star order:
+        # edge ``e`` of star ``s`` is number ``first_edge[s] + e``.
+        self.first_edge: dict[str, int] = {}
+        number = 0
+        for star in self.stars:
+            self.first_edge[star.id] = number
+            number += star.edge_count
         self._region_of_gate: dict[GateRef, str] = {}
         for region in self.regions:
             for item in region.boundary:
@@ -199,9 +207,11 @@ class StarFilledSurface:
         return self._table
 
     def transit_table(self) -> dict[tuple[str, int, int], TransitGates]:
-        """Gates of every possible transit, keyed by ``(star, edge, sign)``;
-        built on first use, like :meth:`letter_table`."""
+        """Edge number and gates of every possible transit, keyed by
+        ``(star, edge, sign)``; built on first use, like :meth:`letter_table`,
+        and only on a valid surface (:meth:`require_valid`)."""
         if self._transits is None:
+            self.require_valid()
             encode = self.letter_table().encode
             table = {}
             for star in self.stars:
@@ -210,10 +220,10 @@ class StarFilledSurface:
                         gin = self.gate_for_entry(star.id, edge, sign)
                         gout = self.gate_for_exit(star.id, edge, sign)
                         table[star.id, edge, sign] = TransitGates(
+                            self.first_edge[star.id] + edge,
                             self._region_of_gate.get(gin),
                             self._region_of_gate.get(gout),
-                            encode((gin.star, gin.edge), IN),
-                            encode((gout.star, gout.edge), OUT),
+                            (encode((gin.star, gin.edge), IN), encode((gout.star, gout.edge), OUT)),
                         )
             self._transits = table
         return self._transits

@@ -259,6 +259,29 @@ def test_compute_a_from_file_on_bounded_surface(capsys, tmp_path):
     assert by_file[0] == 0
 
 
+#: ``x1 x1`` on g1b1 with transit 2 moved onto transit 0's point.
+SELF_SHARED_LOOP = [
+    {"star": "s", "edge": 0, "sign": 1, "pos": "1"},
+    {"star": "s", "edge": 3, "sign": 1, "pos": "1"},
+    {"star": "s", "edge": 0, "sign": 1, "pos": "1"},
+    {"star": "s", "edge": 3, "sign": 1, "pos": "2"},
+]
+
+
+@pytest.mark.parametrize("method", ["star", "gate", "both"])
+def test_a_loops_own_shared_point_exits_2(capsys, tmp_path, method):
+    """A loop is validated before two loops are made generic, so a point it
+    shares with itself is reported, not moved."""
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(SELF_SHARED_LOOP))
+    argv = ["--surface", "g1b1", "--a", f"@{path}", "--b", "y1", "--method", method]
+    code, out, err = run_cli(capsys, "compute", "form", *argv)
+    assert (code, out) == (2, "")
+    assert err == "transits 0 and 2 share point (star=s, edge=0, pos=1)\n"
+    code, out, err = run_cli(capsys, "compute", "form", "--surface", "g1b1", "--a", "x1", "--b", "x1")
+    assert (code, err) == (0, "")
+
+
 BAD_LOOP_FILES = {
     "zero-denominator": [{"star": "s", "edge": 0, "sign": 1, "pos": "1/0"}],
     "no-pos": [{"star": "s", "edge": 0, "sign": 1}],

@@ -122,20 +122,27 @@ def test_configuration_lists_every_gate_and_its_crossings_are_immutable():
 
 
 def test_expansion_sorts_each_crossed_edge_once(monkeypatch):
+    """Each edge crossed more than once is sorted once, each of its rows
+    keyed once by an integer; an edge crossed once is not sorted."""
     sorts = []  # the rows keyed by each sort, one list per sort key made
+    position_key = stars._position_key
 
-    def counting_itemgetter(index):
+    def counting_position_key(rows):
         keyed = []
         sorts.append(keyed)
+        inner = position_key(rows)
 
         def key(row):
             keyed.append(row)
-            return row[index]
+            value = inner(row)
+            assert type(value) is int
+            return value
 
         return key
 
-    monkeypatch.setattr(stars, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(stars, "_position_key", counting_position_key)
     surface = surface_of("torus")
+    sorted_edges = 0
     for loops in moved_pairs(surface, seed=5, count=3):
         prepared = prepare_loops(surface, loops)
         for star in surface.stars:
@@ -146,4 +153,6 @@ def test_expansion_sorts_each_crossed_edge_once(monkeypatch):
                 for t in loop.transits:
                     if t.star == star.id:
                         crossed[t.edge] = crossed.get(t.edge, 0) + 1
-            assert sorted(map(len, sorts)) == sorted(crossed.values())
+            assert sorted(map(len, sorts)) == sorted(n for n in crossed.values() if n > 1)
+            sorted_edges += len(sorts)
+    assert sorted_edges > 0

@@ -1,6 +1,6 @@
 """Prepared loops: a prepared loop is a validated loop, and a public call
-validates each loop once and encodes it at most once, whatever the number
-of stars, and only when it splices."""
+validates each loop once and encodes it at most once, in the same scan,
+whatever the number of stars."""
 
 import gc
 import random
@@ -66,23 +66,31 @@ def test_aggregate_validates_each_loop_once(torus_pairs, counts, op, method):
 
 
 def test_gate_configuration_encodes_on_first_splice(torus_pairs, counts):
-    """A configuration reads a loop's word on its first splice: the form
-    encodes nothing, and each loop a bracket or cobracket splices is
-    encoded once, however many stars and gates splice it."""
+    """Each loop is encoded once, in its scan: the configurations encode
+    nothing and read the prepared loops' words, the form makes no cyclic
+    word, and each loop a bracket or cobracket splices makes its cyclic
+    word once, however many stars and gates splice it."""
     for surface, a, b in torus_pairs:
-        loops = stars.prepare_loops(surface, {"a": a, "b": b})
-        configs = [stars.expand_to_gates(surface, star.id, loops) for star in surface.stars]
+        counts["validate"].clear()
         counts["encode"].clear()
+        loops = stars.prepare_loops(surface, {"a": a, "b": b})
+        assert sorted(counts["validate"]) == sorted([id(a), id(b)])
+        configs = [stars.expand_to_gates(surface, star.id, loops) for star in surface.stars]
         for config in configs:
             gates.form(config)
-        assert counts["encode"] == []
+        assert not any(config.words.loaded for config in configs)
         for config in configs:
             gates.bracket(config)
             gates.cobracket(config, "a")
             gates.cobracket(config, "b")
+        assert counts["encode"] == []
+        assert sorted(counts["validate"]) == sorted([id(a), id(b)])
         spliced = {owner for config in configs for owner in config.words.loaded}
-        assert sorted(counts["encode"]) == sorted(id(loops[owner].loop) for owner in spliced)
-        assert all(config.words["a"] == loops["a"].word for config in configs)
+        assert spliced
+        for config in configs:
+            for owner, cyclic in config.words.loaded.items():
+                assert cyclic is loops[owner].cyclic
+                assert cyclic.word is loops[owner].word
 
 
 def test_methods_agree_validates_each_loop_once_per_route(torus_pairs, counts):
