@@ -143,7 +143,8 @@ def encoded_word(surface: StarFilledSurface, loop: CombinatorialLoop) -> tuple[i
     word: list[int] = []
     try:
         for t in loop.transits:
-            word += table[t.star, t.edge, t.sign].codes
+            gates = table[t.star, t.edge, t.sign]
+            word += (gates.entry_code, gates.exit_code)
     except KeyError as exc:
         raise LoopError(f"no transit (star, edge, sign) = {exc.args[0]} on this surface") from None
     return tuple(word)
@@ -204,14 +205,14 @@ def scan_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> LoopScan:
     for i, t in enumerate(transits):
         star, edge, sign = t.star, t.edge, t.sign
         try:
-            number, entry_region, next_exit, codes = table[star, edge, sign]
+            number, entry_region, next_exit, entry_code, exit_code = table[star, edge, sign]
         except KeyError:
             missing.append(i)
             continue
         if entry_region != exit_region and i:
             chain.append(_chain_break(i - 1, i, exit_region, entry_region))
         exit_region = next_exit
-        word += codes
+        word += (entry_code, exit_code)
         bucket = buckets.get(number)
         if bucket is None:
             buckets[number] = [(i, t)]
@@ -239,8 +240,10 @@ def scan_loop(surface: StarFilledSurface, loop: CombinatorialLoop) -> LoopScan:
                     points.add(t.pos.as_integer_ratio())
                 if len(points) < len(bucket):
                     shared += _shared_points(bucket)
-        shared.sort()
-        problems = [problem for _, problem in shared] + chain
+        problems = chain
+        if shared:
+            shared.sort()
+            problems = [problem for _, problem in shared] + chain
     return LoopScan(tuple(problems), buckets, counts, edges, tuple(word))
 
 

@@ -55,12 +55,13 @@ class TransitGates(NamedTuple):
     """Where a transit enters and leaves its star disk: the number of the
     edge it crosses (:attr:`StarFilledSurface.first_edge`), the regions
     behind its entry and exit gates (``None`` for a gate in no region) and
-    the letter codes ``(entering, leaving)`` through them."""
+    the letter codes of entering and leaving through them."""
 
     edge_number: int
     entry_region: str | None
     exit_region: str | None
-    codes: tuple[int, int]
+    entry_code: int
+    exit_code: int
 
 
 @dataclass(frozen=True)
@@ -216,14 +217,16 @@ class StarFilledSurface:
             table = {}
             for star in self.stars:
                 for edge in range(star.edge_count):
+                    number = self.first_edge[star.id] + edge
                     for sign in (1, -1):
                         gin = self.gate_for_entry(star.id, edge, sign)
                         gout = self.gate_for_exit(star.id, edge, sign)
                         table[star.id, edge, sign] = TransitGates(
-                            self.first_edge[star.id] + edge,
+                            number,
                             self._region_of_gate.get(gin),
                             self._region_of_gate.get(gout),
-                            (encode((gin.star, gin.edge), IN), encode((gout.star, gout.edge), OUT)),
+                            encode((gin.star, gin.edge), IN),
+                            encode((gout.star, gout.edge), OUT),
                         )
             self._transits = table
         return self._transits

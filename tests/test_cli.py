@@ -278,7 +278,8 @@ def test_a_loops_own_shared_point_exits_2(capsys, tmp_path, method):
     code, out, err = run_cli(capsys, "compute", "form", *argv)
     assert (code, out) == (2, "")
     assert err == "transits 0 and 2 share point (star=s, edge=0, pos=1)\n"
-    code, out, err = run_cli(capsys, "compute", "form", "--surface", "g1b1", "--a", "x1", "--b", "x1")
+    argv = ["--surface", "g1b1", "--a", "x1", "--b", "x1", "--method", method]
+    code, out, err = run_cli(capsys, "compute", "form", *argv)
     assert (code, err) == (0, "")
 
 
