@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+from collections import ChainMap
 
 from loopcalc import closed as closedmod
 from loopcalc import fuzz as fuzzmod
@@ -98,7 +99,8 @@ def _load_loop(token: str) -> CombinatorialLoop:
 
 
 def _resolve_loops(args, surface, generators) -> dict[str, CombinatorialLoop]:
-    named = dict(generators)
+    """The loops ``a`` and ``b``; only the generators named are made."""
+    named = ChainMap({}, generators)
     for spec in args.loop or []:
         if "=" not in spec:
             raise LoopError(f"--loop expects NAME=WORD or NAME=@FILE, got {spec!r}")

@@ -2,7 +2,7 @@
 per-gate crossing data.
 
 A :class:`GateConfiguration` holds, for one or two loops, the ordered list
-of crossings on every gate of interest plus each loop's full cyclic letter
+of crossings on each gate it lists plus each loop's full cyclic letter
 word.  Crossings are kept in the reference slot order (the order induced by
 the core orientation, for which every compatibility sign is ``+1``); a gate
 orientation is stored as a map ``gate -> +-1`` of compatibility signs.
@@ -11,13 +11,18 @@ Configurations come from two builders: expanding prepared loops across
 one star (:func:`loopcalc.stars.expand_to_gates`) or parsing raw JSON
 crossing data used to encode gate-crossing examples directly
 (:func:`raw_config_from_json`).  Each builder hands
-:class:`GateConfiguration` every gate's crossings in slot order, filed
-under their own gate and owned by a loop it has a word for, and the
-configuration stores them as given; the raw parser is the one place that
-checks outside input.  Raw configurations assume the complement of the
-core is a disjoint union of simply connected pieces glued along one
-component, so classes are words in the crossing letters; inputs outside
-that regime are the caller's responsibility.
+:class:`GateConfiguration` the crossings of the gates it lists in slot
+order, filed under their own gate and owned by a loop it has a word for,
+and the configuration stores them as given; the raw parser is the one
+place that checks outside input.  The raw parser lists every gate it is
+given, crossed or not, with its own ``eps_omega`` table.  An expansion
+lists only the gates its loops cross: the star's other gates read ``()``,
+and its ``gates`` and implicit ``+1`` ``base_omega`` are the star's
+:class:`~loopcalc.surface.StarGates`, built once per star, so that a
+configuration's size follows its crossings.  Raw configurations assume
+the complement of the core is a disjoint union of simply connected pieces
+glued along one component, so classes are words in the crossing letters;
+inputs outside that regime are the caller's responsibility.
 
 The splice memo.  Every bracket, pairing and cobracket term is the class
 of a splice at a crossing pair.  :func:`graft_at` and :func:`split_at`
@@ -52,11 +57,11 @@ of words.  A side is summed by one pass over its pairs on first use
 ``cobracket_omega`` add up the side that their omega selects on each gate
 both owners cross, found from the configuration's per-owner crossings, so
 a gate an owner does not cross is never visited.  A caller's omega is
-first checked on every gate, in gate order; the configuration's own
-``base_omega`` (all ``+1``, or checked by the raw parser) is not checked
-again.  ``mu`` is the ``+1`` side minus the ``-1`` side.  So a configuration
-evaluated under all ``2^k`` orientations visits each pair once per order
-of its owners.  Owners stay ordered, so the identities of
+first checked on every gate, listed or not, in gate order; the
+configuration's own ``base_omega`` (``+1`` on every gate, or checked by the
+raw parser) is not checked again.  ``mu`` is the ``+1`` side minus the
+``-1`` side.  So a configuration evaluated under all ``2^k`` orientations
+visits each pair once per order of its owners.  Owners stay ordered, so the identities of
 :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still compare
 sides summed by separate passes.  The side table lives and dies with its
 configuration; the splice memo lives as long as its family's loops.
@@ -79,6 +84,7 @@ from collections.abc import Iterator, Mapping
 from typing import Hashable, NamedTuple
 
 from loopcalc.algebra import FormalSum, TensorSum, decoded
+from loopcalc.surface import StarGates
 from loopcalc.words import IN, OUT, CyclicWord, LetterTable, SpliceMemo
 
 
@@ -164,33 +170,46 @@ class OwnerWords(Mapping):
         return len(self._sources)
 
 
-def _by_owner(
-    crossings: Mapping[GateKey, tuple[GateCrossing, ...]], owners: Mapping[str, object]
-) -> dict[tuple[GateKey, str], tuple[GateCrossing, ...]]:
-    """The crossings of each gate by each owner that crosses it, in slot
-    order, by ``(gate, owner)``; a lone owner's are the gates' own."""
-    if len(owners) == 1:
-        (owner,) = owners
-        return {(g, owner): cs for g, cs in crossings.items() if cs}
-    owned = {}
-    for g, cs in crossings.items():
-        by_owner: dict[str, list[GateCrossing]] = {}
-        for c in cs:
-            by_owner.setdefault(c.owner, []).append(c)
-        for owner, mine in by_owner.items():
-            owned[g, owner] = tuple(mine)
-    return owned
+def file_by_owner(
+    owned: dict[tuple[GateKey, str], tuple[GateCrossing, ...]],
+    gate: GateKey,
+    crossings: tuple[GateCrossing, ...],
+    lone: str | None = None,
+) -> None:
+    """File one gate's crossings, in slot order, in ``owned`` under ``(gate,
+    owner)`` for each owner that crosses it, in order of first crossing;
+    the crossings of a ``lone`` owner, the only one there is, are the
+    gate's own."""
+    if lone is not None:
+        if crossings:
+            owned[gate, lone] = crossings
+        return
+    by_owner: dict[str, list[GateCrossing]] = {}
+    for c in crossings:
+        by_owner.setdefault(c.owner, []).append(c)
+    for owner, mine in by_owner.items():
+        owned[gate, owner] = tuple(mine)
 
 
 class GateConfiguration:
     """Per-gate ordered crossings plus the owning loops' cyclic words and
     their splice memo, and the table ``sides`` of the gate sides summed on
-    it so far.  ``crossings`` maps each gate to its crossings in slot
-    order, stored as the builder hands them.  ``words`` maps each owner to
-    its word or to a prepared loop (see :class:`OwnerWords`).
+    it so far.  ``crossings`` maps gates to their crossings in slot order,
+    stored as the builder hands them.  ``words`` maps each owner to its
+    word or to a prepared loop (see :class:`OwnerWords`).
+
     ``base_omega`` is the orientation every operation given no ``omega``
-    uses: ``+1`` on every gate unless a raw configuration sets its gates'
-    ``eps_omega``."""
+    uses, and its gates are the configuration's.  A raw configuration
+    (:func:`raw_config_from_json`) lists every gate in ``crossings`` and
+    sets each one's ``eps_omega``; given no ``base_omega``, it is ``+1`` on
+    every gate of ``crossings``.  A configuration expanded on a star
+    (:func:`loopcalc.stars.expand_to_gates`) lists only the gates its loops
+    cross, and its ``base_omega`` is the star's
+    :class:`~loopcalc.surface.StarGates`, ``+1`` on every gate of the star
+    with no table: :meth:`gate_crossings` reads ``()`` for a gate of the
+    star it does not list.  ``gates`` lists every gate, sorted.  ``owned``,
+    when the builder made it in its own pass, files each owner's crossings
+    of each gate (:func:`file_by_owner`)."""
 
     def __init__(
         self,
@@ -198,27 +217,38 @@ class GateConfiguration:
         words: Mapping[str, object],
         table: LetterTable,
         base_omega: Mapping[GateKey, int] | None = None,
+        owned: dict[tuple[GateKey, str], tuple[GateCrossing, ...]] | None = None,
     ):
         self.crossings = crossings
         sources = dict(words)
         self.words = OwnerWords(sources)
         self.table = table
-        self.gates = tuple(sorted(crossings))
-        self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
+        if isinstance(base_omega, StarGates):
+            self.gates, self.base_omega = base_omega.gates, base_omega
+        else:
+            self.gates = tuple(sorted(crossings))
+            self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
         self.sides: dict[tuple, int | dict] = {}
         # Each owner's crossings of each gate it crosses, in slot order.
-        self._owned = _by_owner(crossings, sources)
+        if owned is None:
+            owned = {}
+            lone = next(iter(sources)) if len(sources) == 1 else None
+            for gate, cs in crossings.items():
+                file_by_owner(owned, gate, cs, lone)
+        self._owned = owned
 
     @property
     def owners(self) -> tuple[str, ...]:
         return tuple(sorted(self.words))
 
     def gate_crossings(self, gate: GateKey, owner: str | None = None):
-        """The crossings of one gate in slot order, or of one owner's."""
-        try:
-            cs = self.crossings[gate]
-        except KeyError:
-            raise GateCalculusError(f"unknown gate {gate!r}") from None
+        """The crossings of one gate in slot order, or of one owner's; ``()``
+        for a gate of the configuration that no loop crosses."""
+        cs = self.crossings.get(gate)
+        if cs is None:
+            if gate not in self.base_omega:
+                raise GateCalculusError(f"unknown gate {gate!r}")
+            return ()
         if owner is None:
             return cs
         return self._owned.get((gate, owner), ())

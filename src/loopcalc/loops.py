@@ -112,12 +112,16 @@ class CombinatorialLoop:
 
 def numbered(crossings: Iterable[tuple[str, int, int]]) -> tuple[Transit, ...]:
     """Transits for ``(star, edge, sign)`` crossings in order, positioned
-    ``1, 2, ...`` along each ``(star, edge)`` in turn."""
+    ``1, 2, ...`` along each ``(star, edge)`` in turn; the transits at one
+    position share one :class:`~fractions.Fraction`."""
     counts: dict[tuple[str, int], int] = {}
+    positions: list[Fraction] = []
     transits = []
     for star, edge, sign in crossings:
         count = counts[star, edge] = counts.get((star, edge), 0) + 1
-        transits.append(Transit(star, edge, sign, Fraction(count)))
+        if count > len(positions):
+            positions.append(Fraction(count))
+        transits.append(Transit(star, edge, sign, positions[count - 1]))
     return tuple(transits)
 
 
@@ -330,20 +334,24 @@ def compile_word(
     loop with fresh distinct positions.
 
     ``word`` is whitespace-separated tokens, each ``name`` or ``name^-1``.
+    Only the generators the word names are read (the empty word reads the
+    first), so a lazy mapping (:func:`~loopcalc.surface.canonical_surface`)
+    makes no other loop.
     """
     tokens = word.split() if isinstance(word, str) else list(word)
+    factors = [
+        (token[:-3], True) if token.endswith("^-1") else (token, False) for token in tokens
+    ]
     bases = {
-        name: base_region(surface, loop) for name, loop in generators.items()
+        name: base_region(surface, generators[name])
+        for name, _ in factors
+        if name in generators
     }
     if len(set(bases.values())) > 1:
         raise LoopError(f"generators have incompatible basepoint regions: {bases}")
 
     transits: list[Transit] = []
-    for token in tokens:
-        if token.endswith("^-1"):
-            name, invert = token[:-3], True
-        else:
-            name, invert = token, False
+    for name, invert in factors:
         if name not in generators:
             raise LoopError(f"unknown generator {name!r}")
         factor = generators[name]
@@ -352,6 +360,8 @@ def compile_word(
     if not transits:
         if bases:
             anchor = next(iter(bases.values()))
+        elif generators:
+            anchor = base_region(surface, next(iter(generators.values())))
         elif surface.regions:
             anchor = surface.regions[0].id
         else:

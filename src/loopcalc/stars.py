@@ -17,8 +17,15 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   decreasing position, then the crossings of ``e+``-transits ordered by
   increasing position; :func:`expand_to_gates` sorts each crossed edge
   once, by increasing position, and reads edge ``e``'s in reverse;
-* only the two gates next to a crossed edge get crossings; every other
-  gate of the star is listed with ``()``.
+* only the two gates next to a crossed edge, ``(s, e)`` and ``(s, e-)``,
+  get crossings, and the configuration lists only those, in gate order;
+  :func:`expand_to_gates` visits only them and files each owner's
+  crossings of them in the same pass.  Every other gate of the star reads
+  ``()`` through ``gate_crossings``, and the configuration's ``gates`` and
+  ``base_omega`` (``+1`` on every gate) are the star's
+  :class:`~loopcalc.surface.StarGates`, which the surface builds once per
+  star.  So an expansion costs time linear in the star's crossings, not
+  in its edges.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
@@ -36,8 +43,8 @@ edges the loops cross on their own star: :func:`star_form` sums ``ca[e] *
 re-indexing of the skew sum over all edges, reading the counts at the
 surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
 read the buckets at ``e+`` and ``e-``.  So a star's term costs time
-linear in the transits that cross that star, not in its edges; every
-star is still evaluated, and ``per_star`` lists each one.  Points are
+linear in the transits that cross that star, not in its edges, on both
+routes; every star is still evaluated, and ``per_star`` lists each one.  Points are
 compared by the integers ``(numerator, denominator)`` of their positions,
 and :func:`expand_to_gates` sorts an edge's crossings by integer keys, so
 no :class:`~fractions.Fraction` is hashed or compared.
@@ -227,13 +234,16 @@ def expand_to_gates(
         if len(edge) > 1:
             edge.sort(key=_position_key(edge))
 
+    # Only gate e and gate e- of each crossed edge e are crossed, so only
+    # those are visited, in gate order; the others are the star's and hold
+    # no crossing (:class:`~loopcalc.surface.StarGates`).
+    n = star.edge_count
+    lone = next(iter(loops)) if len(loops) == 1 else None
     crossings: dict[object, tuple[GateCrossing, ...]] = {}
-    for e in range(star.edge_count):
+    owned: dict[tuple[object, str], tuple[GateCrossing, ...]] = {}
+    for e in sorted({g for f in rows for g in (f, (f - 1) % n)}):
         gate = (star_id, e)
-        near, far = rows.get(e, ()), rows.get(star.succ(e), ())
-        if not (near or far):
-            crossings[gate] = ()
-            continue
+        near, far = rows.get(e, ()), rows.get((e + 1) % n, ())
         # Near side: transits across e, outermost first.
         slots = [
             GateCrossing(gate, sign, owner, letter, slot)
@@ -244,10 +254,13 @@ def expand_to_gates(
             GateCrossing(gate, -sign, owner, letter ^ 1, slot)
             for slot, (_, owner, letter, sign) in enumerate(far, len(slots))
         ]
-        crossings[gate] = tuple(slots)
+        crossings[gate] = slots = tuple(slots)
+        gatecalc.file_by_owner(owned, gate, slots, lone)
 
     # The configuration reads each loop's cyclic word on its first splice.
-    return GateConfiguration(crossings, loops, surface.letter_table())
+    return GateConfiguration(
+        crossings, loops, surface.letter_table(), surface.star_gates(star_id), owned
+    )
 
 
 def _position_key(rows: Sequence[tuple]) -> Callable[[tuple], int]:

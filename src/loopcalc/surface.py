@@ -22,8 +22,10 @@ data (these fix the orientation and make boundary tracing possible):
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from loopcalc.words import IN, OUT, LetterTable
 
@@ -88,6 +90,36 @@ class Star:
         if cw <= ccw:
             return [((entry - i) % n, 1) for i in range(cw)]
         return [((entry + 1 + i) % n, -1) for i in range(ccw)]
+
+
+class StarGates(Mapping):
+    """Every gate key ``(star, edge)`` of one star, sorted (``gates``), read
+    as the orientation that is ``+1`` on each of them.
+
+    It is the ``base_omega`` of every gate configuration expanded on the
+    star (:func:`loopcalc.stars.expand_to_gates`), which lists only the
+    gates its loops cross and holds no table of its own: the gates stay
+    here, built once per star by :meth:`StarFilledSurface.star_gates`."""
+
+    __slots__ = ("gates", "_known")
+
+    def __init__(self, star: Star):
+        self.gates = tuple((star.id, e) for e in range(star.edge_count))
+        self._known = frozenset(self.gates)
+
+    def __getitem__(self, gate) -> int:
+        if gate in self._known:
+            return 1
+        raise KeyError(gate)
+
+    def __contains__(self, gate) -> bool:
+        return gate in self._known
+
+    def __iter__(self) -> Iterator:
+        return iter(self.gates)
+
+    def __len__(self) -> int:
+        return len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -172,6 +204,7 @@ class StarFilledSurface:
         self._table: LetterTable | None = None
         self._transits: dict[tuple[str, int, int], TransitGates] | None = None
         self._hops: dict[str, tuple[tuple[Star, int, int, str], ...]] | None = None
+        self._star_gates: dict[str, StarGates] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,6 +216,14 @@ class StarFilledSurface:
 
     def gates(self) -> tuple[GateRef, ...]:
         return tuple(g for s in self.stars for g in s.gates())
+
+    def star_gates(self, star_id: str) -> StarGates:
+        """The gate keys of one star and its ``+1`` orientation, built on
+        first use, like :meth:`letter_table`."""
+        gates = self._star_gates.get(star_id)
+        if gates is None:
+            gates = self._star_gates[star_id] = StarGates(self.star(star_id))
+        return gates
 
     def gate_count(self) -> int:
         return sum(s.edge_count for s in self.stars)
@@ -566,7 +607,9 @@ class FillingGraphSpec:
         )
 
 
-def canonical_surface(genus: int, boundary: int) -> tuple[StarFilledSurface, dict[str, "object"]]:
+def canonical_surface(
+    genus: int, boundary: int
+) -> tuple[StarFilledSurface, Mapping[str, "object"]]:
     """Canonical single-star model of the surface with the given genus and
     number of boundary circles, together with its standard generator loops
     (none for the disk).
@@ -575,7 +618,10 @@ def canonical_surface(genus: int, boundary: int) -> tuple[StarFilledSurface, dic
     pair up the gates: interleaved pairs ``{4t, 4t+2}, {4t+1, 4t+3}`` build
     the handles, adjacent pairs the extra boundary circles.  Generators are
     named ``x1, y1, ..., xg, yg, z1, ..., z(b-1)`` and are all based in the
-    region containing gate 0.
+    region containing gate 0.  They come as a :class:`LazyMapping`, which
+    makes each loop on its first lookup: there are ``2g + b - 1`` of them,
+    each with ``O(g + b)`` transits, and a caller reads only the ones it
+    names.
     """
     from loopcalc.loops import CombinatorialLoop  # local import to avoid a cycle
 
@@ -616,11 +662,40 @@ def canonical_surface(genus: int, boundary: int) -> tuple[StarFilledSurface, dic
             crossings += star.passage(tree_gate[region_of_pair[pair]], base_gate)
         return CombinatorialLoop.from_crossings("s", crossings)
 
-    generators: dict[str, CombinatorialLoop] = {}
+    builders: dict[str, Callable[[], CombinatorialLoop]] = {}
     for t in range(genus):
-        generators[f"x{t + 1}"] = gen_loop(4 * t + 2, (4 * t, 4 * t + 2))
-        generators[f"y{t + 1}"] = gen_loop(4 * t + 3, (4 * t + 1, 4 * t + 3))
+        builders[f"x{t + 1}"] = partial(gen_loop, 4 * t + 2, (4 * t, 4 * t + 2))
+        builders[f"y{t + 1}"] = partial(gen_loop, 4 * t + 3, (4 * t + 1, 4 * t + 3))
     for u in range(boundary - 1):
         pair = (4 * genus + 2 * u, 4 * genus + 2 * u + 1)
-        generators[f"z{u + 1}"] = gen_loop(pair[1], pair)
-    return surf, generators
+        builders[f"z{u + 1}"] = partial(gen_loop, pair[1], pair)
+    return surf, LazyMapping(builders)
+
+
+class LazyMapping(Mapping):
+    """A read-only mapping whose values are made on first lookup, each by
+    its own builder (called with no arguments), and kept; iterating lists
+    the keys without making a value."""
+
+    __slots__ = ("_builders", "_made")
+
+    def __init__(self, builders: Mapping[str, Callable[[], object]]):
+        self._builders = dict(builders)
+        self._made: dict[str, object] = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._made[key]
+        except KeyError:
+            pass
+        value = self._made[key] = self._builders[key]()
+        return value
+
+    def __contains__(self, key) -> bool:
+        return key in self._builders
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._builders)

@@ -17,6 +17,7 @@ from loopcalc.fuzz import random_loop_pair, surface_from_spec
 from loopcalc.gates import GateCalculusError
 from loopcalc.loops import PreparedLoop
 from loopcalc.stars import aggregate, expand_to_gates, methods_agree, prepare_loops
+from loopcalc.surface import Star
 
 OPS = ("form", "bracket", "cobracket")
 ZERO = {"form": 0, "bracket": FormalSum(), "cobracket": TensorSum()}
@@ -76,8 +77,11 @@ def test_routes_agree_and_star_forms_match_the_raw_skew_sum(name):
 
 def work_per_call(monkeypatch, surface, pairs):
     """Per aggregate call, by route and op: ``on_edge`` lookups, gate
-    crossings built and gate sides asked for."""
-    counts = {"on_edge": 0, "crossings": 0, "sides": 0}
+    crossings built, gate sides asked for, gates visited by
+    ``expand_to_gates`` (the gates its configuration lists), ``Star.succ``
+    and ``Star.pred`` calls, and configuration entries (listed gates plus
+    any ``base_omega`` table)."""
+    counts = dict.fromkeys(("on_edge", "crossings", "sides", "gates", "succ_pred", "entries"), 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -86,9 +90,21 @@ def work_per_call(monkeypatch, surface, pairs):
 
         return wrapper
 
+    def counting_expand(*args):
+        config = expand(*args)
+        counts["gates"] += len(config.crossings)
+        table = config.base_omega if isinstance(config.base_omega, dict) else ()
+        counts["entries"] += len(config.crossings) + len(table)
+        return config
+
+    surface.transit_table()  # built once per surface, before counting
+    expand = stars.expand_to_gates
     monkeypatch.setattr(PreparedLoop, "on_edge", counting("on_edge", PreparedLoop.on_edge))
     monkeypatch.setattr(stars, "GateCrossing", counting("crossings", stars.GateCrossing))
     monkeypatch.setattr(gates, "_side", counting("sides", gates._side))
+    monkeypatch.setattr(stars, "expand_to_gates", counting_expand)
+    for name in ("succ", "pred"):
+        monkeypatch.setattr(Star, name, counting("succ_pred", getattr(Star, name)))
     work = {}
     for method in ("star", "gate"):
         for op in OPS:
@@ -110,9 +126,14 @@ def test_work_per_call_does_not_grow_with_the_star(monkeypatch):
     for call, counts in work[large].items():
         for key, n in counts.items():
             assert n <= 2 * max(work[small][call][key], 1), (call, key)
+    for op in OPS:
+        assert work[large]["gate", op]["gates"] > 0
+        assert work[large]["gate", op]["entries"] > 0
     assert work[large]["gate", "form"]["crossings"] > 0
     assert work[large]["star", "bracket"]["on_edge"] > 0
-    # Every gate is still listed; those no loop crosses hold no crossing.
+    assert work[large]["star", "bracket"]["succ_pred"] > 0
+    # Every gate is still listed in ``gates``; those no loop crosses hold no
+    # crossing.
     for loops in pairs[large]:
         config = expand_to_gates(large, star.id, prepare_loops(large, loops))
         assert config.gates == tuple((star.id, e) for e in range(star.edge_count))

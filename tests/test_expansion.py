@@ -1,9 +1,10 @@
 """The expansion of a star into its gate configuration, checked from the
-outside: every gate's crossings rebuilt from the raw transits, the gates a
-configuration lists, and the work one expansion does."""
+outside: the crossed gates' crossings rebuilt from the raw transits, the
+gates a configuration lists, and the work one expansion does."""
 
 import functools
 import random
+import re
 
 import pytest
 from conftest import torus_grid
@@ -11,7 +12,7 @@ from conftest import torus_grid
 from loopcalc import stars
 from loopcalc.closed import build_from_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair, random_move, surface_from_spec
-from loopcalc.gates import GateCrossing
+from loopcalc.gates import GateCalculusError, GateCrossing, raw_config_from_json
 from loopcalc.loops import LoopError, apply_move
 from loopcalc.stars import expand_to_gates, prepare_loops
 from loopcalc.words import IN, OUT
@@ -79,27 +80,76 @@ def expected_crossings(star, loops):
 
 @pytest.mark.parametrize("name", ["g1b1", "g2b1", "torus"])
 def test_expansion_matches_the_raw_transits(name):
+    """A configuration lists exactly the gates next to a crossed edge, in
+    gate order, each with the rows rebuilt from the raw transits; every
+    other gate of the star reads ``()``, and a gate of no star of it is
+    unknown."""
     surface = surface_of(name)
     table = surface.letter_table()
     pairs = moved_pairs(surface, seed=name)
     assert any(
         t.pos.denominator != 1 for loops in pairs for loop in loops.values() for t in loop.transits
     )
+    unlisted = 0
     for loops in pairs:
         prepared = prepare_loops(surface, loops)
         for star in surface.stars:
             config = expand_to_gates(surface, star.id, prepared)
             expected = expected_crossings(star, loops)
-            assert list(config.crossings) == list(expected)
+            crossed = {
+                t.edge for loop in loops.values() for t in loop.transits if t.star == star.id
+            }
+            beside = sorted({(star.id, g) for e in crossed for g in (e, star.pred(e))})
+            assert list(config.crossings) == beside
             for gate, rows in expected.items():
                 got = config.gate_crossings(gate)
                 assert [
                     (c.gate, c.eps, c.owner, c.letter_index, c.slot) for c in got
                 ] == rows
+                assert bool(rows) == (gate in beside)
+                if gate not in beside:
+                    unlisted += 1
+                    assert got == () and config.gate_crossings(gate, "a") == ()
                 # Each crossing's letter is its gate, entered when eps is +1.
                 for c in got:
                     word = prepared[c.owner].word
                     assert table.decode(word[c.letter_index]) == (gate, IN if c.eps > 0 else OUT)
+            others = [(s.id, 0) for s in surface.stars if s.id != star.id] + [("no-star", 0)]
+            for gate in [(star.id, star.edge_count), (star.id, -1), *others]:
+                with pytest.raises(GateCalculusError, match=re.escape(f"unknown gate {gate!r}")):
+                    config.gate_crossings(gate)
+    assert unlisted > 0
+
+
+def test_a_raw_configuration_lists_every_gate_with_its_own_signs():
+    """The raw parser keeps every gate it is given, crossed or not, and the
+    ``eps_omega`` of each."""
+    config = raw_config_from_json(
+        {
+            "gates": [
+                {
+                    "id": "g1",
+                    "eps_omega": -1,
+                    "crossings": [
+                        {"owner": "a", "eps": 1, "slot": 0, "link": {"gate": "g2", "slot": 0}},
+                    ],
+                },
+                {"id": "g0", "eps_omega": -1},
+                {
+                    "id": "g2",
+                    "crossings": [
+                        {"owner": "a", "eps": -1, "slot": 0, "link": {"gate": "g1", "slot": 0}},
+                    ],
+                },
+            ]
+        }
+    )
+    assert list(config.crossings) == ["g1", "g0", "g2"]
+    assert config.crossings["g0"] == config.gate_crossings("g0") == ()
+    assert config.gates == ("g0", "g1", "g2")
+    assert config.base_omega == {"g1": -1, "g0": -1, "g2": 1}
+    with pytest.raises(GateCalculusError, match="unknown gate 'g3'"):
+        config.gate_crossings("g3")
 
 
 def test_configuration_lists_every_gate_and_its_crossings_are_immutable():

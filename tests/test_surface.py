@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from loopcalc import loops
 from loopcalc.surface import (
     ARC,
     FillingGraphSpec,
@@ -107,6 +108,58 @@ def test_canonical_annulus_generator_is_core():
     surf, gens = canonical_surface(0, 2)
     (core,) = gens.values()
     assert [(t.edge, t.sign) for t in core.transits] == [(0, 1)]
+
+
+def eager_generators(genus, boundary):
+    """Every generator loop of the canonical model, built here as transit
+    JSON: the passage from gate 0 to the generator's gate, then, for a
+    region other than gate 0's, the passage from the region's lower gate
+    back to gate 0, positioned ``1, 2, ...`` along each edge."""
+    star = Star("s", 2 * (2 * genus + boundary - 1))
+    pairs = [p for t in range(genus) for p in ((4 * t, 4 * t + 2), (4 * t + 1, 4 * t + 3))]
+    pairs += [(4 * genus + 2 * u, 4 * genus + 2 * u + 1) for u in range(boundary - 1)]
+    names = [f"{c}{t + 1}" for t in range(genus) for c in "xy"]
+    names += [f"z{u + 1}" for u in range(boundary - 1)]
+    out = {}
+    for name, (lo, hi) in zip(names, pairs):
+        crossings = star.passage(0, hi) + (star.passage(lo, 0) if lo else [])
+        counts = {}
+        transits = []
+        for edge, sign in crossings:
+            counts[edge] = counts.get(edge, 0) + 1
+            transits.append({"star": "s", "edge": edge, "sign": sign, "pos": f"{counts[edge]}/1"})
+        out[name] = transits
+    return out
+
+
+@pytest.mark.parametrize("genus, boundary", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 2)])
+def test_lazy_generators_equal_the_eager_build(genus, boundary):
+    _, gens = canonical_surface(genus, boundary)
+    expected = eager_generators(genus, boundary)
+    assert list(gens) == list(expected)
+    assert {name: loop.to_json() for name, loop in gens.items()} == expected
+
+
+def test_generators_are_made_on_first_lookup(monkeypatch):
+    made = []
+
+    def counting_transit(*args):
+        made.append(args)
+        return transit(*args)
+
+    transit = loops.Transit
+    monkeypatch.setattr(loops, "Transit", counting_transit)
+    surf, gens = canonical_surface(400, 1)
+    assert surf.stars[0].edge_count == 1600
+    assert len(gens) == 800 and "y400" in gens and "z1" not in gens
+    assert list(gens)[:3] == ["x1", "y1", "x2"]
+    assert made == []
+    y1 = gens["y1"]
+    assert len(made) == len(y1.transits) > 0
+    assert gens["y1"] is y1
+    assert len(made) == len(y1.transits)
+    with pytest.raises(KeyError):
+        gens["z1"]
 
 
 def test_trivial_surface_is_the_disk():
