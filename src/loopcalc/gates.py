@@ -199,17 +199,13 @@ class GateConfiguration:
     word or to a prepared loop (see :class:`OwnerWords`).
 
     ``base_omega`` is the orientation every operation given no ``omega``
-    uses, and its gates are the configuration's.  A raw configuration
-    (:func:`raw_config_from_json`) lists every gate in ``crossings`` and
-    sets each one's ``eps_omega``; given no ``base_omega``, it is ``+1`` on
-    every gate of ``crossings``.  A configuration expanded on a star
-    (:func:`loopcalc.stars.expand_to_gates`) lists only the gates its loops
-    cross, and its ``base_omega`` is the star's
-    :class:`~loopcalc.surface.StarGates`, ``+1`` on every gate of the star
-    with no table: :meth:`gate_crossings` reads ``()`` for a gate of the
-    star it does not list.  ``gates`` lists every gate, sorted.  ``owned``,
-    when the builder made it in its own pass, files each owner's crossings
-    of each gate (:func:`file_by_owner`)."""
+    uses, and its keys are the configuration's gates; ``gates`` lists them
+    sorted.  Given no ``base_omega``, it is ``+1`` on every gate of
+    ``crossings``.  A star's :class:`~loopcalc.surface.StarGates` is ``+1``
+    on every gate of the star with no table, and ``crossings`` may then
+    leave out the gates no loop crosses, which read ``()``.  ``owned`` is
+    each owner's crossings of each gate (:func:`file_by_owner`), when the
+    builder filed them in its own pass."""
 
     def __init__(
         self,

@@ -44,10 +44,10 @@ re-indexing of the skew sum over all edges, reading the counts at the
 surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
 read the buckets at ``e+`` and ``e-``.  So a star's term costs time
 linear in the transits that cross that star, not in its edges, on both
-routes; every star is still evaluated, and ``per_star`` lists each one.  Points are
-compared by the integers ``(numerator, denominator)`` of their positions,
-and :func:`expand_to_gates` sorts an edge's crossings by integer keys, so
-no :class:`~fractions.Fraction` is hashed or compared.
+routes; every star is still evaluated, and ``per_star`` lists each one.
+Points are compared by the integers ``(numerator, denominator)`` of their
+positions, and :func:`expand_to_gates` sorts an edge's crossings by
+integer keys, so no :class:`~fractions.Fraction` is hashed or compared.
 
 The splice memo.  The loops of one :func:`prepare_loops` call are one
 family and share one :class:`~loopcalc.words.SpliceMemo`, keyed by their
