@@ -17,12 +17,13 @@ and the configuration stores them as given; the raw parser is the one
 place that checks outside input.  The raw parser lists every gate it is
 given, crossed or not, with its own ``eps_omega`` table.  An expansion
 lists only the gates its loops cross: the star's other gates read ``()``,
-and its ``gates`` and implicit ``+1`` ``base_omega`` are the star's
-:class:`~loopcalc.surface.StarGates`, built once per star, so that a
-configuration's size follows its crossings.  Raw configurations assume
-the complement of the core is a disjoint union of simply connected pieces
-glued along one component, so classes are words in the crossing letters;
-inputs outside that regime are the caller's responsibility.
+and its ``gates`` and ``+1`` ``base_omega`` are the star's own, built once
+per star (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`), so
+that the work of a configuration follows its crossings.  Raw
+configurations assume the complement of the core is a disjoint union of
+simply connected pieces glued along one component, so classes are words
+in the crossing letters; inputs outside that regime are the caller's
+responsibility.
 
 The splice memo.  Every bracket, pairing and cobracket term is the class
 of a splice at a crossing pair.  :func:`graft_at` and :func:`split_at`
@@ -61,9 +62,9 @@ first checked on every gate, listed or not, in gate order; the
 configuration's own ``base_omega`` (``+1`` on every gate, or checked by the
 raw parser) is not checked again.  ``mu`` is the ``+1`` side minus the
 ``-1`` side.  So a configuration evaluated under all ``2^k`` orientations
-visits each pair once per order of its owners.  Owners stay ordered, so the identities of
-:mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip) still compare
-sides summed by separate passes.  The side table lives and dies with its
+visits each pair once per order of its owners.  Owners stay ordered, so
+the identities of :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip)
+still compare sides summed by separate passes.  The side table lives and dies with its
 configuration; the splice memo lives as long as its family's loops.
 
 Each operation sums its sides on the integer words, the skew ones take
@@ -84,7 +85,6 @@ from collections.abc import Iterator, Mapping
 from typing import Hashable, NamedTuple
 
 from loopcalc.algebra import FormalSum, TensorSum, decoded
-from loopcalc.surface import StarGates
 from loopcalc.words import IN, OUT, CyclicWord, LetterTable, SpliceMemo
 
 
@@ -170,25 +170,22 @@ class OwnerWords(Mapping):
         return len(self._sources)
 
 
-def file_by_owner(
-    owned: dict[tuple[GateKey, str], tuple[GateCrossing, ...]],
-    gate: GateKey,
-    crossings: tuple[GateCrossing, ...],
-    lone: str | None = None,
-) -> None:
-    """File one gate's crossings, in slot order, in ``owned`` under ``(gate,
-    owner)`` for each owner that crosses it, in order of first crossing;
-    the crossings of a ``lone`` owner, the only one there is, are the
-    gate's own."""
-    if lone is not None:
-        if crossings:
-            owned[gate, lone] = crossings
-        return
-    by_owner: dict[str, list[GateCrossing]] = {}
-    for c in crossings:
-        by_owner.setdefault(c.owner, []).append(c)
-    for owner, mine in by_owner.items():
-        owned[gate, owner] = tuple(mine)
+def _by_owner(
+    crossings: Mapping[GateKey, tuple[GateCrossing, ...]], owners: Mapping[str, object]
+) -> dict[tuple[GateKey, str], tuple[GateCrossing, ...]]:
+    """The crossings of each gate by each owner that crosses it, in slot
+    order, by ``(gate, owner)``; a lone owner's are the gates' own."""
+    if len(owners) == 1:
+        (owner,) = owners
+        return {(g, owner): cs for g, cs in crossings.items() if cs}
+    owned = {}
+    for g, cs in crossings.items():
+        by_owner: dict[str, list[GateCrossing]] = {}
+        for c in cs:
+            by_owner.setdefault(c.owner, []).append(c)
+        for owner, mine in by_owner.items():
+            owned[g, owner] = tuple(mine)
+    return owned
 
 
 class GateConfiguration:
@@ -200,12 +197,12 @@ class GateConfiguration:
 
     ``base_omega`` is the orientation every operation given no ``omega``
     uses, and its keys are the configuration's gates; ``gates`` lists them
-    sorted.  Given no ``base_omega``, it is ``+1`` on every gate of
-    ``crossings``.  A star's :class:`~loopcalc.surface.StarGates` is ``+1``
-    on every gate of the star with no table, and ``crossings`` may then
-    leave out the gates no loop crosses, which read ``()``.  ``owned`` is
-    each owner's crossings of each gate (:func:`file_by_owner`), when the
-    builder filed them in its own pass."""
+    sorted.  Given no ``gates``, they are the gates of ``crossings``,
+    ``base_omega`` is copied, and it is ``+1`` on every gate when not
+    given.  Given ``gates``, both are kept as given: an expansion passes
+    its star's (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`),
+    shared by every configuration on the star, and ``crossings`` then
+    leaves out the gates no loop crosses, which read ``()``."""
 
     def __init__(
         self,
@@ -213,25 +210,20 @@ class GateConfiguration:
         words: Mapping[str, object],
         table: LetterTable,
         base_omega: Mapping[GateKey, int] | None = None,
-        owned: dict[tuple[GateKey, str], tuple[GateCrossing, ...]] | None = None,
+        gates: tuple[GateKey, ...] | None = None,
     ):
         self.crossings = crossings
         sources = dict(words)
         self.words = OwnerWords(sources)
         self.table = table
-        if isinstance(base_omega, StarGates):
-            self.gates, self.base_omega = base_omega.gates, base_omega
-        else:
+        if gates is None:
             self.gates = tuple(sorted(crossings))
             self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
+        else:
+            self.gates, self.base_omega = gates, base_omega
         self.sides: dict[tuple, int | dict] = {}
         # Each owner's crossings of each gate it crosses, in slot order.
-        if owned is None:
-            owned = {}
-            lone = next(iter(sources)) if len(sources) == 1 else None
-            for gate, cs in crossings.items():
-                file_by_owner(owned, gate, cs, lone)
-        self._owned = owned
+        self._owned = _by_owner(crossings, sources)
 
     @property
     def owners(self) -> tuple[str, ...]:

@@ -18,14 +18,12 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   increasing position; :func:`expand_to_gates` sorts each crossed edge
   once, by increasing position, and reads edge ``e``'s in reverse;
 * only the two gates next to a crossed edge, ``(s, e)`` and ``(s, e-)``,
-  get crossings, and the configuration lists only those, in gate order;
-  :func:`expand_to_gates` visits only them and files each owner's
-  crossings of them in the same pass.  Every other gate of the star reads
-  ``()`` through ``gate_crossings``, and the configuration's ``gates`` and
-  ``base_omega`` (``+1`` on every gate) are the star's
-  :class:`~loopcalc.surface.StarGates`, which the surface builds once per
-  star.  So an expansion costs time linear in the star's crossings, not
-  in its edges.
+  get crossings, and :func:`expand_to_gates` visits and lists only those,
+  in gate order.  Every other gate of the star reads ``()`` through
+  ``gate_crossings``, and the configuration's ``gates`` and ``base_omega``
+  (``+1`` on every gate) are the star's, which the surface builds once
+  (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`).  So an
+  expansion costs time linear in the star's crossings, not in its edges.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
@@ -235,12 +233,9 @@ def expand_to_gates(
             edge.sort(key=_position_key(edge))
 
     # Only gate e and gate e- of each crossed edge e are crossed, so only
-    # those are visited, in gate order; the others are the star's and hold
-    # no crossing (:class:`~loopcalc.surface.StarGates`).
+    # those are visited, in gate order; the star's other gates hold none.
     n = star.edge_count
-    lone = next(iter(loops)) if len(loops) == 1 else None
     crossings: dict[object, tuple[GateCrossing, ...]] = {}
-    owned: dict[tuple[object, str], tuple[GateCrossing, ...]] = {}
     for e in sorted({g for f in rows for g in (f, (f - 1) % n)}):
         gate = (star_id, e)
         near, far = rows.get(e, ()), rows.get((e + 1) % n, ())
@@ -254,13 +249,11 @@ def expand_to_gates(
             GateCrossing(gate, -sign, owner, letter ^ 1, slot)
             for slot, (_, owner, letter, sign) in enumerate(far, len(slots))
         ]
-        crossings[gate] = slots = tuple(slots)
-        gatecalc.file_by_owner(owned, gate, slots, lone)
+        crossings[gate] = tuple(slots)
 
     # The configuration reads each loop's cyclic word on its first splice.
-    return GateConfiguration(
-        crossings, loops, surface.letter_table(), surface.star_gates(star_id), owned
-    )
+    gates, base_omega = surface.star_gates(star_id)
+    return GateConfiguration(crossings, loops, surface.letter_table(), base_omega, gates)
 
 
 def _position_key(rows: Sequence[tuple]) -> Callable[[tuple], int]:

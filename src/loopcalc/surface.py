@@ -25,6 +25,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from loopcalc.words import IN, OUT, LetterTable
@@ -90,36 +91,6 @@ class Star:
         if cw <= ccw:
             return [((entry - i) % n, 1) for i in range(cw)]
         return [((entry + 1 + i) % n, -1) for i in range(ccw)]
-
-
-class StarGates(Mapping):
-    """Every gate key ``(star, edge)`` of one star, sorted (``gates``), read
-    as the orientation that is ``+1`` on each of them.
-
-    It is the ``base_omega`` of every gate configuration expanded on the
-    star (:func:`loopcalc.stars.expand_to_gates`), which lists only the
-    gates its loops cross and holds no table of its own: the gates stay
-    here, built once per star by :meth:`StarFilledSurface.star_gates`."""
-
-    __slots__ = ("gates", "_known")
-
-    def __init__(self, star: Star):
-        self.gates = tuple((star.id, e) for e in range(star.edge_count))
-        self._known = frozenset(self.gates)
-
-    def __getitem__(self, gate) -> int:
-        if gate in self._known:
-            return 1
-        raise KeyError(gate)
-
-    def __contains__(self, gate) -> bool:
-        return gate in self._known
-
-    def __iter__(self) -> Iterator:
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -204,7 +175,7 @@ class StarFilledSurface:
         self._table: LetterTable | None = None
         self._transits: dict[tuple[str, int, int], TransitGates] | None = None
         self._hops: dict[str, tuple[tuple[Star, int, int, str], ...]] | None = None
-        self._star_gates: dict[str, StarGates] = {}
+        self._star_gates: dict[str, tuple[tuple, Mapping]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -217,13 +188,16 @@ class StarFilledSurface:
     def gates(self) -> tuple[GateRef, ...]:
         return tuple(g for s in self.stars for g in s.gates())
 
-    def star_gates(self, star_id: str) -> StarGates:
-        """The gate keys of one star and its ``+1`` orientation, built on
-        first use, like :meth:`letter_table`."""
-        gates = self._star_gates.get(star_id)
-        if gates is None:
-            gates = self._star_gates[star_id] = StarGates(self.star(star_id))
-        return gates
+    def star_gates(self, star_id: str) -> tuple[tuple, Mapping]:
+        """The gate keys ``(star, edge)`` of one star, sorted, and the
+        read-only orientation that is ``+1`` on each, built on first use,
+        like :meth:`letter_table`; every gate configuration expanded on
+        the star shares them."""
+        pair = self._star_gates.get(star_id)
+        if pair is None:
+            gates = tuple((star_id, e) for e in range(self.star(star_id).edge_count))
+            pair = self._star_gates[star_id] = (gates, MappingProxyType(dict.fromkeys(gates, 1)))
+        return pair
 
     def gate_count(self) -> int:
         return sum(s.edge_count for s in self.stars)
@@ -675,7 +649,8 @@ def canonical_surface(
 class LazyMapping(Mapping):
     """A read-only mapping whose values are made on first lookup, each by
     its own builder (called with no arguments), and kept; iterating lists
-    the keys without making a value."""
+    the keys without making a value.  It is copied, and pickled, as a
+    plain dict of every value."""
 
     __slots__ = ("_builders", "_made")
 
@@ -699,3 +674,9 @@ class LazyMapping(Mapping):
 
     def __len__(self) -> int:
         return len(self._builders)
+
+    def copy(self) -> dict:
+        return dict(self)
+
+    def __reduce__(self):
+        return dict, (dict(self),)

@@ -80,7 +80,8 @@ def work_per_call(monkeypatch, surface, pairs):
     crossings built, gate sides asked for, gates visited by
     ``expand_to_gates`` (the gates its configuration lists), ``Star.succ``
     and ``Star.pred`` calls, and configuration entries (listed gates plus
-    any ``base_omega`` table)."""
+    any ``base_omega`` table other than the one the surface builds once
+    per star)."""
     counts = dict.fromkeys(("on_edge", "crossings", "sides", "gates", "succ_pred", "entries"), 0)
 
     def counting(key, fn):
@@ -90,11 +91,11 @@ def work_per_call(monkeypatch, surface, pairs):
 
         return wrapper
 
-    def counting_expand(*args):
-        config = expand(*args)
+    def counting_expand(surface, star_id, loops):
+        config = expand(surface, star_id, loops)
         counts["gates"] += len(config.crossings)
-        table = config.base_omega if isinstance(config.base_omega, dict) else ()
-        counts["entries"] += len(config.crossings) + len(table)
+        shared = config.base_omega is surface.star_gates(star_id)[1]
+        counts["entries"] += len(config.crossings) + (0 if shared else len(config.base_omega))
         return config
 
     surface.transit_table()  # built once per surface, before counting

@@ -147,6 +147,9 @@ def test_compile_incompatible_basepoints(torus1):
     bad = dict(gens, y1=shifted)
     with pytest.raises(LoopError, match="incompatible basepoint"):
         compile_word(surf, bad, "x1 y1")
+    # Only the generators the word names are checked (and read).
+    assert compile_word(surf, bad, "x1 x1").transits
+    assert compile_word(surf, bad, "").transits == ()
 
 
 def test_commutator_noncontractible(torus1):

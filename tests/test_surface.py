@@ -1,6 +1,8 @@
 """Surface model: validation, dual graph, canonical builder, JSON."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -160,6 +162,14 @@ def test_generators_are_made_on_first_lookup(monkeypatch):
     assert len(made) == len(y1.transits)
     with pytest.raises(KeyError):
         gens["z1"]
+
+
+def test_lazy_generators_copy_and_pickle_as_a_dict():
+    _, gens = canonical_surface(2, 1)
+    expected = eager_generators(2, 1)
+    for copied in (gens.copy(), copy.copy(gens), pickle.loads(pickle.dumps(gens))):
+        assert type(copied) is dict
+        assert {name: loop.to_json() for name, loop in copied.items()} == expected
 
 
 def test_trivial_surface_is_the_disk():
