@@ -53,8 +53,13 @@ first under one sign, and a configuration keeps a table ``sides`` of the
 signed values of the sides it has summed, keyed by ``(op, gate, sign,
 owners)``: an int for the form, and for the bracket and the cobracket a
 dict of nonzero coefficients by integer word or by ``(left, right)`` pair
-of words.  A side is summed by one pass over its pairs on first use
-(:func:`_side_pass`).  ``form_omega``, ``bracket_omega`` and
+of words.  A side is summed on first use by one walk along its gate in
+the order its sign selects, slot order for ``+1`` and reversed for ``-1``
+(:func:`_along`, the one order rule; :func:`_side_pass`).  The form
+weights each of ``x``'s crossings by the running sum of the signs of
+``y``'s crossings walked past, so it costs time linear in the gate; the
+bracket and the cobracket graft or split each crossing with the
+crossings walked past only.  ``form_omega``, ``bracket_omega`` and
 ``cobracket_omega`` add up the side that their omega selects on each gate
 both owners cross, found from the configuration's per-owner crossings, so
 a gate an owner does not cross is never visited.  A caller's omega is
@@ -62,10 +67,11 @@ first checked on every gate, listed or not, in gate order; the
 configuration's own ``base_omega`` (``+1`` on every gate, or checked by the
 raw parser) is not checked again.  ``mu`` is the ``+1`` side minus the
 ``-1`` side.  So a configuration evaluated under all ``2^k`` orientations
-visits each pair once per order of its owners.  Owners stay ordered, so
-the identities of :mod:`loopcalc.fuzz` (reversal, pairing symmetry, flip)
-still compare sides summed by separate passes.  The side table lives and dies with its
-configuration; the splice memo lives as long as its family's loops.
+walks each gate once per sign, operation and order of its owners.  Owners
+stay ordered, so the identities of :mod:`loopcalc.fuzz` (reversal, pairing
+symmetry, flip) still compare sides summed by separate walks.  The side
+table lives and dies with its configuration; the splice memo lives as long
+as its family's loops.
 
 Each operation sums its sides on the integer words, the skew ones take
 their difference there too, and only its nonzero terms are decoded into
@@ -272,11 +278,11 @@ def _eps_omega(omega: Mapping[GateKey, int], gate: GateKey) -> int:
     return value
 
 
-def _before(omega_sign: int, q: GateCrossing, p: GateCrossing) -> bool:
-    """Whether ``q`` precedes ``p`` along the gate in the given orientation."""
-    if omega_sign > 0:
-        return q.slot < p.slot
-    return q.slot > p.slot
+def _along(sign: int, crossings: tuple[GateCrossing, ...]) -> tuple[GateCrossing, ...]:
+    """A gate's crossings in the order they come along it under ``sign``:
+    slot order for ``+1``, reversed for ``-1``.  The one order rule of the
+    gate sides."""
+    return crossings if sign > 0 else crossings[::-1]
 
 
 # -- splicing -------------------------------------------------------------------
@@ -333,38 +339,48 @@ def v(config: GateConfiguration, gate: GateKey, owner: str = "a") -> int:
 def _side_pass(
     config: GateConfiguration, op: str, gate: GateKey, sign: int, owners: tuple[str, ...]
 ) -> int | dict:
-    """One pass over the pairs of a gate side, each weighted by ``sign``
-    and the crossings' signs.  For the form and the bracket these are the
-    pairs ``(p, q)`` of ``x``'s and ``y``'s crossings with ``q`` first
-    under ``sign``, counted or grafted; for the cobracket of one owner, the
-    pairs ``(p1, p2)`` of its crossings with ``p1`` first, where the loop
+    """One walk along a gate in the order ``sign`` selects (:func:`_along`),
+    summing the pairs of the side, each weighted by ``sign`` and the
+    crossings' signs.  For the form and the bracket these are the pairs
+    ``(p, q)`` of ``x``'s and ``y``'s crossings with ``q`` walked past
+    first: the form weights each ``p`` by the running sum of the signs of
+    ``y``'s crossings walked past, and the bracket grafts ``p`` with each
+    of them.  For the cobracket of one owner they are the pairs ``(p1,
+    p2)`` of its crossings with ``p1`` walked past first, where the loop
     splits into two pieces, contractible pieces dropped.  A bracket or
     cobracket side is a dict of its nonzero terms, keyed by canonical
     integer words."""
     terms: dict = {}
     if op == "cobracket":
         (owner,) = owners
-        cs = config.gate_crossings(gate, owner)
-        for p1 in cs:
-            for p2 in cs:
-                if p1 is p2 or not _before(sign, p1, p2):
-                    continue
+        passed: list[GateCrossing] = []
+        for p2 in _along(sign, config.gate_crossings(gate, owner)):
+            for p1 in passed:
                 left = split_at(config, p2, p1)
                 right = split_at(config, p1, p2)
-                if not left or not right:
-                    continue
-                key = (left, right)
-                terms[key] = terms.get(key, 0) + sign * p1.eps * p2.eps
+                if left and right:
+                    key = (left, right)
+                    terms[key] = terms.get(key, 0) + sign * p1.eps * p2.eps
+            passed.append(p2)
     else:
         x, y = owners
-        ps, qs = config.gate_crossings(gate, x), config.gate_crossings(gate, y)
+        walk = _along(sign, config.gate_crossings(gate))
         if op == "form":
-            return sum(sign * p.eps * q.eps for p in ps for q in qs if _before(sign, q, p))
-        for p in ps:
-            for q in qs:
-                if _before(sign, q, p):
+            total = ys = 0
+            for c in walk:
+                if c.owner == x:
+                    total += c.eps * ys
+                if c.owner == y:
+                    ys += c.eps
+            return sign * total
+        passed = []
+        for p in walk:
+            if p.owner == x:
+                for q in passed:
                     word = graft_at(config, p, q)
                     terms[word] = terms.get(word, 0) + sign * p.eps * q.eps
+            if p.owner == y:
+                passed.append(p)
     for key in [key for key, coeff in terms.items() if not coeff]:
         del terms[key]
     return terms

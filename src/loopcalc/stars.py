@@ -24,6 +24,12 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   (``+1`` on every gate) are the star's, which the surface builds once
   (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`).  So an
   expansion costs time linear in the star's crossings, not in its edges.
+* the loops must share no point.  :func:`expand_to_gates` checks this from
+  each crossed edge's sorted rows: a shared point shows up as two
+  neighbouring rows with one ``(numerator, denominator)``, and only then
+  does it run the point-by-point check (:func:`_check_disjoint`), which
+  names the first clash in loop order.  A generic family is never checked
+  point by point.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
@@ -208,14 +214,13 @@ def expand_to_gates(
     """Gate configuration induced by one star on a family of prepared loops.
 
     The loops must be jointly generic on the star (no shared ``(edge,
-    pos)``); raises :class:`loopcalc.loops.LoopError` otherwise.  Each
+    pos)``); raises :class:`loopcalc.loops.LoopError` naming the first
+    clash in loop order otherwise.  Each
     gate's crossings are handed over in slot order.  The configuration
     splices into the family's memo, so the loops must come from one
     :func:`prepare_loops` call.
     """
     star = surface.star(star_id)
-    _check_disjoint(star, loops)
-
     # Each crossed edge's rows ((numerator, denominator), owner, near letter,
     # sign), sorted once by ascending position (:func:`_position_key`); the
     # far letter is the near one ^ 1.
@@ -228,9 +233,16 @@ def expand_to_gates(
                     for i, t in loop.on_edge(star_id, e)
                 ]
             )
+    shared = False
     for edge in rows.values():
         if len(edge) > 1:
             edge.sort(key=_position_key(edge))
+            for row, nxt in zip(edge, edge[1:]):
+                if row[0] == nxt[0]:
+                    shared = True
+    if shared:
+        # Two neighbouring rows at one point: name the first clash in loop order.
+        _check_disjoint(star, loops)
 
     # Only gate e and gate e- of each crossed edge e are crossed, so only
     # those are visited, in gate order; the star's other gates hold none.

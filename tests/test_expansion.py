@@ -5,6 +5,7 @@ gates a configuration lists, and the work one expansion does."""
 import functools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from conftest import torus_grid
@@ -13,7 +14,7 @@ from loopcalc import stars
 from loopcalc.closed import build_from_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair, random_move, surface_from_spec
 from loopcalc.gates import GateCalculusError, GateCrossing, raw_config_from_json
-from loopcalc.loops import LoopError, apply_move
+from loopcalc.loops import CombinatorialLoop, LoopError, Transit, apply_move
 from loopcalc.stars import expand_to_gates, prepare_loops
 from loopcalc.words import IN, OUT
 
@@ -206,3 +207,49 @@ def test_expansion_sorts_each_crossed_edge_once(monkeypatch):
             assert sorted(map(len, sorts)) == sorted(n for n in crossed.values() if n > 1)
             sorted_edges += len(sorts)
     assert sorted_edges > 0
+
+
+def test_a_generic_family_is_not_checked_point_by_point(monkeypatch):
+    """The gate route finds no two rows of an edge at one point, so it never
+    runs the point-by-point disjointness check on a generic family; the
+    star bracket still runs it once per star."""
+    calls = []
+    check = stars._check_disjoint
+
+    def counting_check(star, loops):
+        calls.append(star.id)
+        return check(star, loops)
+
+    monkeypatch.setattr(stars, "_check_disjoint", counting_check)
+    for name in ("g1b1", "g2b1", "torus"):
+        surface = surface_of(name)
+        for loops in moved_pairs(surface, seed=name, count=3):
+            for op in ("form", "bracket", "cobracket"):
+                stars.aggregate(surface, loops, op, method="gate")
+            assert calls == []
+            stars.aggregate(surface, loops, "bracket", method="star")
+            assert calls == [star.id for star in surface.stars]
+            calls.clear()
+
+
+def test_the_first_clash_in_loop_order_is_named():
+    """Three copies of ``x1`` on ``g1b1`` (edge 0, then edge 3): ``b``
+    shares a point with ``a`` on edge 3 and ``c`` one on edge 0, so the
+    first clash in sorted position order is ``c``'s, but the error names
+    the first in loop order, ``b``'s."""
+    surface = surface_of("g1b1")
+
+    def x1_at(pos0, pos3):
+        return CombinatorialLoop(
+            (Transit("s", 0, 1, Fraction(pos0)), Transit("s", 3, 1, Fraction(pos3)))
+        )
+
+    loops = {"a": x1_at(1, 5), "b": x1_at(2, 5), "c": x1_at(1, 3)}
+    message = "loops 'a' and 'b' share point edge=3 pos=5 on star s"
+    with pytest.raises(LoopError) as raised:
+        expand_to_gates(surface, "s", prepare_loops(surface, loops))
+    assert str(raised.value) == message
+    for op in ("form", "bracket", "cobracket"):
+        with pytest.raises(LoopError) as raised:
+            stars.aggregate(surface, loops, op, method="gate")
+        assert str(raised.value) == message

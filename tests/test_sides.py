@@ -10,6 +10,8 @@ import re
 
 import pytest
 from conftest import as_class, one_gate_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopcalc import gates
 from loopcalc.algebra import FormalSum, TensorSum
@@ -90,6 +92,94 @@ def mu_by_pairs(config, gate, x, y) -> FormalSum:
     )
 
 
+def side_by_pairs(config, op, gate, sign, owners):
+    """One gate side summed over every ordered pair of the gate's crossings,
+    keeping a pair when :func:`first` puts its second crossing first: the
+    form's count, or the bracket's or cobracket's nonzero terms by integer
+    word, as :func:`gates._side` keeps them."""
+    if op == "cobracket":
+        (owner,) = owners
+        cs = config.gate_crossings(gate, owner)
+        pairs = [(p1, p2) for p2 in cs for p1 in cs if p1 is not p2 and first(sign, p1, p2)]
+        terms = {}
+        for p1, p2 in pairs:
+            left, right = gates.split_at(config, p2, p1), gates.split_at(config, p1, p2)
+            if left and right:
+                terms[left, right] = terms.get((left, right), 0) + sign * p1.eps * p2.eps
+    else:
+        x, y = owners
+        pairs = [
+            (p, q)
+            for p in config.gate_crossings(gate, x)
+            for q in config.gate_crossings(gate, y)
+            if first(sign, q, p)
+        ]
+        if op == "form":
+            return sum(sign * p.eps * q.eps for p, q in pairs)
+        terms = {}
+        for p, q in pairs:
+            word = gates.graft_at(config, p, q)
+            terms[word] = terms.get(word, 0) + sign * p.eps * q.eps
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def assert_sides_match_the_pairs(config) -> None:
+    """Every side of every gate, at both signs and in each order of the
+    owners, equals :func:`side_by_pairs`."""
+    owners = [(x, y) for x in "ab" for y in "ab"]
+    for gate in config.gates:
+        for sign in (1, -1):
+            for op, named in (("form", owners), ("bracket", owners), ("cobracket", "ab")):
+                for names in named:
+                    names = tuple(names)
+                    assert gates._side(config, op, gate, sign, names) == side_by_pairs(
+                        config, op, gate, sign, names
+                    ), (op, gate, sign, names)
+
+
+@st.composite
+def raw_configs(draw):
+    """A raw configuration of loops ``a`` and ``b``, each a cycle of one
+    to six crossings of up to three gates, in random slot orders and with
+    random ``eps_omega`` signs."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    crossing = st.tuples(st.integers(min_value=0, max_value=count - 1), st.sampled_from((1, -1)))
+    cycles = {owner: draw(st.lists(crossing, min_size=1, max_size=6)) for owner in "ab"}
+    on_gate = {g: [] for g in range(count)}
+    for owner, cycle in cycles.items():
+        for i, (g, _) in enumerate(cycle):
+            on_gate[g].append((owner, i))
+    slot = {}
+    for members in on_gate.values():
+        for rank, member in enumerate(draw(st.permutations(members))):
+            slot[member] = rank
+    raw = []
+    for g, members in on_gate.items():
+        crossings = []
+        for owner, i in members:
+            cycle = cycles[owner]
+            nxt = (i + 1) % len(cycle)
+            link = {"gate": f"g{cycle[nxt][0]}", "slot": slot[owner, nxt]}
+            crossings.append(
+                {"owner": owner, "eps": cycle[i][1], "slot": slot[owner, i], "link": link}
+            )
+        raw.append({"id": f"g{g}", "eps_omega": draw(st.sampled_from((1, -1))), "crossings": crossings})
+    return raw_config_from_json({"gates": raw})
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_configs())
+def test_sides_match_the_pairs_on_raw_configurations(config):
+    assert_sides_match_the_pairs(config)
+
+
+def test_sides_match_the_pairs_on_expansions(star_pairs):
+    for surface, a, b in star_pairs:
+        assert_sides_match_the_pairs(
+            expand_to_gates(surface, "s", prepare_loops(surface, {"a": a, "b": b}))
+        )
+
+
 def test_sides_sum_to_the_pair_definitions(star_pairs):
     rng = random.Random(5)
     checked = 0
@@ -136,9 +226,9 @@ def sweep(config, omega) -> tuple:
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Calls, by name, of the pair order, the splices and the side pass."""
+    """Calls, by name, of the order rule, the splices and the side pass."""
     calls = {}
-    for name in ("_before", "graft_at", "split_at", "_side_pass"):
+    for name in ("_along", "graft_at", "split_at", "_side_pass"):
         original = getattr(gates, name)
 
         def counting(*args, _name=name, _original=original):
@@ -230,7 +320,7 @@ def _unsigned(value, sign):
 
 
 MUTATIONS = {
-    "before ignores sign -1": ("_before", lambda original: lambda sign, q, p: q.slot < p.slot),
+    "before ignores sign -1": ("_along", lambda original: lambda sign, crossings: crossings),
     "side drops its sign": (
         "_side_pass",
         lambda original: lambda config, op, gate, sign, owners: _unsigned(
