@@ -215,10 +215,9 @@ def expand_to_gates(
 
     The loops must be jointly generic on the star (no shared ``(edge,
     pos)``); raises :class:`loopcalc.loops.LoopError` naming the first
-    clash in loop order otherwise.  Each
-    gate's crossings are handed over in slot order.  The configuration
-    splices into the family's memo, so the loops must come from one
-    :func:`prepare_loops` call.
+    clash in loop order otherwise.  Each gate's crossings are handed over
+    in slot order.  The configuration splices into the family's memo, so
+    the loops must come from one :func:`prepare_loops` call.
     """
     star = surface.star(star_id)
     # Each crossed edge's rows ((numerator, denominator), owner, near letter,

@@ -1,6 +1,7 @@
 """The side table of a gate configuration: the operations read the signed
-value of each gate side from one pass over its pairs, so a second sweep
-over all gate orientations visits no pair and splices nothing; the values
+value of each gate side from one walk along its gate, so a second sweep
+over all gate orientations walks no gate and splices nothing; each side
+equals a pair-by-pair reference with the explicit slot rule, the values
 equal the pair-by-pair definitions and those of fresh configurations; and
 breaking the order or the sign of a side is caught by the fuzz harness."""
 
@@ -247,8 +248,9 @@ def test_second_sweep_visits_no_pair(star_pairs, visits):
         config = expand_to_gates(surface, "s", loops)
         visits.clear()
         assert [sweep(config, omega) for omega in omegas] == fresh
-        # One pass per side: a gate, a sign, an operation and its owners.
+        # One walk per side: a gate, a sign, an operation and its owners.
         assert visits["_side_pass"] == len(config.sides) <= len(config.gates) * 2 * 6
+        assert visits["_along"] == visits["_side_pass"]
         visits.clear()
         assert [sweep(config, omega) for omega in omegas] == fresh
         assert visits == {}
