@@ -350,10 +350,19 @@ def _side_pass(
     splits into two pieces, contractible pieces dropped.  A bracket or
     cobracket side is a dict of its nonzero terms, keyed by canonical
     integer words."""
+    if op == "form":
+        x, y = owners
+        total = ys = 0
+        for c in _along(sign, config.gate_crossings(gate)):
+            if c.owner == x:
+                total += c.eps * ys
+            if c.owner == y:
+                ys += c.eps
+        return sign * total
     terms: dict = {}
+    passed: list[GateCrossing] = []
     if op == "cobracket":
         (owner,) = owners
-        passed: list[GateCrossing] = []
         for p2 in _along(sign, config.gate_crossings(gate, owner)):
             for p1 in passed:
                 left = split_at(config, p2, p1)
@@ -364,17 +373,7 @@ def _side_pass(
             passed.append(p2)
     else:
         x, y = owners
-        walk = _along(sign, config.gate_crossings(gate))
-        if op == "form":
-            total = ys = 0
-            for c in walk:
-                if c.owner == x:
-                    total += c.eps * ys
-                if c.owner == y:
-                    ys += c.eps
-            return sign * total
-        passed = []
-        for p in walk:
+        for p in _along(sign, config.gate_crossings(gate)):
             if p.owner == x:
                 for q in passed:
                     word = graft_at(config, p, q)
