@@ -164,7 +164,8 @@ def raw_configs(draw):
             crossings.append(
                 {"owner": owner, "eps": cycle[i][1], "slot": slot[owner, i], "link": link}
             )
-        raw.append({"id": f"g{g}", "eps_omega": draw(st.sampled_from((1, -1))), "crossings": crossings})
+        sign = draw(st.sampled_from((1, -1)))
+        raw.append({"id": f"g{g}", "eps_omega": sign, "crossings": crossings})
     return raw_config_from_json({"gates": raw})
 
 
