@@ -28,8 +28,10 @@ Expansion conventions for a transit across edge ``e`` at position ``pos``:
   each crossed edge's sorted rows: a shared point shows up as two
   neighbouring rows with one ``(numerator, denominator)``, and only then
   does it run the point-by-point check (:func:`_check_disjoint`), which
-  names the first clash in loop order.  A generic family is never checked
-  point by point.
+  names the first clash in loop order.  The star route checks it with
+  :func:`_share_a_point`, which compares the points of the edges two loops
+  both cross, and also runs :func:`_check_disjoint` only when that finds
+  one.  A generic family is never checked point by point.
 
 Prepared loops.  Loops are prepared once, at the boundary:
 :func:`aggregate` prepares the raw loops it is given, and code that loops
@@ -48,7 +50,13 @@ re-indexing of the skew sum over all edges, reading the counts at the
 surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
 read the buckets at ``e+`` and ``e-``.  So a star's term costs time
 linear in the transits that cross that star, not in its edges, on both
-routes; every star is still evaluated, and ``per_star`` lists each one.
+routes.  On the star route a star where no term can arise, one that ``a``
+does not cross, or for the bracket one that ``b`` does not cross, gets its
+operation's zero at once: no star lookup, bucket read, check or decode.
+The shared-point test still runs on each star that two loops of the family
+both cross, so :func:`star_route`'s cobracket of a family still finds a
+clash between two loops other than ``a``.  The gate route still expands
+and evaluates every star, and ``per_star`` lists each one on both routes.
 Points are compared by the integers ``(numerator, denominator)`` of their
 positions, and :func:`expand_to_gates` sorts an edge's crossings by
 integer keys, so no :class:`~fractions.Fraction` is hashed or compared.
@@ -95,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from loopcalc import gates as gatecalc
 from loopcalc.algebra import FormalSum, TensorSum, decoded
@@ -151,17 +159,38 @@ def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
         seen.update(mine)
 
 
+def _share_a_point(star_id: str, loops: Collection[PreparedLoop]) -> bool:
+    """Whether two of the loops cross one edge of the star at one point.
+    Only the edges that two loops both cross are read, as the sets of their
+    points' ``(numerator, denominator)``; a loop's own points are distinct."""
+    seen: set[int] = set()
+    both: set[int] = set()
+    for loop in loops:
+        edges = loop.crossed(star_id)
+        both.update(seen.intersection(edges))
+        seen.update(edges)
+    for e in both:
+        buckets = [loop.on_edge(star_id, e) for loop in loops]
+        points = {t.pos.as_integer_ratio() for bucket in buckets for _, t in bucket}
+        if len(points) < sum(map(len, buckets)):
+            return True
+    return False
+
+
 def star_form(
     surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
 ) -> int:
     """Skew pairing of edge-count vectors over consecutive edge pairs,
     summed over the edges ``e`` that ``a`` crosses as ``ca[e] * (cb[e+] -
     cb[e-])``."""
+    crossed = a.crossed(star_id)
+    if not crossed:
+        return 0
     n = surface.star(star_id).edge_count
     first = surface.first_edge[star_id]
     ca, cb = a.counts, b.counts
     total = 0
-    for e in a.crossed(star_id):
+    for e in crossed:
         total += ca[first + e] * (
             cb.get(first + (e + 1) % n, 0) - cb.get(first + (e - 1) % n, 0)
         )
@@ -173,11 +202,16 @@ def star_bracket(
 ) -> FormalSum:
     """Grafted classes over crossing pairs of consecutive edges, ``a``
     crossing ``e`` and ``b`` crossing ``e+`` (sign ``+``) or ``e-`` (sign
-    ``-``); the loops must not share a point on the star."""
+    ``-``); the loops must not share a point on the star.  A star that
+    either loop does not cross has no term and is not read."""
+    crossed = a.crossed(star_id)
+    if not crossed or not b.crossed(star_id):
+        return FormalSum()
     star = surface.star(star_id)
-    _check_disjoint(star, {"a": a, "b": b})
+    if _share_a_point(star_id, (a, b)):
+        _check_disjoint(star, {"a": a, "b": b})
     terms: dict[tuple[int, ...], int] = {}
-    for e in a.crossed(star_id):
+    for e in crossed:
         for sign, f in ((1, star.succ(e)), (-1, star.pred(e))):
             qs = b.on_edge(star_id, f)
             for p, tp in a.on_edge(star_id, e):
@@ -189,10 +223,14 @@ def star_bracket(
 
 def star_cobracket(surface: StarFilledSurface, star_id: str, a: PreparedLoop) -> TensorSum:
     """Split tensor terms over self-crossing pairs of consecutive edges,
-    with contractible pieces dropped."""
+    with contractible pieces dropped; a star that ``a`` does not cross
+    has no term and is not read."""
+    crossed = a.crossed(star_id)
+    if not crossed:
+        return TensorSum()
     star = surface.star(star_id)
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for e in a.crossed(star_id):
+    for e in crossed:
         nxt = a.on_edge(star_id, star.succ(e))
         for p1, t1 in a.on_edge(star_id, e):
             for p2, t2 in nxt:
@@ -311,7 +349,7 @@ def star_route(
     if op == "bracket":
         return star_bracket(surface, star_id, loops["a"], loops["b"])
     if op == "cobracket":
-        if len(loops) > 1:
+        if len(loops) > 1 and _share_a_point(star_id, loops.values()):
             _check_disjoint(surface.star(star_id), loops)
         return star_cobracket(surface, star_id, loops["a"])
     raise ValueError(f"unknown operation {op!r}")
@@ -381,8 +419,12 @@ def aggregate(
     is shared.  Only the star-route form does not check: on ``g1b1``,
     ``x1`` with itself has star-route form ``0``, while the star bracket,
     the star cobracket of a family and every gate-route call raise
-    :class:`~loopcalc.loops.LoopError` naming the shared point.  The CLI
-    makes each pair generic first.
+    :class:`~loopcalc.loops.LoopError` naming the first shared point in
+    loop order.  The CLI makes each pair generic first.
+
+    ``per_star`` lists every star.  The star route gives a star that ``a``
+    does not cross (for the bracket, that ``a`` or ``b`` does not cross)
+    its zero without reading it; the gate route evaluates every star.
     """
     if op not in ("form", "bracket", "cobracket"):
         raise ValueError(f"unknown operation {op!r}")

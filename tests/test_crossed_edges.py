@@ -17,7 +17,7 @@ from loopcalc.fuzz import random_loop_pair, surface_from_spec
 from loopcalc.gates import GateCalculusError
 from loopcalc.loops import PreparedLoop
 from loopcalc.stars import aggregate, expand_to_gates, methods_agree, prepare_loops
-from loopcalc.surface import Star
+from loopcalc.surface import Star, StarFilledSurface
 
 OPS = ("form", "bracket", "cobracket")
 ZERO = {"form": 0, "bracket": FormalSum(), "cobracket": TensorSum()}
@@ -36,6 +36,19 @@ def surface_of(name):
 def pairs_on(surface, seed, count):
     rng = random.Random(seed)
     return [dict(zip("ab", random_loop_pair(surface, rng, 12))) for _ in range(count)]
+
+
+def crossing_pairs_on(surface, seed, count):
+    """Cap-12 pairs in which both loops have transits.  On one large star
+    most loops ``random_loop`` draws are empty, so the draw goes on until
+    ``count`` pairs of two non-empty loops are found."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = random_loop_pair(surface, rng, 12)
+        if a.transits and b.transits:
+            out.append({"a": a, "b": b})
+    return out
 
 
 def skew_sum(star, a, b):
@@ -122,7 +135,7 @@ def test_work_per_call_does_not_grow_with_the_star(monkeypatch):
     small, large = surface_of("g10b1"), surface_of("g100b1")
     (star,) = large.stars
     assert star.edge_count == 10 * small.stars[0].edge_count
-    pairs = {s: pairs_on(s, 11, 10) for s in (small, large)}
+    pairs = {s: crossing_pairs_on(s, 11, 10) for s in (small, large)}
     work = {s: work_per_call(monkeypatch, s, pairs[s]) for s in (small, large)}
     for call, counts in work[large].items():
         for key, n in counts.items():
@@ -171,3 +184,57 @@ def test_a_callers_omega_is_checked_on_uncrossed_gates(op):
     with pytest.raises(GateCalculusError, match="is not \\+-1"):
         stars.gate_route(surface, star.id, prepared, op, omega=bad)
     assert aggregate(surface, loops, op, "gate", omega=full).per_star
+
+
+def test_a_star_no_term_can_arise_on_is_not_read(monkeypatch):
+    """On ``torus5``, each star that ``a`` does not cross, or for the
+    bracket that ``b`` does not cross, gets its operation's zero from the
+    star functions without a bucket read, a ``Star.succ``/``pred`` call, a
+    disjointness check, a star lookup or a decode; ``per_star`` still lists
+    it with its zero, and the two routes still agree."""
+    surface = surface_of("torus5")
+    pairs = crossing_pairs_on(surface, 5, 10)
+    counts = dict.fromkeys(("on_edge", "succ_pred", "check", "star", "decoded"), 0)
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PreparedLoop, "on_edge", counting("on_edge", PreparedLoop.on_edge))
+    for name in ("succ", "pred"):
+        monkeypatch.setattr(Star, name, counting("succ_pred", getattr(Star, name)))
+    monkeypatch.setattr(stars, "_check_disjoint", counting("check", stars._check_disjoint))
+    monkeypatch.setattr(StarFilledSurface, "star", counting("star", StarFilledSurface.star))
+    monkeypatch.setattr(stars, "decoded", counting("decoded", stars.decoded))
+    skipped = dict.fromkeys(OPS, 0)
+    read = 0
+    for loops in pairs:
+        prepared = prepare_loops(surface, loops)
+        crossed = {name: {t.star for t in loop.transits} for name, loop in loops.items()}
+        for star in surface.stars:
+            for op in OPS:
+                empty = star.id not in crossed["a"] or (
+                    op == "bracket" and star.id not in crossed["b"]
+                )
+                for key in counts:
+                    counts[key] = 0
+                value = stars.star_route(surface, star.id, prepared, op)
+                if empty:
+                    skipped[op] += 1
+                    assert value == ZERO[op], (star.id, op)
+                    assert counts == dict.fromkeys(counts, 0), (star.id, op)
+                else:
+                    read += counts["on_edge"] > 0
+    monkeypatch.undo()
+    assert all(skipped.values()) and read > 0
+    for loops in pairs:
+        for op in OPS:
+            star_result, _, agree = methods_agree(surface, loops, op)
+            assert agree, op
+            assert [s for s, _ in star_result.per_star] == [star.id for star in surface.stars]
+            for star_id, value in star_result.per_star:
+                if star_id not in {t.star for t in loops["a"].transits}:
+                    assert value == ZERO[op]

@@ -210,9 +210,11 @@ def test_expansion_sorts_each_crossed_edge_once(monkeypatch):
 
 
 def test_a_generic_family_is_not_checked_point_by_point(monkeypatch):
-    """The gate route finds no two rows of an edge at one point, so it never
-    runs the point-by-point disjointness check on a generic family; the
-    star bracket still runs it once per star."""
+    """Neither route finds a shared point in a generic family, so neither
+    runs the point-by-point disjointness check on it: not the gate route,
+    which compares neighbouring rows of each sorted edge, and not the star
+    bracket or the star-route cobracket of a family, which compare the
+    points of the edges two loops both cross."""
     calls = []
     check = stars._check_disjoint
 
@@ -226,10 +228,8 @@ def test_a_generic_family_is_not_checked_point_by_point(monkeypatch):
         for loops in moved_pairs(surface, seed=name, count=3):
             for op in ("form", "bracket", "cobracket"):
                 stars.aggregate(surface, loops, op, method="gate")
+                stars.aggregate(surface, loops, op, method="star")
             assert calls == []
-            stars.aggregate(surface, loops, "bracket", method="star")
-            assert calls == [star.id for star in surface.stars]
-            calls.clear()
 
 
 def test_the_first_clash_in_loop_order_is_named():
@@ -253,3 +253,46 @@ def test_the_first_clash_in_loop_order_is_named():
         with pytest.raises(LoopError) as raised:
             stars.aggregate(surface, loops, op, method="gate")
         assert str(raised.value) == message
+    # The star bracket reads a and b; the star cobracket checks the family.
+    for op in ("bracket", "cobracket"):
+        with pytest.raises(LoopError) as raised:
+            stars.aggregate(surface, loops, op, method="star")
+        assert str(raised.value) == message
+
+
+def test_a_clash_on_a_star_the_split_loop_never_crosses_is_named():
+    """On the 3x3 torus, ``c`` is ``b`` moved off every point except on one
+    star that ``a`` never crosses: the star-route cobracket of the family
+    still finds the clash there, and names ``c``'s first point in loop
+    order, as the gate route does; the bracket of ``a`` and ``b`` does not
+    read ``c``."""
+    surface = surface_of("torus")
+    rng = random.Random(13)
+    while True:
+        a, b = random_loop_pair(surface, rng, 12)
+        crossed = {t.star for t in a.transits}
+        missed = [t.star for t in b.transits if t.star not in crossed]
+        if crossed and missed:
+            break
+    star = missed[0]
+    shift = Fraction(1, 1009)
+    c = CombinatorialLoop(
+        tuple(
+            t if t.star == star else Transit(t.star, t.edge, t.sign, t.pos + shift)
+            for t in b.transits
+        ),
+        b.anchor,
+    )
+    loops = {"a": a, "b": b, "c": c}
+    points = {
+        name: {(t.star, t.edge, t.pos) for t in loop.transits} for name, loop in loops.items()
+    }
+    assert not points["a"] & (points["b"] | points["c"])
+    assert {s for s, _, _ in points["b"] & points["c"]} == {star}
+    first = next(t for t in c.transits if t.star == star)
+    message = f"loops 'b' and 'c' share point edge={first.edge} pos={first.pos} on star {star}"
+    for method in ("star", "gate"):
+        with pytest.raises(LoopError) as raised:
+            stars.aggregate(surface, loops, "cobracket", method=method)
+        assert str(raised.value) == message
+    stars.aggregate(surface, loops, "bracket", method="star")
