@@ -14,10 +14,10 @@ surfaces and checks every algebraic contract the engine promises:
 
 ``run_fuzz`` drives all of this and returns a deterministic report.  Each
 loop pair becomes one :class:`FuzzPair` (:func:`fuzz_pair`), which holds
-both routes' per-star values, and every check takes that pair; the CLI
-and the acceptance tests are thin wrappers around them.  ``inject_bug``
-deliberately mis-signs one evaluator so the harness can demonstrate that a
-wrong engine is caught.
+both routes' per-star values from :func:`loopcalc.stars.evaluate`, and
+every check takes that pair; the CLI and the acceptance tests are thin
+wrappers around them.  ``inject_bug`` deliberately mis-signs one evaluator
+so the harness can demonstrate that a wrong engine is caught.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from loopcalc import gates as gatecalc
 from loopcalc import stars as starcalc
-from loopcalc.algebra import FormalSum, TensorSum
+from loopcalc.algebra import FormalSum
 from loopcalc.gates import GateConfiguration, omega_reverse
 from loopcalc.loops import (
     CombinatorialLoop,
@@ -219,44 +219,39 @@ def _random_positions(loop: CombinatorialLoop, rng: random.Random):
 # -- checks ---------------------------------------------------------------------
 #
 # ``run_fuzz`` makes one :class:`FuzzPair` per loop pair: :func:`fuzz_pair`
-# evaluates each star once per route, with :func:`star_route_values` and
-# :func:`gate_route_values`, and every check reads those values: the oracle
-# compares them, the star-route checks (shadows, evenness, the moves
-# baseline) and the gate-route checks (identities, omega independence) read
-# their own route's.  The gate values carry each star's configuration, and
-# the pair's prepared loops carry one splice memo, which serves both
-# routes and every orientation the gate checks evaluate.
+# runs :func:`~loopcalc.stars.evaluate` once by each route on the four
+# ``CALLS``, and every check reads those values: the oracle compares them,
+# the star-route checks (shadows, evenness, the moves baseline) and the
+# gate-route checks (identities, omega independence) read their own
+# route's.  The gate route also gives each star's configuration, and the
+# pair's prepared loops carry one splice memo, which serves both routes
+# and every orientation the gate checks evaluate.
 
 #: Stars with at most this many gates get every orientation in the
 #: omega-independence check, larger ones ``SAMPLES`` random orientations.
 EXHAUSTIVE_LIMIT = 4
 SAMPLES = 4
 
-
-@dataclass(frozen=True)
-class StarValues:
-    """One star's skew values by one route: the form and bracket of ``a``
-    and ``b`` and the cobracket of each loop, by name; on the gate route,
-    also the star's gate configuration."""
-
-    form: int
-    bracket: FormalSum
-    cobracket: Mapping[str, TensorSum]
-    config: GateConfiguration | None = None
+#: What each pair evaluates by both routes: the form and the bracket of
+#: ``a`` and ``b``, and the cobracket of each loop.
+CALLS = (("form", "a", "b"), ("bracket", "a", "b"), ("cobracket", "a"), ("cobracket", "b"))
 
 
 @dataclass(frozen=True)
 class FuzzPair:
     """A loop pair ``a``, ``b`` on ``surface``, the pair as prepared once
-    by :func:`fuzz_pair` (by name), and each star's values by the star
-    route and by the gate route, by star id."""
+    by :func:`fuzz_pair` (by name), the ``CALLS``' per-star values by the
+    star route and by the gate route (as :func:`~loopcalc.stars.evaluate`
+    returns them, by call), and each star's gate configuration, by star
+    id."""
 
     surface: StarFilledSurface
     a: CombinatorialLoop
     b: CombinatorialLoop
     prepared: Mapping[str, PreparedLoop]
-    star_values: Mapping[str, StarValues]
-    gate_values: Mapping[str, StarValues]
+    star_values: Mapping[tuple[str, ...], tuple[tuple[str, object], ...]]
+    gate_values: Mapping[tuple[str, ...], tuple[tuple[str, object], ...]]
+    configs: Mapping[str, GateConfiguration]
 
     @property
     def loops(self) -> dict[str, CombinatorialLoop]:
@@ -268,83 +263,38 @@ def fuzz_pair(
 ) -> FuzzPair:
     """Prepare the loops once and evaluate each star once by each route."""
     loops = starcalc.prepare_loops(surface, {"a": a, "b": b})
-    return FuzzPair(
-        surface, a, b, loops, star_route_values(surface, loops), gate_route_values(surface, loops)
-    )
+    star_values, _ = starcalc.evaluate(surface, loops, CALLS)
+    gate_values, configs = starcalc.evaluate(surface, loops, CALLS, "gate")
+    return FuzzPair(surface, a, b, loops, star_values, gate_values, configs)
 
 
-def star_route_values(
-    surface: StarFilledSurface, loops: Mapping[str, PreparedLoop]
-) -> dict[str, StarValues]:
-    """Each star's values by the per-star formulas on the prepared pair
-    ``a``, ``b``, by star id."""
-    a, b = loops["a"], loops["b"]
-    return {
-        star.id: StarValues(
-            form=starcalc.star_form(surface, star.id, a, b),
-            bracket=starcalc.star_bracket(surface, star.id, a, b),
-            cobracket={
-                owner: starcalc.star_cobracket(surface, star.id, loop)
-                for owner, loop in loops.items()
-            },
-        )
-        for star in surface.stars
-    }
+def _by_star(values: Mapping[tuple[str, ...], Sequence]) -> Iterator[tuple]:
+    """Each star's id, form, bracket, cobracket of ``a`` and cobracket of
+    ``b``, from one route's values."""
+    for row in zip(*(values[call] for call in CALLS)):
+        yield (row[0][0], *[value for _, value in row])
 
 
-def gate_route_values(
-    surface: StarFilledSurface, loops: Mapping[str, PreparedLoop]
-) -> dict[str, StarValues]:
-    """Each star's skew values by the gate calculus on the prepared pair
-    ``a``, ``b``, with the configuration they were computed on, by star
-    id."""
-    out = {}
-    for star in surface.stars:
-        config = starcalc.expand_to_gates(surface, star.id, loops)
-        out[star.id] = StarValues(
-            form=gatecalc.form(config),
-            bracket=gatecalc.bracket(config),
-            cobracket={owner: gatecalc.cobracket(config, owner) for owner in loops},
-            config=config,
-        )
-    return out
-
-
-def _sums(star_values: Mapping[str, StarValues]) -> dict[str, object]:
-    """The sums over the filling of the form, the bracket and each loop's
-    cobracket, unhalved, keyed ``form``, ``bracket`` and ``cobracket(a)``,
-    ``cobracket(b)``."""
-    values = star_values.values()
-    sums = {
-        "form": starcalc.sum_stars("form", [v.form for v in values]),
-        "bracket": starcalc.sum_stars("bracket", [v.bracket for v in values]),
-    }
-    for owner in ("a", "b"):
-        cobrackets = [v.cobracket[owner] for v in values]
-        sums[f"cobracket({owner})"] = starcalc.sum_stars("cobracket", cobrackets)
-    return sums
+def _sums(values: Mapping[tuple[str, ...], Sequence]) -> dict[str, object]:
+    """The unhalved sums over the filling of the ``CALLS``, by name."""
+    names = ("form", "bracket", "cobracket(a)", "cobracket(b)")
+    return {name: starcalc.sum_stars(call[0], values[call]) for name, call in zip(names, CALLS)}
 
 
 def oracle_failures(pair: FuzzPair, inject_bug: bool = False) -> list[str]:
     """Per-star disagreement between the star formulas and the gate route."""
     failures = []
-    for star in pair.surface.stars:
-        mine, gate = pair.star_values[star.id], pair.gate_values[star.id]
-        sf, gf = mine.form, gate.form
+    rows = zip(_by_star(pair.star_values), _by_star(pair.gate_values))
+    for (sid, sf, sb, *scs), (_, gf, gb, *gcs) in rows:
         if inject_bug:
             gf = -gf if gf else gf + 2
         if sf != gf:
-            failures.append(f"star {star.id}: form {sf} != gate form {gf}")
-        if mine.bracket != gate.bracket:
-            failures.append(
-                f"star {star.id}: bracket mismatch {mine.bracket!r} vs {gate.bracket!r}"
-            )
-        for owner in ("a", "b"):
-            sc, gc = mine.cobracket[owner], gate.cobracket[owner]
+            failures.append(f"star {sid}: form {sf} != gate form {gf}")
+        if sb != gb:
+            failures.append(f"star {sid}: bracket mismatch {sb!r} vs {gb!r}")
+        for owner, sc, gc in zip("ab", scs, gcs):
             if sc != gc:
-                failures.append(
-                    f"star {star.id}: cobracket({owner}) mismatch {sc!r} vs {gc!r}"
-                )
+                failures.append(f"star {sid}: cobracket({owner}) mismatch {sc!r} vs {gc!r}")
     return failures
 
 
@@ -352,30 +302,28 @@ def identity_failures(pair: FuzzPair, rng: random.Random) -> list[str]:
     """Flip, reversal, pairing-symmetry and doubling identities on one
     random gate orientation per star."""
     failures = []
-    for star in pair.surface.stars:
-        values = pair.gate_values[star.id]
-        config = values.config
+    for sid, skew_form, skew_bracket, _, _ in _by_star(pair.gate_values):
+        config = pair.configs[sid]
         omega = random_omega(config.gates, rng)
         rev = omega_reverse(omega)
         for gate in config.gates:
             lhs, rhs = gatecalc.flip_check(config, omega, gate)
             if lhs != rhs:
-                failures.append(f"star {star.id} gate {gate}: flip identity {lhs} != {rhs}")
+                failures.append(f"star {sid} gate {gate}: flip identity {lhs} != {rhs}")
         fo_ab = gatecalc.form_omega(config, omega, "a", "b")
         fo_ba_rev = gatecalc.form_omega(config, rev, "b", "a")
         if fo_ab != -fo_ba_rev:
             failures.append(
-                f"star {star.id}: form reversal {fo_ab} != -({fo_ba_rev})"
+                f"star {sid}: form reversal {fo_ab} != -({fo_ba_rev})"
             )
         bo_ab = gatecalc.bracket_omega(config, omega, "a", "b")
         bo_ba_rev = gatecalc.bracket_omega(config, rev, "b", "a")
         if bo_ab != -bo_ba_rev:
-            failures.append(f"star {star.id}: bracket reversal identity failed")
-        skew_form, skew_bracket = values.form, values.bracket
+            failures.append(f"star {sid}: bracket reversal identity failed")
         if skew_form != -gatecalc.form(config, "b", "a"):
-            failures.append(f"star {star.id}: form is not antisymmetric")
+            failures.append(f"star {sid}: form is not antisymmetric")
         if skew_bracket != -gatecalc.bracket(config, "b", "a"):
-            failures.append(f"star {star.id}: bracket is not antisymmetric")
+            failures.append(f"star {sid}: bracket is not antisymmetric")
         mu_total = FormalSum()
         vv_total = 0
         for gate in config.gates:
@@ -385,16 +333,16 @@ def identity_failures(pair: FuzzPair, rng: random.Random) -> list[str]:
             vv_total += sign * gatecalc.v(config, gate, "a") * gatecalc.v(config, gate, "b")
             mu_ba = gatecalc.mu(config, gate, "b", "a")
             if mu_ab != mu_ba:
-                failures.append(f"star {star.id} gate {gate}: pairing not symmetric")
+                failures.append(f"star {sid} gate {gate}: pairing not symmetric")
         if 2 * fo_ab != skew_form + vv_total:
             failures.append(
-                f"star {star.id}: 2*form_omega {2 * fo_ab} != form {skew_form} + {vv_total}"
+                f"star {sid}: 2*form_omega {2 * fo_ab} != form {skew_form} + {vv_total}"
             )
         if 2 * bo_ab != skew_bracket + mu_total:
-            failures.append(f"star {star.id}: bracket doubling identity failed")
+            failures.append(f"star {sid}: bracket doubling identity failed")
         nu = gatecalc.cobracket(config, "a", omega=omega)
         if nu.transpose() != -nu:
-            failures.append(f"star {star.id}: cobracket is not antisymmetric")
+            failures.append(f"star {sid}: cobracket is not antisymmetric")
     return failures
 
 
@@ -403,9 +351,8 @@ def omega_independence_failures(pair: FuzzPair, rng: random.Random) -> list[str]
     orientation of a star with at most ``EXHAUSTIVE_LIMIT`` gates, sampled
     otherwise."""
     failures = []
-    for star in pair.surface.stars:
-        base = pair.gate_values[star.id]
-        config = base.config
+    for sid, form, bracket, cobracket, _ in _by_star(pair.gate_values):
+        config = pair.configs[sid]
         gates = config.gates
         if len(gates) <= EXHAUSTIVE_LIMIT:
             omegas = [
@@ -415,12 +362,12 @@ def omega_independence_failures(pair: FuzzPair, rng: random.Random) -> list[str]
         else:
             omegas = [random_omega(gates, rng) for _ in range(SAMPLES)]
         for omega in omegas:
-            if gatecalc.form(config, omega=omega) != base.form:
-                failures.append(f"star {star.id}: form depends on orientation {omega}")
-            if gatecalc.bracket(config, omega=omega) != base.bracket:
-                failures.append(f"star {star.id}: bracket depends on orientation {omega}")
-            if gatecalc.cobracket(config, "a", omega=omega) != base.cobracket["a"]:
-                failures.append(f"star {star.id}: cobracket depends on orientation {omega}")
+            if gatecalc.form(config, omega=omega) != form:
+                failures.append(f"star {sid}: form depends on orientation {omega}")
+            if gatecalc.bracket(config, omega=omega) != bracket:
+                failures.append(f"star {sid}: bracket depends on orientation {omega}")
+            if gatecalc.cobracket(config, "a", omega=omega) != cobracket:
+                failures.append(f"star {sid}: cobracket depends on orientation {omega}")
     return failures
 
 
@@ -445,7 +392,7 @@ def move_invariance_failures(pair: FuzzPair, rng: random.Random, steps: int = 50
     work = dict(zip(names, make_generic(surface, [work[n] for n in names])))
     prepared = starcalc.prepare_loops(surface, work)
     classes = {name: loop.homotopy_class() for name, loop in prepared.items()}
-    sums = _sums(star_route_values(surface, prepared))
+    sums = _sums(starcalc.evaluate(surface, prepared, CALLS)[0])
     failures = []
     for name in names:
         if classes[name] != baseline_classes[name]:
@@ -464,25 +411,22 @@ def shadow_failures(pair: FuzzPair) -> list[str]:
     h = abelianization(pair.surface)
     ha = h(pair.prepared["a"])
     expected = tuple(x + y for x, y in zip(ha, h(pair.prepared["b"])))
-    for star in pair.surface.stars:
-        values = pair.star_values[star.id]
-        br = values.bracket
+    for sid, sf, br, cobracket, _ in _by_star(pair.star_values):
         for cls in br.keys():
             if h(cls) != expected:
                 failures.append(
-                    f"star {star.id}: bracket term {cls!r} abelianizes to {h(cls)}, "
+                    f"star {sid}: bracket term {cls!r} abelianizes to {h(cls)}, "
                     f"expected {expected}"
                 )
-        sf = values.form
         if br.total() != sf:
             failures.append(
-                f"star {star.id}: bracket coefficient total {br.total()} != form {sf}"
+                f"star {sid}: bracket coefficient total {br.total()} != form {sf}"
             )
-        for (left, right) in values.cobracket["a"].keys():
+        for (left, right) in cobracket.keys():
             got = tuple(x + y for x, y in zip(h(left), h(right)))
             if got != ha:
                 failures.append(
-                    f"star {star.id}: cobracket term splits {got}, expected {ha}"
+                    f"star {sid}: cobracket term splits {got}, expected {ha}"
                 )
     return failures
 

@@ -53,10 +53,10 @@ linear in the transits that cross that star, not in its edges, on both
 routes.  On the star route a star where no term can arise, one that ``a``
 does not cross, or for the bracket one that ``b`` does not cross, gets its
 operation's zero at once: no star lookup, bucket read, check or decode.
-The shared-point test still runs on each star that two loops of the family
-both cross, so :func:`star_route`'s cobracket of a family still finds a
-clash between two loops other than ``a``.  The gate route still expands
-and evaluates every star, and ``per_star`` lists each one on both routes.
+A family's shared-point test still runs on each star before a cobracket,
+so the star route's cobracket of a family finds a clash between two loops
+other than ``a``.  The gate route still expands and evaluates every star,
+and ``per_star`` lists each one on both routes.
 Points are compared by the integers ``(numerator, denominator)`` of their
 positions, and :func:`expand_to_gates` sorts an edge's crossings by
 integer keys, so no :class:`~fractions.Fraction` is hashed or compared.
@@ -77,32 +77,33 @@ sum are decoded into :class:`~loopcalc.algebra.HomotopyClass`, once, at
 the function's return (:func:`loopcalc.algebra.decoded`); the gate
 calculus does the same at the return of each of its operations.
 
-The evaluation pipeline.  Every operation, bounded or closed, skew or
-orientation-dependent, runs the same steps: prepare the loops, evaluate
-each star (:func:`star_route` or :func:`gate_route`), sum the per-star
-values, normalize in the closed-surface group when the surface is closed
-(:func:`loopcalc.closed.normalized`), and halve (:func:`halve`, the
-one halving rule).  :func:`sum_stars` is the only place that sums over
-stars and returns the plain sum: :func:`aggregate` evaluates the stars,
-sums them and halves the sum, and code that already holds per-star values
-(the fuzz harness) sums them with it and halves only where it checks
-evenness.
+The evaluation pipeline.  :func:`evaluate` is the only code that walks
+the stars by a route: it returns the per-star values of a list of calls
+on prepared loops, and the gate route expands each star once for all the
+calls.  Every operation, bounded or closed, skew or orientation-dependent,
+runs the same steps: prepare the loops, :func:`evaluate`, sum the
+per-star values, normalize in the closed-surface group when the surface
+is closed (:func:`loopcalc.closed.normalized`), and halve (:func:`halve`,
+the one halving rule).  :func:`sum_stars` is the only place that sums
+over stars: :func:`aggregate` evaluates one call, sums and halves it, and
+the fuzz harness sums its calls' per-star values and halves only where it
+checks evenness.
 
-Its ``omega`` is a gate orientation, a map from every gate ``(star,
+An ``omega`` is a gate orientation, a map from every gate ``(star,
 edge)`` of the surface to ``+1`` or ``-1``.  With an omega each star's gate
 configuration is evaluated by ``form_omega``, ``bracket_omega`` or
 ``cobracket_omega`` of :mod:`loopcalc.gates`, which check the signs of all
 of that star's gates, crossed or not, and read those of the crossed ones;
-those sums can be odd, so the result's ``halved`` is
-``None``.  An omega needs the gate route: with ``method="star"`` it raises
+those sums can be odd, so :func:`aggregate`'s ``halved`` is ``None``.
+An omega needs the gate route: with ``method="star"`` it raises
 :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Collection, Mapping, Sequence
 
 from loopcalc import gates as gatecalc
@@ -316,43 +317,74 @@ def _position_key(rows: Sequence[tuple]) -> Callable[[tuple], int]:
 # -- dual-route evaluation and aggregation ------------------------------------
 
 
-def gate_route(
+def _check_calls(calls, names: Collection[str], method: str, omega) -> None:
+    """Raise :class:`ValueError` on an unknown route, an omega on the star
+    route, an unknown operation, or a call that names a loop not in
+    ``names``."""
+    if method != "star" and method != "gate":
+        raise ValueError(f"unknown method {method!r}: use 'star' or 'gate'")
+    if omega is not None and method == "star":
+        raise ValueError("an orientation omega needs the gate route")
+    for call in calls:
+        if call[0] not in ("form", "bracket", "cobracket"):
+            raise ValueError(f"unknown operation {call[0]!r}")
+        for name in call[1:]:
+            if name not in names:
+                raise ValueError(f"{call[0]} needs a loop named {name!r}")
+
+
+def evaluate(
     surface: StarFilledSurface,
-    star_id: str,
-    loops: Mapping[str, PreparedLoop],
-    op: str,
+    prepared: Mapping[str, PreparedLoop],
+    calls: Sequence[tuple[str, ...]],
+    method: str = "star",
     omega: Mapping[tuple[str, int], int] | None = None,
-):
-    """Evaluate one star's contribution through the gate calculus; with an
-    ``omega``, the orientation-dependent operation in that orientation,
-    which reads the signs of the star's gates only (a gate it misses raises
-    :class:`~loopcalc.gates.GateCalculusError` naming the gate)."""
-    if op not in ("form", "bracket", "cobracket"):
-        raise ValueError(f"unknown operation {op!r}")
-    config = expand_to_gates(surface, star_id, loops)
-    # The cobracket splits the loop named "a", as on the star route.
-    owner = {"owner": "a"} if op == "cobracket" else {}
+) -> tuple[dict[tuple[str, ...], tuple], dict[str, GateConfiguration]]:
+    """Each call's per-star values by one route: ``(values, configs)``.
+
+    A call names an operation and the loops of ``prepared`` it reads:
+    ``("form", x, y)``, ``("bracket", x, y)`` or ``("cobracket", x)``.
+    ``values`` maps each call to its ``per_star`` tuple, ``(star id,
+    value)`` for every star in order; ``configs`` maps each star id to its
+    gate configuration on the gate route, and is empty on the star route.
+    Before its first cobracket of a family of two or more loops, the star
+    route checks once per star that no two loops share a point.  Raises
+    :class:`ValueError` on an unknown operation or method, an omega on the
+    star route, or a call that names a loop not prepared.
+    """
+    _check_calls(calls, prepared, method, omega)
+    return _walk(surface, prepared, calls, method, omega)
+
+
+def _walk(surface, prepared, calls, method, omega):
+    """The body of :func:`evaluate`, for calls already checked:
+    :func:`aggregate` checks its call before it prepares the loops."""
+    values = {}
+    if method == "star":
+        family = len(prepared) > 1  # shared points to check before a cobracket
+        # One pass over the stars per call, each star function called
+        # directly: a per-star dispatch costs more than the smallest term.
+        for call in calls:
+            a = prepared[call[1]]
+            if call[0] == "cobracket":
+                if family:
+                    family = False
+                    for star in surface.stars:
+                        if _share_a_point(star.id, prepared.values()):
+                            _check_disjoint(star, prepared)
+                per_star = [(s.id, star_cobracket(surface, s.id, a)) for s in surface.stars]
+            else:
+                fn, b = star_form if call[0] == "form" else star_bracket, prepared[call[2]]
+                per_star = [(s.id, fn(surface, s.id, a, b)) for s in surface.stars]
+            values[call] = tuple(per_star)
+        return values, {}
+    configs = {star.id: expand_to_gates(surface, star.id, prepared) for star in surface.stars}
     # Looked up by name at call time: gates.form, gates.form_omega, ...
-    if omega is None:
-        return getattr(gatecalc, op)(config, **owner)
-    return getattr(gatecalc, f"{op}_omega")(config, omega, **owner)
-
-
-def star_route(
-    surface: StarFilledSurface,
-    star_id: str,
-    loops: Mapping[str, PreparedLoop],
-    op: str,
-):
-    if op == "form":
-        return star_form(surface, star_id, loops["a"], loops["b"])
-    if op == "bracket":
-        return star_bracket(surface, star_id, loops["a"], loops["b"])
-    if op == "cobracket":
-        if len(loops) > 1 and _share_a_point(star_id, loops.values()):
-            _check_disjoint(surface.star(star_id), loops)
-        return star_cobracket(surface, star_id, loops["a"])
-    raise ValueError(f"unknown operation {op!r}")
+    suffix, lead = ("", ()) if omega is None else ("_omega", (omega,))
+    for call in calls:
+        fn, args = getattr(gatecalc, call[0] + suffix), (*lead, *call[1:])
+        values[call] = tuple([(sid, fn(config, *args)) for sid, config in configs.items()])
+    return values, configs
 
 
 @dataclass(frozen=True)
@@ -425,15 +457,15 @@ def aggregate(
     ``per_star`` lists every star.  The star route gives a star that ``a``
     does not cross (for the bracket, that ``a`` or ``b`` does not cross)
     its zero without reading it; the gate route evaluates every star.
+
+    Before any loop is prepared, raises :class:`ValueError` on an unknown
+    ``op`` or ``method``, an ``omega`` with ``method="star"``, or a loop
+    ``a`` (or ``b``) that the operation reads and ``loops`` lacks.
     """
-    if op not in ("form", "bracket", "cobracket"):
-        raise ValueError(f"unknown operation {op!r}")
-    if omega is not None and method == "star":
-        raise ValueError("an orientation omega needs the gate route")
-    route = star_route if method == "star" else partial(gate_route, omega=omega)
-    loops = prepare_loops(surface, loops)
-    per_star = tuple((star.id, route(surface, star.id, loops, op)) for star in surface.stars)
-    total = sum_stars(op, [value for _, value in per_star])
+    call = (op, "a") if op == "cobracket" else (op, "a", "b")
+    _check_calls((call,), loops, method, omega)
+    per_star = _walk(surface, prepare_loops(surface, loops), (call,), method, omega)[0][call]
+    total = sum_stars(op, per_star)
     return AggregateResult(
         op=op,
         method=method,
@@ -443,8 +475,9 @@ def aggregate(
     )
 
 
-def sum_stars(op: str, values: Sequence) -> object:
-    """The plain sum of one operation's per-star values."""
+def sum_stars(op: str, per_star: Sequence[tuple[str, object]]) -> object:
+    """The plain sum of one operation's ``per_star`` values."""
+    values = map(itemgetter(1), per_star)
     if op == "form":
         return sum(values)
     return (FormalSum if op == "bracket" else TensorSum).sum_of(values)

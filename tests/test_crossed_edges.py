@@ -6,6 +6,7 @@ checked on the gates no loop crosses."""
 import functools
 import random
 import re
+from collections import Counter
 
 import pytest
 from conftest import torus_grid
@@ -171,63 +172,88 @@ def test_a_callers_omega_is_checked_on_uncrossed_gates(op):
     star = uncrossed_star(surface, loops)
     full = {g: 1 for s in surface.stars for g in ((s.id, e) for e in range(s.edge_count))}
     prepared = prepare_loops(surface, loops)
+    call = (op, "a") if op == "cobracket" else (op, "a", "b")
     missing = dict(full)
     del missing[star.id, 2], missing[star.id, 1]
     text = f"gate orientation missing gate {(star.id, 1)!r}"
     with pytest.raises(GateCalculusError, match=re.escape(text)):
         aggregate(surface, loops, op, "gate", omega=missing)
     with pytest.raises(GateCalculusError, match=re.escape(text)):
-        stars.gate_route(surface, star.id, prepared, op, omega=missing)
+        stars.evaluate(surface, prepared, [call], "gate", omega=missing)
     bad = dict(full)
     bad[star.id, 0] = 2
     with pytest.raises(GateCalculusError, match=re.escape("gate orientation sign 2 is not +-1")):
         aggregate(surface, loops, op, "gate", omega=bad)
     with pytest.raises(GateCalculusError, match="is not \\+-1"):
-        stars.gate_route(surface, star.id, prepared, op, omega=bad)
+        stars.evaluate(surface, prepared, [call], "gate", omega=bad)
     assert aggregate(surface, loops, op, "gate", omega=full).per_star
 
 
 def test_a_star_no_term_can_arise_on_is_not_read(monkeypatch):
     """On ``torus5``, each star that ``a`` does not cross, or for the
     bracket that ``b`` does not cross, gets its operation's zero from the
-    star functions without a bucket read, a ``Star.succ``/``pred`` call, a
-    disjointness check, a star lookup or a decode.  That ``per_star``
-    still lists it with its zero, and that the routes agree, is checked by
+    star route of :func:`~loopcalc.stars.evaluate` without a bucket read, a
+    ``Star.succ``/``pred`` call, a disjointness check, a star lookup or a
+    decode.  Each read is counted on the star it reads, and a decode on the
+    star whose star function runs.  That ``per_star`` still lists it with
+    its zero, and that the routes agree, is checked by
     ``test_routes_agree_and_star_forms_match_the_raw_skew_sum``."""
     surface = surface_of("torus5")
     pairs = crossing_pairs_on(surface, 5, 10)
-    counts = dict.fromkeys(("on_edge", "succ_pred", "check", "star", "decoded"), 0)
+    keys = ("on_edge", "succ_pred", "check", "star", "decoded")
+    counts = Counter()
+    running = [None]  # the star whose star function runs
 
-    def counting(key, fn):
+    def counting(key, fn, star_of):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts[key, star_of(*args)] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(PreparedLoop, "on_edge", counting("on_edge", PreparedLoop.on_edge))
+    def entering(fn):
+        def wrapper(surface, star_id, *loops):
+            running[0] = star_id
+            return fn(surface, star_id, *loops)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        PreparedLoop, "on_edge", counting("on_edge", PreparedLoop.on_edge, lambda _, s, e: s)
+    )
     for name in ("succ", "pred"):
-        monkeypatch.setattr(Star, name, counting("succ_pred", getattr(Star, name)))
-    monkeypatch.setattr(stars, "_check_disjoint", counting("check", stars._check_disjoint))
-    monkeypatch.setattr(StarFilledSurface, "star", counting("star", StarFilledSurface.star))
-    monkeypatch.setattr(stars, "decoded", counting("decoded", stars.decoded))
+        succ_pred = counting("succ_pred", getattr(Star, name), lambda s, e: s.id)
+        monkeypatch.setattr(Star, name, succ_pred)
+    monkeypatch.setattr(
+        stars, "_check_disjoint", counting("check", stars._check_disjoint, lambda s, loops: s.id)
+    )
+    monkeypatch.setattr(
+        StarFilledSurface, "star", counting("star", StarFilledSurface.star, lambda _, s: s)
+    )
+    monkeypatch.setattr(
+        stars, "decoded", counting("decoded", stars.decoded, lambda *_: running[0])
+    )
+    for name in ("star_form", "star_bracket", "star_cobracket"):
+        monkeypatch.setattr(stars, name, entering(getattr(stars, name)))
     skipped = dict.fromkeys(OPS, 0)
     read = 0
     for loops in pairs:
         prepared = prepare_loops(surface, loops)
         crossed = {name: {t.star for t in loop.transits} for name, loop in loops.items()}
-        for star in surface.stars:
-            for op in OPS:
+        for op in OPS:
+            call = (op, "a") if op == "cobracket" else (op, "a", "b")
+            counts.clear()
+            per_star = stars.evaluate(surface, prepared, [call])[0][call]
+            for star, (star_id, value) in zip(surface.stars, per_star, strict=True):
+                assert star_id == star.id
                 empty = star.id not in crossed["a"] or (
                     op == "bracket" and star.id not in crossed["b"]
                 )
-                for key in counts:
-                    counts[key] = 0
-                value = stars.star_route(surface, star.id, prepared, op)
+                reads = {key: counts[key, star.id] for key in keys}
                 if empty:
                     skipped[op] += 1
                     assert value == ZERO[op], (star.id, op)
-                    assert counts == dict.fromkeys(counts, 0), (star.id, op)
+                    assert reads == dict.fromkeys(keys, 0), (star.id, op)
                 else:
-                    read += counts["on_edge"] > 0
+                    read += reads["on_edge"] > 0
     assert all(skipped.values()) and read > 0

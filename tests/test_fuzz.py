@@ -5,7 +5,6 @@ import doctest
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -98,11 +97,11 @@ def test_fuzz_builds_one_configuration_per_star_and_pair(monkeypatch):
 
 
 def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
-    """Every check reads one per-star evaluation of each route: per pair,
-    one star form and bracket per star, one star cobracket per star and
-    loop, and one skew gate form, bracket and cobracket per star and loop.
-    Each move check adds one star-route evaluation, of the moved pair, and
-    nothing calls ``stars.aggregate``."""
+    """Every check reads one ``stars.evaluate`` of the fuzz calls by each
+    route: per pair, one star form and bracket per star, one star cobracket
+    per star and loop, and one skew gate form, bracket and cobracket per
+    star and loop.  Each move check adds one star-route evaluation, of the
+    moved pair, and nothing calls ``stars.aggregate``."""
     counts = Counter()
 
     def counting(module, name, key):
@@ -131,14 +130,19 @@ def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
         lambda config, owner=None, omega=None: ("cobracket", config.gates[0][0], owner, omega is None),
     )
     counting(stars, "aggregate", lambda *args, **kwargs: "aggregate")
-    counting(fuzz, "star_route_values", lambda surface, loops: "star_route_values")
+    counting(
+        stars,
+        "evaluate",
+        lambda surface, prepared, calls, method="star", omega=None: ("evaluate", method, calls),
+    )
     for spec, pairs in (("g1b1", 6), ("g2b1", 4), ("g3b2", 2)):
         counts.clear()
         report = run_fuzz(spec, pairs=pairs, moves=3, seed=2)
         assert report.ok and report.checks["moves"] > 0
         assert counts["aggregate"] == 0
         evaluated = pairs + report.checks["moves"]
-        assert counts["star_route_values"] == evaluated
+        assert counts["evaluate", "star", fuzz.CALLS] == evaluated
+        assert counts["evaluate", "gate", fuzz.CALLS] == pairs
         surface, _ = surface_from_spec(spec)
         for star in surface.stars:
             assert counts["star_form", star.id] == evaluated
@@ -174,19 +178,20 @@ def test_b_cobracket_sums_are_checked(monkeypatch):
     evaluation adds ``k`` to one term of ``b``'s cobracket: the first pair
     is odd there, and the second pair's moved evaluation differs from its
     own."""
-    route = fuzz.star_route_values
+    evaluate = stars.evaluate
     calls = []
 
-    def perturbed(surface, loops):
-        values = route(surface, loops)
-        calls.append(len(calls) + 1)
-        star, first = next(iter(values.items()))
-        extra = TensorSum({(TRIVIAL_CLASS, TRIVIAL_CLASS): calls[-1]})
-        cobracket = {**first.cobracket, "b": first.cobracket["b"] + extra}
-        values[star] = replace(first, cobracket=cobracket)
-        return values
+    def perturbed(surface, prepared, evaluated, method="star", omega=None):
+        values, configs = evaluate(surface, prepared, evaluated, method, omega)
+        if method == "star":
+            calls.append(len(calls) + 1)
+            key = ("cobracket", "b")
+            (star, first), *rest = values[key]
+            extra = TensorSum({(TRIVIAL_CLASS, TRIVIAL_CLASS): calls[-1]})
+            values[key] = ((star, first + extra), *rest)
+        return values, configs
 
-    monkeypatch.setattr(fuzz, "star_route_values", perturbed)
+    monkeypatch.setattr(stars, "evaluate", perturbed)
     report = run_fuzz("g1b1", pairs=2, moves=2, seed=1)
     assert calls == [1, 2, 3]
     messages = {

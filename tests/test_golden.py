@@ -21,6 +21,7 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from conftest import torus_grid
 from loopcalc import closed, stars
 from loopcalc.cli import main
 from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
-from loopcalc.fuzz import random_loop_pair, run_fuzz, surface_from_spec
+from loopcalc.fuzz import CALLS, random_loop_pair, run_fuzz, surface_from_spec
 from loopcalc.loops import CombinatorialLoop, LoopError, Transit, inverse_loop
 from loopcalc.surface import canonical_surface
 
@@ -267,6 +268,61 @@ def test_aggregates_unchanged(golden, surfaces):
         got = aggregate_outputs(surfaces, case)
         for key, value in case["outputs"].items():
             assert _dump(got[key]) == _dump(value), (case["surface"], key)
+
+
+def test_one_evaluation_of_the_fuzz_calls_matches_each_call_alone(
+    golden, surfaces, monkeypatch
+):
+    """On every golden aggregate input, by the star route, the gate route
+    and the gate route with an omega, one ``stars.evaluate`` of the four
+    fuzz calls gives each call's ``per_star`` exactly as a one-call
+    evaluate and ``aggregate`` do.  It expands each star once on the gate
+    route, and runs each star function once per star and call on the star
+    route."""
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(stars, name)
+
+        def wrapper(surface, star_id, *args):
+            counts[name, star_id] += 1
+            return original(surface, star_id, *args)
+
+        monkeypatch.setattr(stars, name, wrapper)
+
+    for name in ("expand_to_gates", "star_form", "star_bracket", "star_cobracket"):
+        counting(name)
+    per_star_and_call = {
+        "star": {"star_form": 1, "star_bracket": 1, "star_cobracket": 2},
+        "gate": {"expand_to_gates": 1},
+    }
+
+    def exact(per_star):
+        return _dump([[star_id, stars.value_json(value)] for star_id, value in per_star])
+
+    for case in golden["aggregate"]:
+        surface = surfaces[case["surface"]]
+        a, b = (CombinatorialLoop.from_json(case[name]) for name in "ab")
+        prepared = stars.prepare_loops(surface, {"a": a, "b": b})
+        rng = random.Random(f"omega/{case['surface']}")
+        omega = {(g.star, g.edge): rng.choice((1, -1)) for g in surface.gates()}
+        ids = [star.id for star in surface.stars]
+        for method, orientation in (("star", None), ("gate", None), ("gate", omega)):
+            counts.clear()
+            values, configs = stars.evaluate(surface, prepared, CALLS, method, orientation)
+            expected = per_star_and_call[method]
+            assert counts == Counter(
+                {(name, star_id): n for name, n in expected.items() for star_id in ids}
+            )
+            assert list(configs) == (ids if method == "gate" else [])
+            assert list(values) == list(CALLS)
+            for call in CALLS:
+                op, loop = call[0], {"a": a, "b": b}[call[1]]
+                loops = {"a": loop} if op == "cobracket" else {"a": a, "b": b}
+                alone = stars.evaluate(surface, prepared, [call], method, orientation)[0]
+                result = stars.aggregate(surface, loops, op, method, orientation)
+                assert exact(values[call]) == exact(alone[call]) == exact(result.per_star)
+                assert [star_id for star_id, _ in values[call]] == ids
 
 
 def test_closed_operations_unchanged(golden):

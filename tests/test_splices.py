@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from loopcalc import algebra, fuzz, gates, words
+from loopcalc import algebra, fuzz, gates, stars, words
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
 from loopcalc.stars import expand_to_gates, prepare_loops, star_bracket, star_cobracket
 from loopcalc.words import canonical, join_canonical
@@ -221,9 +221,9 @@ def test_fuzz_pair_canonicalizes_each_key_once(canonicalized):
     for _ in range(4):
         a, b = random_loop_pair(surface, rng, 12)
         alone = 0
-        for route in (fuzz.star_route_values, fuzz.gate_route_values):
+        for method in ("star", "gate"):
             canonicalized.clear()
-            route(surface, family(surface, a, b))
+            stars.evaluate(surface, family(surface, a, b), fuzz.CALLS, method)
             alone += len(canonicalized)
         canonicalized.clear()
         pair = fuzz.fuzz_pair(surface, a, b)

@@ -7,6 +7,7 @@ import pytest
 from conftest import prepared
 
 from loopcalc import gates as gatecalc
+from loopcalc import stars
 from loopcalc.algebra import FormalSum
 from loopcalc.fuzz import fuzz_pair, oracle_failures, random_loop_pair
 from loopcalc.loops import (
@@ -291,3 +292,48 @@ def test_cobracket_of_a_pair_splits_a_on_both_routes():
     for method in ("star", "gate"):
         with pytest.raises(LoopError, match=shared):
             aggregate(surf, {"a": gens["x1"], "b": gens["x1"]}, "cobracket", method)
+
+
+def test_an_unknown_method_or_op_fails_before_any_loop_is_prepared(monkeypatch):
+    """``method="gates"``, or any route but ``star`` and ``gate``, raises
+    rather than running the gate route, and so does an unknown operation;
+    neither prepares a loop, and ``stars.evaluate`` checks the same."""
+    surf, gens = canonical_surface(1, 1)
+    a, b = make_generic(surf, [gens["x1"], gens["y1"]])
+    family = prepare_loops(surf, {"a": a, "b": b})
+    prepared_loops = []
+    monkeypatch.setattr(stars, "prepare_loops", lambda *args: prepared_loops.append(args))
+    unknown = "^unknown method 'gates': use 'star' or 'gate'$"
+    for op in ("form", "bracket", "cobracket"):
+        with pytest.raises(ValueError, match=unknown):
+            aggregate(surf, {"a": a, "b": b}, op, method="gates")
+    with pytest.raises(ValueError, match="^unknown operation 'twist'$"):
+        aggregate(surf, {"a": a, "b": b}, "twist", method="gate")
+    assert prepared_loops == []
+    with pytest.raises(ValueError, match=unknown):
+        stars.evaluate(surf, family, [("form", "a", "b")], "gates")
+    with pytest.raises(ValueError, match="^unknown operation 'twist'$"):
+        stars.evaluate(surf, family, [("twist", "a")])
+
+
+@pytest.mark.parametrize("method", ["star", "gate"])
+def test_a_missing_loop_fails_alike_on_both_routes(monkeypatch, method):
+    """A loop that the operation reads and the caller left out raises one
+    :class:`ValueError` naming the operation and the loop, on either route
+    and before any loop is prepared; ``stars.evaluate`` names a call's
+    missing loop the same way."""
+    surf, gens = canonical_surface(1, 1)
+    a, b = make_generic(surf, [gens["x1"], gens["y1"]])
+    family = prepare_loops(surf, {"a": a, "b": b})
+    prepared_loops = []
+    monkeypatch.setattr(stars, "prepare_loops", lambda *args: prepared_loops.append(args))
+    for op, loops, name in (
+        ("form", {"a": a}, "b"),
+        ("bracket", {"b": b}, "a"),
+        ("cobracket", {"b": b}, "a"),
+    ):
+        with pytest.raises(ValueError, match=f"^{op} needs a loop named '{name}'$"):
+            aggregate(surf, loops, op, method)
+    assert prepared_loops == []
+    with pytest.raises(ValueError, match="^bracket needs a loop named 'c'$"):
+        stars.evaluate(surf, family, [("form", "a", "b"), ("bracket", "a", "c")], method)
