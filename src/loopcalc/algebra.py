@@ -74,7 +74,11 @@ TRIVIAL_CLASS = HomotopyClass(())
 
 
 class FormalSum:
-    """Finitely supported integer combination of hashable keys."""
+    """Finitely supported integer combination of hashable keys.
+
+    No method changes a sum in place: each operation returns a new sum.
+    So one empty sum can stand for zero in many places at once (the star
+    route shares one for every star that gets no term)."""
 
     __slots__ = ("_terms",)
 

@@ -158,9 +158,11 @@ class OwnerWords(Mapping):
         first = next(iter(self._sources.values()), None)
         memo = getattr(first, "memo", None) or SpliceMemo()
         for i, (owner, source) in enumerate(self._sources.items()):
-            if getattr(source, "memo", memo) is not memo:
-                raise GateCalculusError("a configuration's loops must be prepared as one family")
-            self.index[owner] = getattr(source, "index", i)
+            if hasattr(source, "memo"):  # a prepared loop, indexed in its family
+                if source.memo is not memo:
+                    raise GateCalculusError("a configuration's loops must be prepared as one family")
+                i = source.index
+            self.index[owner] = i
         self.memo = memo
 
     def __getitem__(self, owner: str) -> tuple[int, ...]:

@@ -50,13 +50,16 @@ re-indexing of the skew sum over all edges, reading the counts at the
 surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
 read the buckets at ``e+`` and ``e-``.  So a star's term costs time
 linear in the transits that cross that star, not in its edges, on both
-routes.  On the star route a star where no term can arise, one that ``a``
-does not cross, or for the bracket one that ``b`` does not cross, gets its
-operation's zero at once: no star lookup, bucket read, check or decode.
-A family's shared-point test still runs on each star before a cobracket,
-so the star route's cobracket of a family finds a clash between two loops
-other than ``a``.  The gate route still expands and evaluates every star,
-and ``per_star`` lists each one on both routes.
+routes.  The star route of :func:`evaluate` calls a star function only on
+the stars its call's loops cross (``a``, and for the bracket ``b`` too),
+one membership test per star.  Every other star gets its operation's one
+shared zero (``0``, an empty :class:`~loopcalc.algebra.FormalSum` or an
+empty :class:`~loopcalc.algebra.TensorSum`): no call, star lookup, bucket
+read, check or decode.  Before the first cobracket of a family, the
+shared-point test runs on the stars two loops of the family cross, in star
+order, so the star route's cobracket of a family still finds a clash
+between two loops other than ``a``.  The gate route still expands and
+evaluates every star, and ``per_star`` lists each one on both routes.
 Points are compared by the integers ``(numerator, denominator)`` of their
 positions, and :func:`expand_to_gates` sorts an edge's crossings by
 integer keys, so no :class:`~fractions.Fraction` is hashed or compared.
@@ -119,6 +122,12 @@ class OddCoefficientError(Exception):
     """An aggregated value failed the evenness contract."""
 
 
+# The zeros of the star bracket and cobracket, one each, shared by every
+# star that gets no term: no operation on a sum changes it in place.
+_NO_BRACKET = FormalSum()
+_NO_COBRACKET = TensorSum()
+
+
 def prepare_loops(
     surface: StarFilledSurface, loops: Mapping[str, CombinatorialLoop]
 ) -> dict[str, PreparedLoop]:
@@ -178,6 +187,20 @@ def _share_a_point(star_id: str, loops: Collection[PreparedLoop]) -> bool:
     return False
 
 
+def _check_family(surface: StarFilledSurface, loops: Mapping[str, PreparedLoop]) -> None:
+    """Raise on the first star, in star order, on which two loops of the
+    family share a point, naming the first clash there in loop order.  Only
+    the stars that two loops both cross are tested (:func:`_share_a_point`)."""
+    seen: set[str] = set()
+    both: set[str] = set()
+    for loop in loops.values():
+        both.update(seen.intersection(loop.edges))
+        seen.update(loop.edges)
+    for star in surface.stars:
+        if star.id in both and _share_a_point(star.id, loops.values()):
+            _check_disjoint(star, loops)
+
+
 def star_form(
     surface: StarFilledSurface, star_id: str, a: PreparedLoop, b: PreparedLoop
 ) -> int:
@@ -207,7 +230,7 @@ def star_bracket(
     either loop does not cross has no term and is not read."""
     crossed = a.crossed(star_id)
     if not crossed or not b.crossed(star_id):
-        return FormalSum()
+        return _NO_BRACKET
     star = surface.star(star_id)
     if _share_a_point(star_id, (a, b)):
         _check_disjoint(star, {"a": a, "b": b})
@@ -228,7 +251,7 @@ def star_cobracket(surface: StarFilledSurface, star_id: str, a: PreparedLoop) ->
     has no term and is not read."""
     crossed = a.crossed(star_id)
     if not crossed:
-        return TensorSum()
+        return _NO_COBRACKET
     star = surface.star(star_id)
     terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for e in crossed:
@@ -347,8 +370,10 @@ def evaluate(
     ``values`` maps each call to its ``per_star`` tuple, ``(star id,
     value)`` for every star in order; ``configs`` maps each star id to its
     gate configuration on the gate route, and is empty on the star route.
-    Before its first cobracket of a family of two or more loops, the star
-    route checks once per star that no two loops share a point.  Raises
+    The star route calls a star function only on the stars the call's
+    loops cross, and lists the operation's shared zero for every other
+    star.  Before its first cobracket of a family of two or more loops, it
+    checks the stars that two loops cross for a shared point.  Raises
     :class:`ValueError` on an unknown operation or method, an omega on the
     star route, or a call that names a loop not prepared.
     """
@@ -363,19 +388,29 @@ def _walk(surface, prepared, calls, method, omega):
     if method == "star":
         family = len(prepared) > 1  # shared points to check before a cobracket
         # One pass over the stars per call, each star function called
-        # directly: a per-star dispatch costs more than the smallest term.
+        # directly and only on the stars its loops cross; every other star
+        # gets the operation's one shared zero.
         for call in calls:
             a = prepared[call[1]]
             if call[0] == "cobracket":
                 if family:
                     family = False
-                    for star in surface.stars:
-                        if _share_a_point(star.id, prepared.values()):
-                            _check_disjoint(star, prepared)
-                per_star = [(s.id, star_cobracket(surface, s.id, a)) for s in surface.stars]
+                    _check_family(surface, prepared)
+                crossed = a.edges
+                per_star = [
+                    (s.id, star_cobracket(surface, s.id, a) if s.id in crossed else _NO_COBRACKET)
+                    for s in surface.stars
+                ]
             else:
-                fn, b = star_form if call[0] == "form" else star_bracket, prepared[call[2]]
-                per_star = [(s.id, fn(surface, s.id, a, b)) for s in surface.stars]
+                b = prepared[call[2]]
+                if call[0] == "form":
+                    fn, crossed, zero = star_form, a.edges, 0
+                else:
+                    fn, crossed, zero = star_bracket, a.edges.keys() & b.edges.keys(), _NO_BRACKET
+                per_star = [
+                    (s.id, fn(surface, s.id, a, b) if s.id in crossed else zero)
+                    for s in surface.stars
+                ]
             values[call] = tuple(per_star)
         return values, {}
     configs = {star.id: expand_to_gates(surface, star.id, prepared) for star in surface.stars}
@@ -454,9 +489,10 @@ def aggregate(
     :class:`~loopcalc.loops.LoopError` naming the first shared point in
     loop order.  The CLI makes each pair generic first.
 
-    ``per_star`` lists every star.  The star route gives a star that ``a``
-    does not cross (for the bracket, that ``a`` or ``b`` does not cross)
-    its zero without reading it; the gate route evaluates every star.
+    ``per_star`` lists every star.  The star route calls no star function
+    on a star that ``a`` does not cross (for the bracket, that ``a`` or
+    ``b`` does not cross) and lists the operation's shared zero for it; the
+    gate route evaluates every star.
 
     Before any loop is prepared, raises :class:`ValueError` on an unknown
     ``op`` or ``method``, an ``omega`` with ``method="star"``, or a loop

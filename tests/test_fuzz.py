@@ -98,11 +98,14 @@ def test_fuzz_builds_one_configuration_per_star_and_pair(monkeypatch):
 
 def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
     """Every check reads one ``stars.evaluate`` of the fuzz calls by each
-    route: per pair, one star form and bracket per star, one star cobracket
-    per star and loop, and one skew gate form, bracket and cobracket per
-    star and loop.  Each move check adds one star-route evaluation, of the
-    moved pair, and nothing calls ``stars.aggregate``."""
+    route: per pair, one skew gate form, bracket and cobracket per star and
+    loop, and each star function once on each star its call's loops cross
+    (a star form on each star ``a`` crosses, a star bracket on each star
+    both loops cross, a star cobracket on each star each loop crosses) and
+    never on any other star.  Each move check adds one star-route
+    evaluation, of the moved pair, and nothing calls ``stars.aggregate``."""
     counts = Counter()
+    crossed = Counter()  # the star function calls the loops of each evaluation call for
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -130,26 +133,30 @@ def test_fuzz_evaluates_each_star_once_per_route_and_pair(monkeypatch):
         lambda config, owner=None, omega=None: ("cobracket", config.gates[0][0], owner, omega is None),
     )
     counting(stars, "aggregate", lambda *args, **kwargs: "aggregate")
-    counting(
-        stars,
-        "evaluate",
-        lambda surface, prepared, calls, method="star", omega=None: ("evaluate", method, calls),
-    )
+
+    def evaluate_key(surface, prepared, calls, method="star", omega=None):
+        if method == "star":
+            a, b = ({t.star for t in prepared[name].transits} for name in "ab")
+            crossed.update(("star_form", star_id) for star_id in a)
+            crossed.update(("star_bracket", star_id) for star_id in a & b)
+            for name, stars_crossed in (("a", a), ("b", b)):
+                crossed.update(("star_cobracket", s, prepared[name]) for s in stars_crossed)
+        return ("evaluate", method, calls)
+
+    counting(stars, "evaluate", evaluate_key)
     for spec, pairs in (("g1b1", 6), ("g2b1", 4), ("g3b2", 2)):
         counts.clear()
+        crossed.clear()
         report = run_fuzz(spec, pairs=pairs, moves=3, seed=2)
         assert report.ok and report.checks["moves"] > 0
         assert counts["aggregate"] == 0
         evaluated = pairs + report.checks["moves"]
         assert counts["evaluate", "star", fuzz.CALLS] == evaluated
         assert counts["evaluate", "gate", fuzz.CALLS] == pairs
+        assert all(n == 1 for key, n in crossed.items() if key[0] == "star_cobracket")
+        assert Counter({k: n for k, n in counts.items() if k[0].startswith("star_")}) == crossed
         surface, _ = surface_from_spec(spec)
         for star in surface.stars:
-            assert counts["star_form", star.id] == evaluated
-            assert counts["star_bracket", star.id] == evaluated
-            loops = [k[2] for k in counts if k[:2] == ("star_cobracket", star.id)]
-            assert len(loops) == 2 * evaluated  # one per loop of each pair
-            assert all(counts["star_cobracket", star.id, loop] == 1 for loop in loops)
             assert counts["form", star.id, "a", "b", True] == pairs
             assert counts["bracket", star.id, "a", "b", True] == pairs
             for owner in ("a", "b"):

@@ -277,8 +277,9 @@ def test_one_evaluation_of_the_fuzz_calls_matches_each_call_alone(
     and the gate route with an omega, one ``stars.evaluate`` of the four
     fuzz calls gives each call's ``per_star`` exactly as a one-call
     evaluate and ``aggregate`` do.  It expands each star once on the gate
-    route, and runs each star function once per star and call on the star
-    route."""
+    route.  On the star route it runs each call's star function once on
+    each star the call's loops cross (``a``, and for the bracket ``b``
+    too), read from the raw transits, and never on any other star."""
     counts = Counter()
 
     def counting(name):
@@ -292,10 +293,8 @@ def test_one_evaluation_of_the_fuzz_calls_matches_each_call_alone(
 
     for name in ("expand_to_gates", "star_form", "star_bracket", "star_cobracket"):
         counting(name)
-    per_star_and_call = {
-        "star": {"star_form": 1, "star_bracket": 1, "star_cobracket": 2},
-        "gate": {"expand_to_gates": 1},
-    }
+    star_function = {"form": "star_form", "bracket": "star_bracket", "cobracket": "star_cobracket"}
+    uncrossed = 0  # stars no loop of their case crosses
 
     def exact(per_star):
         return _dump([[star_id, stars.value_json(value)] for star_id, value in per_star])
@@ -307,13 +306,20 @@ def test_one_evaluation_of_the_fuzz_calls_matches_each_call_alone(
         rng = random.Random(f"omega/{case['surface']}")
         omega = {(g.star, g.edge): rng.choice((1, -1)) for g in surface.gates()}
         ids = [star.id for star in surface.stars]
+        crossed = {"a": {t.star for t in a.transits}, "b": {t.star for t in b.transits}}
+        on_star_route = Counter()
+        for call in CALLS:
+            loops = call[1:] if call[0] == "bracket" else call[1:2]
+            for star_id in set.intersection(*(crossed[name] for name in loops)):
+                on_star_route[star_function[call[0]], star_id] += 1
+        uncrossed += len(set(ids) - crossed["a"] - crossed["b"])
         for method, orientation in (("star", None), ("gate", None), ("gate", omega)):
             counts.clear()
             values, configs = stars.evaluate(surface, prepared, CALLS, method, orientation)
-            expected = per_star_and_call[method]
-            assert counts == Counter(
-                {(name, star_id): n for name, n in expected.items() for star_id in ids}
-            )
+            if method == "star":
+                assert counts == on_star_route
+            else:
+                assert counts == Counter({("expand_to_gates", star_id): 1 for star_id in ids})
             assert list(configs) == (ids if method == "gate" else [])
             assert list(values) == list(CALLS)
             for call in CALLS:
@@ -323,6 +329,7 @@ def test_one_evaluation_of_the_fuzz_calls_matches_each_call_alone(
                 result = stars.aggregate(surface, loops, op, method, orientation)
                 assert exact(values[call]) == exact(alone[call]) == exact(result.per_star)
                 assert [star_id for star_id, _ in values[call]] == ids
+    assert uncrossed > 0
 
 
 def test_closed_operations_unchanged(golden):
