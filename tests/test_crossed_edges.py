@@ -14,7 +14,7 @@ from conftest import torus_grid
 from loopcalc import gates, stars
 from loopcalc.algebra import FormalSum, TensorSum
 from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
-from loopcalc.fuzz import random_loop_pair, surface_from_spec
+from loopcalc.fuzz import CALLS, random_loop_pair, surface_from_spec
 from loopcalc.gates import GateCalculusError
 from loopcalc.loops import PreparedLoop
 from loopcalc.stars import aggregate, expand_to_gates, methods_agree, prepare_loops
@@ -257,3 +257,79 @@ def test_a_star_no_term_can_arise_on_is_not_read(monkeypatch):
                 else:
                     read += reads["on_edge"] > 0
     assert all(skipped.values()) and read > 0
+
+
+def test_the_star_route_lists_all_64_stars_with_one_shared_zero_per_op():
+    """On the 8x8 torus grid, for seeded cap-12 pairs, the star route's
+    ``per_star`` lists all 64 stars in surface order and equals the gate
+    route's.  Each star that a call's loops do not cross (``a``, and for
+    the bracket ``b`` too) gets its operation's zero: ``0``, or one empty
+    ``FormalSum`` or ``TensorSum`` shared by every such star."""
+    surface = surface_of("torus8")
+    ids = [star.id for star in surface.stars]
+    assert len(ids) == 64
+    zeros = {op: set() for op in OPS}  # ids of the zero objects handed out
+    for loops in pairs_on(surface, 8, 12):
+        prepared = prepare_loops(surface, loops)
+        crossed = {role: {t.star for t in loop.transits} for role, loop in loops.items()}
+        star_values = stars.evaluate(surface, prepared, CALLS)[0]
+        gate_values = stars.evaluate(surface, prepared, CALLS, "gate")[0]
+        for call in CALLS:
+            op, per_star = call[0], star_values[call]
+            assert [star_id for star_id, _ in per_star] == ids
+            assert per_star == gate_values[call], call
+            read = call[1:] if op == "bracket" else call[1:2]
+            for star_id, value in per_star:
+                if any(star_id not in crossed[role] for role in read):
+                    assert type(value) is type(ZERO[op]) and value == ZERO[op], (star_id, call)
+                    zeros[op].add(id(value))
+    assert all(zeros.values())
+    assert len(zeros["bracket"]) == len(zeros["cobracket"]) == 1
+
+
+def test_the_shared_zeros_stay_zero_through_the_arithmetic():
+    """Negating, adding, subtracting, scaling, transposing, halving and
+    summing over stars leave the star route's shared zeros empty."""
+    surface = surface_of("torus8")
+    prepared = prepare_loops(surface, pairs_on(surface, 8, 1)[0])
+    values = stars.evaluate(surface, prepared, CALLS)[0]
+    terms = {
+        "bracket": FormalSum({"x": 2, "y": -4}),
+        "cobracket": TensorSum({("x", "y"): 2, ("y", "x"): -2}),
+    }
+    for call in CALLS[1:]:
+        op, per_star = call[0], values[call]
+        zero, term = ZERO[op], terms[op]
+        shared = next(value for _, value in per_star if value.is_zero)
+        results = [-shared, 3 * shared, 0 * term, shared.halved(), shared + shared]
+        results += [shared.transpose()] if op == "cobracket" else []
+        assert all(result == zero for result in results)
+        assert shared + term == term + shared == term and shared - term == -term
+        total = stars.sum_stars(op, [*per_star, ("t", term)])
+        assert total == term and stars.halve(total, op) == term.halved()
+        assert shared == zero and len(shared) == 0 and not list(shared.items()), call
+        assert stars.evaluate(surface, prepared, [call])[0][call] == per_star
+
+
+def test_a_familys_shared_point_test_reads_only_the_stars_two_loops_cross(monkeypatch):
+    """Before the first cobracket of a family, the star route tests for a
+    shared point only the stars that two loops of the family cross, in star
+    order."""
+    surface = surface_of("torus3")
+    tested = []
+    share = stars._share_a_point
+
+    def counting(star_id, loops):
+        tested.append(star_id)
+        return share(star_id, loops)
+
+    monkeypatch.setattr(stars, "_share_a_point", counting)
+    both_seen = 0
+    for loops in pairs_on(surface, 3, 12):
+        crossed = {role: {t.star for t in loop.transits} for role, loop in loops.items()}
+        tested.clear()
+        stars.evaluate(surface, prepare_loops(surface, loops), [("cobracket", "a")])
+        both = [star.id for star in surface.stars if star.id in crossed["a"] & crossed["b"]]
+        assert tested == both
+        both_seen += len(both)
+    assert both_seen > 0

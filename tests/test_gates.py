@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from loopcalc.algebra import FormalSum
+from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
 from loopcalc.fuzz import random_loop_pair, random_omega
 from loopcalc.gates import (
     GateCalculusError,
@@ -304,6 +304,21 @@ def test_two_gate_flip_matches_dual_counts():
     )
     assert v(config, "g1", "a") == 2
     assert v(config, "g1", "b") == 2
+
+
+def test_raw_config_words_are_indexed_in_the_order_given():
+    """A raw configuration's plain words get a splice memo of their own and
+    are indexed in it by their position, not by the words' own ``index``
+    method; the splices give the same values through it."""
+    config = two_gate_config(aligned=False)
+    omega = config.base_omega
+    assert bracket(config).is_zero
+    assert config.words.index == {"a": 0, "b": 1}
+    core = HomotopyClass((("g1", 0), ("g2", 1)))
+    assert bracket_omega(config, omega) == FormalSum({HomotopyClass(core.letters * 4): 4})
+    for owner in "ab":
+        assert cobracket_omega(config, omega, owner) == TensorSum({(core, core): 2})
+    assert config.words.index == {"a": 0, "b": 1}
 
 
 # -- raw parsing ------------------------------------------------------------------
