@@ -387,9 +387,9 @@ def _walk(surface, prepared, calls, method, omega):
     values = {}
     if method == "star":
         family = len(prepared) > 1  # shared points to check before a cobracket
-        # One pass over the stars per call, each star function called
-        # directly and only on the stars its loops cross; every other star
-        # gets the operation's one shared zero.
+        # One pass over the stars per call.  A star function is called
+        # directly (a per-star dispatch costs more than the smallest term)
+        # and only on the stars its loops cross; the rest share one zero.
         for call in calls:
             a = prepared[call[1]]
             if call[0] == "cobracket":
