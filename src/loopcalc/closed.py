@@ -61,6 +61,8 @@ def validate_filling_spec(spec: FillingGraphSpec) -> ValidationReport:
         problems.append(f"ids used for both colors: {sorted(overlap)}")
 
     edge_ids = [e for e, _, _ in spec.edges]
+    if not edge_ids:
+        problems.append("filling graph has no edges")
     if len(set(edge_ids)) != len(edge_ids):
         problems.append("duplicate edge ids")
     incident_blue: dict[str, set[str]] = {v: set() for v in blue_ids}

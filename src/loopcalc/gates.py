@@ -11,29 +11,32 @@ Configurations come from two builders: expanding prepared loops across
 one star (:func:`loopcalc.stars.expand_to_gates`) or parsing raw JSON
 crossing data used to encode gate-crossing examples directly
 (:func:`raw_config_from_json`).  Each builder hands
-:class:`GateConfiguration` the crossings of the gates it lists in slot
-order, filed under their own gate and owned by a loop it has a word for,
-and the configuration stores them as given; the raw parser is the one
-place that checks outside input.  The raw parser lists every gate it is
-given, crossed or not, with its own ``eps_omega`` table.  An expansion
-lists only the gates its loops cross: the star's other gates read ``()``,
-and its ``gates`` and ``+1`` ``base_omega`` are the star's own, built once
-per star (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`), so
-that the work of a configuration follows its crossings.  Raw
+:class:`GateConfiguration` its gates, their orientation ``base_omega``,
+the crossings of the gates it lists in slot order, filed under their own
+gate, and each owner's word, and the configuration stores them as given;
+the raw parser is the one place that checks outside input.  The raw parser
+lists every gate it is given, crossed or not, with its own ``eps_omega``
+table.  An expansion lists only the gates its loops cross: the star's
+other gates read ``()``, and its ``gates`` and ``+1`` ``base_omega`` are
+the star's own, built once per star
+(:meth:`~loopcalc.surface.StarFilledSurface.star_gates`), so that the work
+of a configuration follows its crossings.  Raw
 configurations assume the complement of the core is a disjoint union of
 simply connected pieces glued along one component, so classes are words
 in the crossing letters; inputs outside that regime are the caller's
 responsibility.
 
-The splice memo.  Every bracket, pairing and cobracket term is the class
-of a splice at a crossing pair.  :func:`graft_at` and :func:`split_at`
-splice on the owners' :class:`~loopcalc.words.CyclicWord` and return the
-canonical integer word of the class from the configuration's
-:class:`~loopcalc.words.SpliceMemo`, which works each word out on first
-use.  A configuration expanded from prepared loops shares their family's
-memo (:func:`loopcalc.stars.prepare_loops`), so the star route, the gate
-route on every star and every check on one family fill one memo; a raw
-configuration's words are a family of their own.  The memo keys each
+Family words.  An owner's word is a :class:`~loopcalc.words.FamilyWord`:
+an expansion's are the prepared loops themselves
+(:func:`loopcalc.stars.prepare_loops`), and the raw parser makes its
+owners' words one family of their own, indexed in sorted owner order.  A
+configuration's words must all come from one family, and it raises
+:class:`GateCalculusError` when it is made if they do not.  Every
+bracket, pairing and cobracket term is the class of a splice at a crossing
+pair: :func:`graft_at` and :func:`split_at` return its canonical integer
+word from the family's :class:`~loopcalc.words.SpliceMemo`, which works
+each word out on first use, so the star route, the gate route on every
+star and every check on one family fill one memo.  The memo keys each
 owner by its index in the family: a graft by ``(p's owner, p's rotation
 start, q's owner, q's rotation start)``, where a crossing rotates its
 owner's word just after an entering letter or at a leaving one, and a
@@ -71,27 +74,28 @@ walks each gate once per sign, operation and order of its owners.  Owners
 stay ordered, so the identities of :mod:`loopcalc.fuzz` (reversal, pairing
 symmetry, flip) still compare sides summed by separate walks.  The side
 table lives and dies with its configuration; the splice memo lives as long
-as its family's loops.
+as its family's words.
 
 Each operation sums its sides on the integer words, the skew ones take
 their difference there too, and only its nonzero terms are decoded into
 :class:`~loopcalc.algebra.HomotopyClass`, once, at its return
 (:func:`loopcalc.algebra.decoded`).
 
-A configuration encodes nothing: a prepared loop's word comes from the
-scan that validated it, and the configuration reads an owner's cyclic word
-on its first splice, so the form makes none.  It lists each owner's
+A configuration encodes nothing: an expansion's words come from the scans
+that validated its loops.  A word makes its
+:class:`~loopcalc.words.CyclicWord` only when the memo misses one of its
+splices, so the form makes none.  A configuration lists each owner's
 crossings of each gate once, when it is made.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from typing import Hashable, NamedTuple
 
 from loopcalc.algebra import FormalSum, TensorSum, decoded
-from loopcalc.words import IN, OUT, CyclicWord, LetterTable, SpliceMemo
+from loopcalc.words import IN, OUT, FamilyWord, LetterTable, SpliceMemo
 
 
 class GateCalculusError(Exception):
@@ -119,65 +123,6 @@ class GateCrossing(NamedTuple):
     slot: int
 
 
-class OwnerWords(Mapping):
-    """Each owner's cyclic letter word, read from its source on first use.
-    A source is a word, or a :class:`~loopcalc.loops.PreparedLoop`, which
-    makes its :class:`~loopcalc.words.CyclicWord` on first use; a plain
-    word is made into one here.  It keeps the mapping of sources it is
-    given and maps each owner to its word; ``loaded`` is the plain dict of
-    the cyclic words read so far, for the splices' hot path.
-
-    ``memo`` is the sources' splice memo and ``index`` each owner's index
-    in it, read with the first word loaded, so a configuration that never
-    splices (the form) never reads them: prepared loops bring their
-    family's, and must all come from one family; plain words get a memo of
-    their own, indexed in the order given."""
-
-    __slots__ = ("_sources", "loaded", "memo", "index")
-
-    def __init__(self, sources: Mapping[str, object]):
-        self._sources = sources
-        self.loaded: dict[str, CyclicWord] = {}
-        self.memo: SpliceMemo | None = None
-        self.index: dict[str, int] = {}
-
-    def cyclic(self, owner: str) -> CyclicWord:
-        try:
-            return self.loaded[owner]
-        except KeyError:
-            if self.memo is None:
-                self._read_family()
-            source = self._sources[owner]
-            word = getattr(source, "cyclic", None)
-            if word is None:
-                word = CyclicWord(source)
-            self.loaded[owner] = word
-            return word
-
-    def _read_family(self) -> None:
-        first = next(iter(self._sources.values()), None)
-        memo = getattr(first, "memo", None) or SpliceMemo()
-        for i, (owner, source) in enumerate(self._sources.items()):
-            if hasattr(source, "memo"):  # a prepared loop, indexed in its family
-                if source.memo is not memo:
-                    raise GateCalculusError("a configuration's loops must be prepared as one family")
-                i = source.index
-            self.index[owner] = i
-        self.memo = memo
-
-    def __getitem__(self, owner: str) -> tuple[int, ...]:
-        return self.cyclic(owner).word
-
-    def __contains__(self, owner) -> bool:
-        return owner in self._sources
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sources)
-
-    def __len__(self) -> int:
-        return len(self._sources)
-
-
 def _by_owner(
     crossings: Mapping[GateKey, tuple[GateCrossing, ...]], owners: Mapping[str, object]
 ) -> dict[tuple[GateKey, str], tuple[GateCrossing, ...]]:
@@ -197,41 +142,37 @@ def _by_owner(
 
 
 class GateConfiguration:
-    """Per-gate ordered crossings plus the owning loops' cyclic words and
-    their splice memo, and the table ``sides`` of the gate sides summed on
-    it so far.  ``crossings`` maps gates to their crossings in slot order,
-    stored as the builder hands them.  ``words`` maps each owner to its
-    word or to a prepared loop (see :class:`OwnerWords`).
+    """Per-gate ordered crossings plus the owners' words, and the table
+    ``sides`` of the gate sides summed on it so far.  ``crossings`` maps
+    gates to their crossings in slot order, stored as the builder hands
+    them.  ``words`` maps each owner to its
+    :class:`~loopcalc.words.FamilyWord`; they must all share one splice
+    memo, or :class:`GateCalculusError` is raised.
 
-    ``base_omega`` is the orientation every operation given no ``omega``
-    uses, and its keys are the configuration's gates; ``gates`` lists them
-    sorted.  Given no ``gates``, they are the gates of ``crossings``,
-    ``base_omega`` is copied, and it is ``+1`` on every gate when not
-    given.  Given ``gates``, both are kept as given: an expansion passes
-    its star's (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`),
-    shared by every configuration on the star, and ``crossings`` then
-    leaves out the gates no loop crosses, which read ``()``."""
+    ``gates`` lists the configuration's gates sorted, and ``base_omega``,
+    the orientation every operation given no ``omega`` uses, has them as
+    its keys.  Both are kept as given: an expansion passes its star's
+    (:meth:`~loopcalc.surface.StarFilledSurface.star_gates`), shared by
+    every configuration on the star, and ``crossings`` then leaves out the
+    gates no loop crosses, which read ``()``."""
 
     def __init__(
         self,
         crossings: Mapping[GateKey, tuple[GateCrossing, ...]],
-        words: Mapping[str, object],
+        words: Mapping[str, FamilyWord],
         table: LetterTable,
-        base_omega: Mapping[GateKey, int] | None = None,
-        gates: tuple[GateKey, ...] | None = None,
+        base_omega: Mapping[GateKey, int],
+        gates: tuple[GateKey, ...],
     ):
+        self.words = dict(words)
+        if len({id(word.memo) for word in self.words.values()}) > 1:
+            raise GateCalculusError("a configuration's loops must be prepared as one family")
         self.crossings = crossings
-        sources = dict(words)
-        self.words = OwnerWords(sources)
         self.table = table
-        if gates is None:
-            self.gates = tuple(sorted(crossings))
-            self.base_omega = dict(base_omega) if base_omega else {g: 1 for g in self.gates}
-        else:
-            self.gates, self.base_omega = gates, base_omega
+        self.gates, self.base_omega = gates, base_omega
         self.sides: dict[tuple, int | dict] = {}
         # Each owner's crossings of each gate it crosses, in slot order.
-        self._owned = _by_owner(crossings, sources)
+        self._owned = _by_owner(crossings, self.words)
 
     @property
     def owners(self) -> tuple[str, ...]:
@@ -290,10 +231,10 @@ def _along(sign: int, crossings: tuple[GateCrossing, ...]) -> tuple[GateCrossing
 # -- splicing -------------------------------------------------------------------
 
 
-def _start(word: CyclicWord, c: GateCrossing) -> int:
-    """Where the owner's cyclic ``word`` is rotated at the crossing: after
-    an entering crossing's letter, at a leaving one's."""
-    return (c.letter_index + 1) % word.size if c.eps > 0 else c.letter_index
+def _start(word: FamilyWord, c: GateCrossing) -> int:
+    """Where the owner's ``word`` is rotated at the crossing: after an
+    entering crossing's letter, at a leaving one's."""
+    return (c.letter_index + 1) % len(word.word) if c.eps > 0 else c.letter_index
 
 
 def graft_at(
@@ -304,11 +245,8 @@ def graft_at(
     gate."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
-    words = config.words
-    pw = words.loaded.get(p.owner) or words.cyclic(p.owner)
-    qw = words.loaded.get(q.owner) or words.cyclic(q.owner)
-    index = words.index
-    return words.memo.graft(index[p.owner], pw, _start(pw, p), index[q.owner], qw, _start(qw, q))
+    pw, qw = config.words[p.owner], config.words[q.owner]
+    return pw.memo.graft(pw, _start(pw, p), qw, _start(qw, q))
 
 
 def split_at(
@@ -322,11 +260,10 @@ def split_at(
         raise GateCalculusError("split crossings must share owner and gate")
     if p1.letter_index == p2.letter_index:
         raise GateCalculusError("split crossings must be distinct")
-    words = config.words
-    cyclic = words.loaded.get(p1.owner) or words.cyclic(p1.owner)
-    count = (p2.letter_index - p1.letter_index) % cyclic.size
+    word = config.words[p1.owner]
+    count = (p2.letter_index - p1.letter_index) % len(word.word)
     length = count + 1 - (p1.eps > 0) - (p2.eps < 0)
-    return words.memo.split(words.index[p1.owner], cyclic, _start(cyclic, p1), length)
+    return word.memo.split(word, _start(word, p1), length)
 
 
 # -- the operations -------------------------------------------------------------
@@ -599,7 +536,26 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
     ``eps_omega`` records the configuration's own gate orientation, used as
     the default for orientation-dependent operations.  Any other shape, a
     missing key or a value that does not convert raises
-    :class:`GateCalculusError` naming the gate or crossing.
+    :class:`GateCalculusError` naming the gate or crossing.  The owners'
+    words are one family, indexed in sorted owner order.
+
+    Two loops that each enter the core through ``g1`` and leave through
+    ``g2``, with ``b`` first along both gates, cross once; their form and
+    bracket are doubled, as the star sums are:
+
+    >>> config = raw_config_from_json({"gates": [
+    ...     {"id": "g1", "eps_omega": 1, "crossings": [
+    ...         {"owner": "a", "eps": 1, "slot": 1, "link": {"gate": "g2", "slot": 1}},
+    ...         {"owner": "b", "eps": 1, "slot": 0, "link": {"gate": "g2", "slot": 0}}]},
+    ...     {"id": "g2", "eps_omega": 1, "crossings": [
+    ...         {"owner": "a", "eps": -1, "slot": 1, "link": {"gate": "g1", "slot": 1}},
+    ...         {"owner": "b", "eps": -1, "slot": 0, "link": {"gate": "g1", "slot": 0}}]}]})
+    >>> config.gates, config.owners
+    (('g1', 'g2'), ('a', 'b'))
+    >>> form(config)
+    2
+    >>> bracket(config)
+    FormalSum(2*HomotopyClass(letters=(('g1', 0), ('g2', 1), ('g1', 0), ('g2', 1))))
     """
     if isinstance(data, str):
         try:
@@ -636,9 +592,10 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
     # Walk each owner's cycle to build its letter word.
     table = LetterTable(base_omega.keys())
     owners = sorted({owner for owner, _ in by_key.values()})
-    words: dict[str, list[int]] = {}
+    memo = SpliceMemo()
+    words: dict[str, FamilyWord] = {}
     letter_index: dict[tuple[str, int], int] = {}
-    for owner in owners:
+    for index, owner in enumerate(owners):
         keys = sorted(k for k, info in by_key.items() if info[0] == owner)
         start = keys[0]
         cycle = [start]
@@ -655,12 +612,16 @@ def raw_config_from_json(data: Mapping | str) -> GateConfiguration:
             eps = by_key[key][1]
             word.append(table.encode(key[0], IN if eps > 0 else OUT))
             letter_index[key] = i
-        words[owner] = word
+        words[owner] = FamilyWord(tuple(word), memo, index)
 
     # Each gate's crossings in slot order.
     crossings: dict[GateKey, list[GateCrossing]] = {gid: [] for gid in base_omega}
     for (gid, slot), (owner, eps) in sorted(by_key.items()):
         crossings[gid].append(GateCrossing(gid, eps, owner, letter_index[gid, slot], slot))
     return GateConfiguration(
-        {gid: tuple(cs) for gid, cs in crossings.items()}, words, table, base_omega=base_omega
+        {gid: tuple(cs) for gid, cs in crossings.items()},
+        words,
+        table,
+        base_omega,
+        tuple(sorted(base_omega)),
     )

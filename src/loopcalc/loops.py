@@ -27,13 +27,12 @@ result, and a move sequence, whose inputs are earlier results, passes
 ``checked=True`` so only each result is validated.
 
 Loops prepared together (:func:`loopcalc.stars.prepare_loops`) form a
-family and share one :class:`~loopcalc.words.SpliceMemo`; each knows its
-index in the family.  The splices :func:`graft` and :func:`subloop` take
-prepared loops of one family only, read their words as
-:class:`~loopcalc.words.CyclicWord` and return the canonical integer word
-of the spliced loop from the memo, which works each word out once for
-every route and check on the family; the per-star functions decode the
-terms that survive.
+family: each :class:`PreparedLoop` is a :class:`~loopcalc.words.FamilyWord`
+with the family's :class:`~loopcalc.words.SpliceMemo` and its index there.
+The splices :func:`graft` and :func:`subloop` take prepared loops of one
+family only and return the canonical integer word of the spliced loop from
+the memo, which works each word out once for every route and check on the
+family; the per-star functions decode the terms that survive.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from loopcalc.algebra import HomotopyClass
 from loopcalc.surface import GateRef, StarFilledSurface, SurfaceError, ValidationReport
-from loopcalc.words import OUT, CyclicWord, SpliceMemo, canonical
+from loopcalc.words import OUT, FamilyWord, SpliceMemo, canonical
 
 
 class LoopError(Exception):
@@ -535,42 +534,32 @@ def _reposition(
 # -- prepared loops and splicing ----------------------------------------------
 
 
-class PreparedLoop:
+class PreparedLoop(FamilyWord):
     """A loop validated for one surface, built from its :class:`LoopScan`:
     its transits bucketed by edge number in loop order with their indices,
     the signed count of its crossings of each edge, the edges it crosses on
-    each star (in order of first crossing) and its encoded word.  Its
-    :class:`~loopcalc.words.CyclicWord` is made on its first splice.
+    each star (in order of first crossing), and its encoded word as word
+    ``index`` of the family whose splice ``memo`` it shares.
 
     The constructor takes the scan from :func:`require_valid_loop`, so a
     prepared loop is a valid loop by type, and the scan is the only pass
     over its transits; :func:`loopcalc.stars.prepare_loops` prepares a
-    family, whose loops share one ``memo`` and know their ``index`` in it.
-    A loop prepared alone is a family of its own.  The star calculus reads
-    the buckets through :meth:`on_edge` and :meth:`crossed` only, and only
-    those of the edges the loops cross on the star at hand.  It lives for
-    one call and is never cached across calls.
+    family.  The star calculus reads the buckets through :meth:`on_edge`
+    and :meth:`crossed` only, and only those of the edges the loops cross
+    on the star at hand.  It lives for one call and is never cached across
+    calls.
     """
 
-    __slots__ = (
-        "surface", "loop", "buckets", "counts", "edges", "word", "first_edge", "memo", "index",
-        "_cyclic",
-    )
+    __slots__ = ("surface", "loop", "buckets", "counts", "edges", "first_edge")
 
     def __init__(
-        self,
-        surface: StarFilledSurface,
-        loop: CombinatorialLoop,
-        memo: SpliceMemo | None = None,
-        index: int = 0,
+        self, surface: StarFilledSurface, loop: CombinatorialLoop, memo: SpliceMemo, index: int
     ):
-        _, self.buckets, self.counts, self.edges, self.word = require_valid_loop(surface, loop)
+        _, self.buckets, self.counts, self.edges, word = require_valid_loop(surface, loop)
+        super().__init__(word, memo, index)
         self.surface = surface
         self.loop = loop
         self.first_edge = surface.first_edge
-        self.memo = SpliceMemo() if memo is None else memo
-        self.index = index
-        self._cyclic: CyclicWord | None = None
 
     @property
     def transits(self) -> tuple[Transit, ...]:
@@ -583,13 +572,6 @@ class PreparedLoop:
     def crossed(self, star_id: str) -> Sequence[int]:
         """The edges of one star that the loop crosses."""
         return self.edges.get(star_id, ())
-
-    @property
-    def cyclic(self) -> CyclicWord:
-        """The encoded word with its reduced prefixes, for splicing."""
-        if self._cyclic is None:
-            self._cyclic = CyclicWord(self.word)
-        return self._cyclic
 
     def homotopy_class(self) -> HomotopyClass:
         """The loop's free homotopy class, read from its encoded word."""
@@ -612,7 +594,7 @@ def graft(
     if a.memo is not b.memo:
         raise LoopError("spliced loops must be prepared together, as one family")
     # Each word is rotated just after the transit's entering letter.
-    return a.memo.graft(a.index, a.cyclic, 2 * p + 1, b.index, b.cyclic, 2 * q + 1)
+    return a.memo.graft(a, 2 * p + 1, b, 2 * q + 1)
 
 
 def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tuple[int, ...]:
@@ -623,9 +605,8 @@ def subloop(surface: StarFilledSurface, a: PreparedLoop, p1: int, p2: int) -> tu
         raise LoopError("subloop endpoints must be distinct transits")
     if t1.star != t2.star:
         raise LoopError(f"subloop transits lie in different stars {t1.star!r}, {t2.star!r}")
-    word = a.cyclic
     # The letters from exit(p1) through entry(p2).
-    return a.memo.split(a.index, word, 2 * p1 + 1, (2 * p2 - 2 * p1) % word.size)
+    return a.memo.split(a, 2 * p1 + 1, (2 * p2 - 2 * p1) % len(a.word))
 
 
 # -- abelianization -----------------------------------------------------------

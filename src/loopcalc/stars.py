@@ -39,12 +39,11 @@ over stars itself (the fuzz harness) calls :func:`prepare_loops` first.  A
 :class:`~loopcalc.loops.PreparedLoop` is built from the one scan of its
 loop (:func:`loopcalc.loops.scan_loop`), which validates it, buckets and
 counts its transits by edge number, lists the edges it crosses on each
-star and encodes its word.  The per-star functions (:func:`edge_counts`,
-:func:`star_form`, :func:`star_bracket`, :func:`star_cobracket` and
-:func:`expand_to_gates`) take prepared loops only, trust that they are
-valid, and read the buckets through ``on_edge`` and ``crossed`` only.  All
-but :func:`edge_counts`, which lists a count for every edge, walk only the
-edges the loops cross on their own star: :func:`star_form` sums ``ca[e] *
+star and encodes its word.  The per-star functions (:func:`star_form`,
+:func:`star_bracket`, :func:`star_cobracket` and :func:`expand_to_gates`)
+take prepared loops only, trust that they are valid, and read the buckets
+through ``on_edge`` and ``crossed`` only.  They walk only the edges the
+loops cross on their own star: :func:`star_form` sums ``ca[e] *
 (cb[e+] - cb[e-])`` over the edges ``e`` that ``a`` crosses, an exact
 re-indexing of the skew sum over all edges, reading the counts at the
 surface's edge numbers, and :func:`star_bracket` and :func:`star_cobracket`
@@ -139,12 +138,6 @@ def prepare_loops(
         name: PreparedLoop(surface, loop, memo, index)
         for index, (name, loop) in enumerate(loops.items())
     }
-
-
-def edge_counts(surface: StarFilledSurface, star_id: str, loop: PreparedLoop) -> list[int]:
-    """Signed crossing count of the loop with each edge of the star."""
-    counts, first = loop.counts, surface.first_edge[star_id]
-    return [counts.get(first + e, 0) for e in range(surface.star(star_id).edge_count)]
 
 
 def _check_disjoint(star: Star, loops: Mapping[str, PreparedLoop]) -> None:
@@ -279,7 +272,8 @@ def expand_to_gates(
     pos)``); raises :class:`loopcalc.loops.LoopError` naming the first
     clash in loop order otherwise.  Each gate's crossings are handed over
     in slot order.  The configuration splices into the family's memo, so
-    the loops must come from one :func:`prepare_loops` call.
+    the loops must come from one :func:`prepare_loops` call; raises
+    :class:`~loopcalc.gates.GateCalculusError` otherwise.
     """
     star = surface.star(star_id)
     # Each crossed edge's rows ((numerator, denominator), owner, near letter,
@@ -324,7 +318,7 @@ def expand_to_gates(
         ]
         crossings[gate] = tuple(slots)
 
-    # The configuration reads each loop's cyclic word on its first splice.
+    # The prepared loops are the configuration's words.
     gates, base_omega = surface.star_gates(star_id)
     return GateConfiguration(crossings, loops, surface.letter_table(), base_omega, gates)
 

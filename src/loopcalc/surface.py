@@ -396,6 +396,8 @@ def _minimal_rotation(boundary: Sequence[BoundaryItem]) -> tuple[BoundaryItem, .
 def _validate(surface: StarFilledSurface) -> ValidationReport:
     problems: list[str] = []
     star_ids = [s.id for s in surface.stars]
+    if not star_ids:
+        problems.append("surface has no stars")
     if len(set(star_ids)) != len(star_ids):
         problems.append("duplicate star ids")
     region_ids = [r.id for r in surface.regions]

@@ -19,11 +19,14 @@ two reduced words.  The prefixes are trie nodes kept in three int arrays
 at most ``2n + 1`` nodes.  A splice therefore costs its reduced length,
 and equals ``canonical`` of the raw spliced word.
 
-A :class:`SpliceMemo` keeps the splices of one family of words: the
-reduced rotations, and the canonical word of each graft and split, keyed
-in order by the words' indices in the family.  The loops prepared together
-share one, so the star route, the gate route and every check on that
-family canonicalize each spliced word once.
+A family is a list of words spliced together: a :class:`FamilyWord` is
+one of them, with the family's :class:`SpliceMemo` and its index there.
+The memo keeps the family's splices, the reduced rotations and the
+canonical word of each graft and split, keyed in order by the words'
+indices, and a word makes its :class:`CyclicWord` only on a memo miss.
+The loops prepared together are one family, and so are the owners of a
+raw gate configuration, so the star route, the gate route and every check
+on a family canonicalize each spliced word once.
 """
 
 from __future__ import annotations
@@ -48,14 +51,13 @@ class CyclicWord:
     node's children extend it by one letter that does not cancel its last.
     ``_at[k]`` is the node of the reduced prefix of length ``k`` of
     ``word + word``; ``_parent``, ``_depth`` and ``_last`` hold each node's
-    parent, depth and last letter (``-1`` at the root); ``size`` is ``len(word)``.
+    parent, depth and last letter (``-1`` at the root).
     """
 
-    __slots__ = ("word", "size", "_at", "_parent", "_depth", "_last")
+    __slots__ = ("word", "_at", "_parent", "_depth", "_last")
 
     def __init__(self, word: Sequence[int]):
         self.word = word = tuple(word)
-        self.size = len(word)
         parent, depth, last = [0], [0], [-1]
         children: dict[tuple[int, int], int] = {}
         at = [0]
@@ -76,9 +78,10 @@ class CyclicWord:
 
     def segment(self, start: int, length: int) -> tuple[int, ...]:
         """The free reduction of the ``length`` letters from ``start`` on,
-        read cyclically; ``0 <= start < size`` and ``0 <= length <= size``.
-        It walks from both prefixes to their common one, spelling the
-        letters it undoes and adds, so it costs the length of the result.
+        read cyclically, for ``0 <= start < n`` and ``0 <= length <= n`` in
+        a word of ``n`` letters.  It walks from both prefixes to their
+        common one, spelling the letters it undoes and adds, so it costs the
+        length of the result.
 
         >>> word = CyclicWord([0, 4, 5, 2])
         >>> word.segment(0, 4)
@@ -103,9 +106,32 @@ class CyclicWord:
         return tuple(undo + add)
 
 
+class FamilyWord:
+    """One word of a family: the integer ``word``, the family's ``memo``
+    and the word's ``index`` in it.  Its :class:`CyclicWord` is made on
+    first use, so a word that is never spliced, or whose splices the memo
+    already holds, makes none.
+    """
+
+    __slots__ = ("word", "memo", "index", "_cyclic")
+
+    def __init__(self, word: tuple[int, ...], memo: SpliceMemo, index: int):
+        self.word = word
+        self.memo = memo
+        self.index = index
+        self._cyclic: CyclicWord | None = None
+
+    @property
+    def cyclic(self) -> CyclicWord:
+        """The word with its reduced prefixes, for splicing."""
+        if self._cyclic is None:
+            self._cyclic = CyclicWord(self.word)
+        return self._cyclic
+
+
 class SpliceMemo:
-    """The canonical words spliced from one family of cyclic words, each
-    word known by its index in the family.
+    """The canonical words spliced from one family of words, each known by
+    its index in the family.
 
     ``rotations`` maps ``(i, start)`` to the free reduction of word ``i``
     rotated to begin at ``start``.  ``spliced`` maps a graft ``(i, s, j,
@@ -114,7 +140,7 @@ class SpliceMemo:
     ``i``, to its canonical word.  Each is worked out on first use.  Keys
     stay ordered: the grafts ``(i, s, j, t)`` and ``(j, t, i, s)`` name one
     class but are spliced apart.  The memo holds only integers and tuples,
-    so the loops that share it make no reference cycle.
+    so the words that share it make no reference cycle.
     """
 
     __slots__ = ("rotations", "spliced")
@@ -123,31 +149,30 @@ class SpliceMemo:
         self.rotations: dict[tuple[int, int], tuple[int, ...]] = {}
         self.spliced: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def graft(
-        self, i: int, u: CyclicWord, s: int, j: int, v: CyclicWord, t: int
-    ) -> tuple[int, ...]:
+    def graft(self, u: FamilyWord, s: int, v: FamilyWord, t: int) -> tuple[int, ...]:
         """Canonical word of ``u`` from letter ``s`` on, then ``v`` from
-        letter ``t`` on; ``u`` and ``v`` are words ``i`` and ``j``."""
+        letter ``t`` on, for words ``u`` and ``v`` of this family."""
+        i, j = u.index, v.index
         key = (i, s, j, t)
         word = self.spliced.get(key)
         if word is None:
             rotations = self.rotations
             left = rotations.get((i, s))
             if left is None:
-                left = rotations[i, s] = u.segment(s, u.size)
+                left = rotations[i, s] = u.cyclic.segment(s, len(u.word))
             right = rotations.get((j, t))
             if right is None:
-                right = rotations[j, t] = v.segment(t, v.size)
+                right = rotations[j, t] = v.cyclic.segment(t, len(v.word))
             word = self.spliced[key] = join_canonical(left, right)
         return word
 
-    def split(self, i: int, u: CyclicWord, start: int, length: int) -> tuple[int, ...]:
-        """Canonical word of the ``length`` letters of ``u`` (word ``i``)
-        from ``start`` on, read cyclically."""
-        key = (i, start, length)
+    def split(self, u: FamilyWord, start: int, length: int) -> tuple[int, ...]:
+        """Canonical word of the ``length`` letters of ``u``, a word of this
+        family, from ``start`` on, read cyclically."""
+        key = (u.index, start, length)
         word = self.spliced.get(key)
         if word is None:
-            word = self.spliced[key] = join_canonical(u.segment(start, length), ())
+            word = self.spliced[key] = join_canonical(u.cyclic.segment(start, length), ())
         return word
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import as_class, prepared, torus_grid
 
 from loopcalc.algebra import FormalSum, HomotopyClass, TensorSum
+from loopcalc.cli import main
 from loopcalc.closed import (
     ClosedNormalizer,
     FillingGraphError,
@@ -142,6 +143,20 @@ def test_blue_blue_edge_rejected():
     assert any("unknown red vertex" in p for p in report.problems)
     with pytest.raises(FillingGraphError):
         build_from_graph(spec)
+
+
+def test_graph_with_no_edges_rejected(tmp_path, capsys):
+    """A filling graph with no edges fills no surface: it is invalid, and
+    ``closed load`` exits 2 with one line on stderr."""
+    spec = FillingGraphSpec(blue=(), red=(), edges=())
+    assert validate_filling_spec(spec).problems == ("filling graph has no edges",)
+    with pytest.raises(FillingGraphError, match="no edges"):
+        build_from_graph(spec)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"blue": [], "red": [], "edges": []}))
+    assert main(["closed", "load", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "no edges" in err
 
 
 def test_face_bound_enforced():

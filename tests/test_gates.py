@@ -307,18 +307,21 @@ def test_two_gate_flip_matches_dual_counts():
 
 
 def test_raw_config_words_are_indexed_in_the_order_given():
-    """A raw configuration's plain words get a splice memo of their own and
-    are indexed in it by their position, not by the words' own ``index``
-    method; the splices give the same values through it."""
+    """A raw configuration's owners are one family of their own: their
+    words share one splice memo and are indexed in it by the owners'
+    sorted order; the splices give the same values through it."""
     config = two_gate_config(aligned=False)
     omega = config.base_omega
+    words = config.words
     assert bracket(config).is_zero
-    assert config.words.index == {"a": 0, "b": 1}
+    assert {owner: word.index for owner, word in words.items()} == {"a": 0, "b": 1}
+    assert words["a"].memo is words["b"].memo
     core = HomotopyClass((("g1", 0), ("g2", 1)))
     assert bracket_omega(config, omega) == FormalSum({HomotopyClass(core.letters * 4): 4})
     for owner in "ab":
         assert cobracket_omega(config, omega, owner) == TensorSum({(core, core): 2})
-    assert config.words.index == {"a": 0, "b": 1}
+    assert {owner: word.index for owner, word in words.items()} == {"a": 0, "b": 1}
+    assert {key[0] for key in words["a"].memo.spliced} == {0, 1}
 
 
 # -- raw parsing ------------------------------------------------------------------

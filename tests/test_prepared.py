@@ -12,11 +12,12 @@ from conftest import torus_grid
 
 from loopcalc import fuzz, gates
 from loopcalc import loops as loopmod
-from loopcalc import stars
+from loopcalc import stars, words
 from loopcalc import closed
 from loopcalc.closed import build_from_graph, canonical_filling_graph, from_triangulation
 from loopcalc.fuzz import random_loop_pair
 from loopcalc.loops import LoopError, PreparedLoop, Transit, inverse_loop
+from loopcalc.words import SpliceMemo
 
 
 @pytest.fixture(scope="module")
@@ -65,32 +66,41 @@ def test_aggregate_validates_each_loop_once(torus_pairs, counts, op, method):
             assert counts["encode"] == []
 
 
-def test_gate_configuration_encodes_on_first_splice(torus_pairs, counts):
+def test_gate_configuration_encodes_on_first_splice(torus_pairs, counts, monkeypatch):
     """Each loop is encoded once, in its scan: the configurations encode
-    nothing and read the prepared loops' words, the form makes no cyclic
-    word, and each loop a bracket or cobracket splices makes its cyclic
-    word once, however many stars and gates splice it."""
+    nothing and hold the prepared loops as their words, the form makes no
+    cyclic word, and each loop a bracket or cobracket splices makes its
+    cyclic word once, however many stars and gates splice it."""
+    made = []
+    original = words.CyclicWord
+
+    def counting(word):
+        made.append(original(word))
+        return made[-1]
+
+    monkeypatch.setattr(words, "CyclicWord", counting)
     for surface, a, b in torus_pairs:
         counts["validate"].clear()
         counts["encode"].clear()
+        made.clear()
         loops = stars.prepare_loops(surface, {"a": a, "b": b})
         assert sorted(counts["validate"]) == sorted([id(a), id(b)])
         configs = [stars.expand_to_gates(surface, star.id, loops) for star in surface.stars]
         for config in configs:
+            assert all(config.words[owner] is loop for owner, loop in loops.items())
             gates.form(config)
-        assert not any(config.words.loaded for config in configs)
+        assert made == []
         for config in configs:
             gates.bracket(config)
             gates.cobracket(config, "a")
             gates.cobracket(config, "b")
         assert counts["encode"] == []
         assert sorted(counts["validate"]) == sorted([id(a), id(b)])
-        spliced = {owner for config in configs for owner in config.words.loaded}
-        assert spliced
-        for config in configs:
-            for owner, cyclic in config.words.loaded.items():
-                assert cyclic is loops[owner].cyclic
-                assert cyclic.word is loops[owner].word
+        assert made
+        by_word = {id(loop.word): loop for loop in loops.values()}
+        assert len({id(cyclic.word) for cyclic in made}) == len(made)
+        for cyclic in made:
+            assert by_word[id(cyclic.word)].cyclic is cyclic
 
 
 def test_methods_agree_validates_each_loop_once_per_route(torus_pairs, counts):
@@ -130,7 +140,7 @@ def test_preparing_validates(torus_pairs):
     stray = replace(a, transits=a.transits + (Transit("nowhere", 0, 1, first.pos),))
     for loop in (flipped, stray):
         with pytest.raises(LoopError):
-            PreparedLoop(surface, loop)
+            PreparedLoop(surface, loop, SpliceMemo(), 0)
         with pytest.raises(LoopError):
             stars.prepare_loops(surface, {"a": a, "b": loop})
 

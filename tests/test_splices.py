@@ -53,18 +53,18 @@ def family(surface, a, b):
 def start(config, c) -> int:
     """Where a crossing rotates its owner's word: just after an entering
     letter, at a leaving one."""
-    return (c.letter_index + 1) % len(config.words[c.owner]) if c.eps > 0 else c.letter_index
+    return (c.letter_index + 1) % len(config.words[c.owner].word) if c.eps > 0 else c.letter_index
 
 
 def splice_key(config, p, q) -> tuple:
     """The word a pair of crossings on one gate splices, with each owner
     named by its index in the family: a graft across owners, the piece
     from ``p`` forward to ``q`` within one."""
-    index = config.words.index
+    pw, qw = config.words[p.owner], config.words[q.owner]
     if p.owner != q.owner:
-        return (index[p.owner], start(config, p), index[q.owner], start(config, q))
-    count = (q.letter_index - p.letter_index) % len(config.words[p.owner])
-    return (index[p.owner], start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
+        return (pw.index, start(config, p), qw.index, start(config, q))
+    count = (q.letter_index - p.letter_index) % len(pw.word)
+    return (pw.index, start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
 
 
 def raw_splice(loops, key) -> tuple:
@@ -127,7 +127,8 @@ def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
             star_bracket(surface, "s", loops["a"], loops["b"])
             star_cobracket(surface, "s", loops["a"])
             assert len(canonicalized) == before
-        assert config.words.memo is memo and loops["b"].memo is memo
+        assert all(word.memo is memo for word in config.words.values())
+        assert loops["b"].memo is memo
         assert len(canonicalized) == len(memo.spliced)
         assert set(memo.spliced) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
         for key, word in memo.spliced.items():
@@ -159,7 +160,7 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
             first = splice(fresh, p, q)
             second = splice(fresh, partner[p], partner[q])
             assert second == first
-            assert len(canonicalized) == 1 and len(fresh.words.memo.spliced) == 1
+            assert len(canonicalized) == 1 and len(fresh.words[p.owner].memo.spliced) == 1
             shared += 1
     assert shared > 0
 
@@ -192,18 +193,23 @@ def test_tables_are_not_shared(star_pairs):
     gates.bracket(first)
     gates.cobracket(again, "a")
     memo = loops["a"].memo
-    assert memo.spliced and first.words.memo is memo and again.words.memo is memo
+    assert memo.spliced
+    assert all(word.memo is memo for config in (first, again) for word in config.words.values())
     fresh = family(surface, a, b)["a"].memo
     assert fresh is not memo and not fresh.spliced and not fresh.rotations
 
 
 def test_loops_of_two_families_are_not_expanded_together(star_pairs):
     """Memo keys are indices in one family, so a configuration does not
-    splice the loops of two preparations."""
+    hold the loops of two preparations: it is refused when it is made, and
+    the gate route's form, bracket and cobracket all raise."""
     surface, a, b = star_pairs[0]
     mixed = {"a": family(surface, a, b)["a"], "b": family(surface, a, b)["b"]}
     with pytest.raises(gates.GateCalculusError, match="prepared as one family"):
-        gates.bracket(expand_to_gates(surface, "s", mixed))
+        expand_to_gates(surface, "s", mixed)
+    for call in (("form", "a", "b"), ("bracket", "a", "b"), ("cobracket", "a")):
+        with pytest.raises(gates.GateCalculusError, match="prepared as one family"):
+            stars.evaluate(surface, mixed, [call], "gate")
 
 
 def test_an_empty_configuration_has_no_words():

@@ -23,7 +23,6 @@ from loopcalc.loops import (
 from loopcalc.stars import (
     OddCoefficientError,
     aggregate,
-    edge_counts,
     expand_to_gates,
     halve,
     methods_agree,
@@ -33,6 +32,12 @@ from loopcalc.stars import (
     star_form,
 )
 from loopcalc.surface import canonical_surface
+
+
+def edge_counts(surface, star_id, loop):
+    """The prepared loop's signed crossing count of each edge of the star."""
+    first = surface.first_edge[star_id]
+    return [loop.counts.get(first + e, 0) for e in range(surface.star(star_id).edge_count)]
 
 
 @pytest.fixture(scope="module")

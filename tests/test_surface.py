@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from loopcalc import loops
+from loopcalc.cli import main
 from loopcalc.surface import (
     ARC,
     FillingGraphSpec,
@@ -60,6 +61,18 @@ def test_three_arcs_invalid():
 def test_small_star_invalid():
     surf = StarFilledSurface([Star("s", 1)], [Region("r0", (ARC, GateRef("s", 0)))])
     assert not validate_surface(surf).valid
+
+
+def test_surface_with_no_stars_invalid(tmp_path, capsys):
+    """A surface with no stars is invalid, and ``surface validate`` says
+    so and exits 2."""
+    report = validate_surface(StarFilledSurface([], []))
+    assert report.problems == ("surface has no stars",)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"stars": [], "regions": []}))
+    assert main(["surface", "validate", str(path)]) == 2
+    out, _ = capsys.readouterr()
+    assert json.loads(out) == {"problems": ["surface has no stars"], "valid": False}
 
 
 def test_dual_graph_annulus():

@@ -171,7 +171,7 @@ def test_cyclic_word_keeps_linear_node_arrays():
     for word in ([0, 2, 4, 2] * 25, [1, 4, 0] * 30, [3] * 7, []):
         n = len(word)
         cyclic = CyclicWord(word)
-        assert cyclic.size == n
+        assert len(cyclic.word) == n
         assert len(cyclic._at) == 2 * n + 1
         nodes = {len(a) for a in (cyclic._parent, cyclic._depth, cyclic._last)}
         assert len(nodes) == 1 and nodes.pop() <= 2 * n + 1
