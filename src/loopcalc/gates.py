@@ -36,18 +36,22 @@ bracket, pairing and cobracket term is the class of a splice at a crossing
 pair: :func:`graft_at` and :func:`split_at` return its canonical integer
 word from the family's :class:`~loopcalc.words.SpliceMemo`, which works
 each word out on first use, so the star route, the gate route on every
-star and every check on one family fill one memo.  The memo keys each
-owner by its index in the family: a graft by ``(p's owner, p's rotation
-start, q's owner, q's rotation start)``, where a crossing rotates its
-owner's word just after an entering letter or at a leaving one, and a
-split by ``(owner, piece start, piece length)``.  A transit of a star
-crosses two gates, and its two crossings rotate the owner's word at the
-same letter as the star route's splices do, so the crossing pairs of two
-transits on both gates and on the star route splice one word, once.  Keys
-stay ordered: the graft of ``(p, q)`` and of ``(q, p)`` give the same
-class, but they are spliced apart, so the pairing-symmetry check ``mu(a,
-b) == mu(b, a)`` still compares two computations.  Each route computes its
-own key, so a wrong rotation start still splices a different word.
+star and every check on one family fill one memo.  A crossing rotates
+its owner's word just after an entering letter or at a leaving one, and
+the splices work out each rotation start, and a split's length, once per
+call.  The memo keys each owner by its index in the family and each cut
+by the node of its reduced prefix: a graft by ``(p's owner, node of p's
+rotation start, q's owner, node of q's rotation start)`` and a split by
+``(owner, node of the piece's start, node of its end)``.  A transit of a
+star crosses two gates, and its two crossings rotate the owner's word at
+the same letter as the star route's splices do; the transits of one
+passage through the star, whose letters in between cancel, cut it at one
+node.  So the crossing pairs of all of these, on every gate and on the
+star route, splice one word, once.  Keys stay ordered: the graft of ``(p,
+q)`` and of ``(q, p)`` give the same class, but they are spliced apart,
+so the pairing-symmetry check ``mu(a, b) == mu(b, a)`` still compares two
+computations.  Each route computes its own rotation starts, so a wrong
+start still splices a different word.
 
 The side table.  Every operation is a sum over gates of terms that depend
 on the gate's sign only through which crossing of a pair comes first.  A
@@ -83,8 +87,8 @@ their difference there too, and only its nonzero terms are decoded into
 
 A configuration encodes nothing: an expansion's words come from the scans
 that validated its loops.  A word makes its
-:class:`~loopcalc.words.CyclicWord` only when the memo misses one of its
-splices, so the form makes none.  A configuration lists each owner's
+:class:`~loopcalc.words.CyclicWord` on its first splice lookup, so the
+form makes none.  A configuration lists each owner's
 crossings of each gate once, when it is made.
 """
 
@@ -231,22 +235,19 @@ def _along(sign: int, crossings: tuple[GateCrossing, ...]) -> tuple[GateCrossing
 # -- splicing -------------------------------------------------------------------
 
 
-def _start(word: FamilyWord, c: GateCrossing) -> int:
-    """Where the owner's ``word`` is rotated at the crossing: after an
-    entering crossing's letter, at a leaving one's."""
-    return (c.letter_index + 1) % len(word.word) if c.eps > 0 else c.letter_index
-
-
 def graft_at(
     config: GateConfiguration, p: GateCrossing, q: GateCrossing
 ) -> tuple[int, ...]:
     """Canonical word of the loop following all of ``p``'s owner from
     ``p``, then all of ``q``'s owner from ``q``, joined along their common
-    gate."""
+    gate.  A crossing rotates its owner's word just after an entering
+    letter, at a leaving one."""
     if p.gate != q.gate:
         raise GateCalculusError("graft crossings must lie on the same gate")
     pw, qw = config.words[p.owner], config.words[q.owner]
-    return pw.memo.graft(pw, _start(pw, p), qw, _start(qw, q))
+    s = (p.letter_index + 1) % len(pw.word) if p.eps > 0 else p.letter_index
+    t = (q.letter_index + 1) % len(qw.word) if q.eps > 0 else q.letter_index
+    return pw.memo.graft(pw, s, qw, t)
 
 
 def split_at(
@@ -258,12 +259,14 @@ def split_at(
     ``p2`` leaves."""
     if p1.owner != p2.owner or p1.gate != p2.gate:
         raise GateCalculusError("split crossings must share owner and gate")
-    if p1.letter_index == p2.letter_index:
+    i1, i2 = p1.letter_index, p2.letter_index
+    if i1 == i2:
         raise GateCalculusError("split crossings must be distinct")
     word = config.words[p1.owner]
-    count = (p2.letter_index - p1.letter_index) % len(word.word)
-    length = count + 1 - (p1.eps > 0) - (p2.eps < 0)
-    return word.memo.split(word, _start(word, p1), length)
+    n = len(word.word)
+    enters = p1.eps > 0
+    length = (i2 - i1) % n + (p2.eps > 0) - enters
+    return word.memo.split(word, (i1 + 1) % n if enters else i1, length)
 
 
 # -- the operations -------------------------------------------------------------

@@ -526,7 +526,8 @@ def _reposition(
     if len(assignment) != len(loop.transits):
         raise LoopError("reposition assignment length mismatch")
     transits = tuple(
-        Transit(t.star, t.edge, t.sign, Fraction(p)) for t, p in zip(loop.transits, assignment)
+        Transit(t.star, t.edge, t.sign, p if isinstance(p, Fraction) else Fraction(p))
+        for t, p in zip(loop.transits, assignment)
     )
     return CombinatorialLoop(transits, anchor=loop.anchor)
 

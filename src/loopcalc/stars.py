@@ -65,11 +65,12 @@ integer keys, so no :class:`~fractions.Fraction` is hashed or compared.
 
 The splice memo.  The loops of one :func:`prepare_loops` call are one
 family and share one :class:`~loopcalc.words.SpliceMemo`, keyed by their
-indices in the family.  The star route's splices and the gate route's
-(:mod:`loopcalc.gates`), on every star, read and fill that memo, so one
-:func:`aggregate` call, or one fuzz pair checked by both routes, works out
-each spliced word once.  Each route computes its own key, so a route that
-rotated a word at the wrong letter would still splice a different word.
+indices in the family and the reduced prefixes where a splice cuts them.
+The star route's splices and the gate route's (:mod:`loopcalc.gates`), on
+every star, read and fill that memo, so one :func:`aggregate` call, or one
+fuzz pair checked by both routes, works out each spliced word once.  Each
+route computes its own rotation starts, so a route that rotated a word at
+the wrong letter would still splice a different word.
 
 Integer words.  The splices :func:`~loopcalc.loops.graft` and
 :func:`~loopcalc.loops.subloop` return canonical integer words, and

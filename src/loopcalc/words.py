@@ -23,7 +23,11 @@ A family is a list of words spliced together: a :class:`FamilyWord` is
 one of them, with the family's :class:`SpliceMemo` and its index there.
 The memo keeps the family's splices, the reduced rotations and the
 canonical word of each graft and split, keyed in order by the words'
-indices, and a word makes its :class:`CyclicWord` only on a memo miss.
+indices and by the trie nodes of the reduced prefixes where the splice
+cuts them.  Equal nodes are equal reduced prefixes, and a reduced rotation
+depends on the node of its start alone, so every cut at one reduced
+prefix, such as each transit of one passage through a star, shares one
+splice.  A word builds its :class:`CyclicWord` on its first splice lookup.
 The loops prepared together are one family, and so are the owners of a
 raw gate configuration, so the star route, the gate route and every check
 on a family canonicalize each spliced word once.
@@ -48,7 +52,8 @@ class CyclicWord:
     """A cyclic word with the free reduction of every prefix of its square.
 
     The reduced prefixes form a trie: node ``0`` is the empty word, and a
-    node's children extend it by one letter that does not cancel its last.
+    node's children extend it by one letter that does not cancel its last,
+    so two prefixes reduce to one word exactly when they reach one node.
     ``_at[k]`` is the node of the reduced prefix of length ``k`` of
     ``word + word``; ``_parent``, ``_depth`` and ``_last`` hold each node's
     parent, depth and last letter (``-1`` at the root).
@@ -59,16 +64,19 @@ class CyclicWord:
     def __init__(self, word: Sequence[int]):
         self.word = word = tuple(word)
         parent, depth, last = [0], [0], [-1]
-        children: dict[tuple[int, int], int] = {}
+        # Child ``x`` of ``node`` is keyed ``x * size + node``; nodes < size.
+        size = 2 * len(word) + 1
+        children: dict[int, int] = {}
         at = [0]
         node = 0
         for x in word + word:
             if last[node] == x ^ 1:
                 node = parent[node]
             else:
-                child = children.get((node, x))
+                key = x * size + node
+                child = children.get(key)
                 if child is None:
-                    child = children[node, x] = len(parent)
+                    child = children[key] = len(parent)
                     parent.append(node)
                     depth.append(depth[node] + 1)
                     last.append(x)
@@ -108,9 +116,8 @@ class CyclicWord:
 
 class FamilyWord:
     """One word of a family: the integer ``word``, the family's ``memo``
-    and the word's ``index`` in it.  Its :class:`CyclicWord` is made on
-    first use, so a word that is never spliced, or whose splices the memo
-    already holds, makes none.
+    and the word's ``index`` in it.  Its :class:`CyclicWord` is made on its
+    first splice lookup, so a word that is never spliced makes none.
     """
 
     __slots__ = ("word", "memo", "index", "_cyclic")
@@ -131,16 +138,23 @@ class FamilyWord:
 
 class SpliceMemo:
     """The canonical words spliced from one family of words, each known by
-    its index in the family.
+    its index in the family and by the trie nodes of its reduced prefixes.
 
-    ``rotations`` maps ``(i, start)`` to the free reduction of word ``i``
-    rotated to begin at ``start``.  ``spliced`` maps a graft ``(i, s, j,
-    t)``, rotation ``s`` of word ``i`` followed by rotation ``t`` of word
-    ``j``, and a split ``(i, start, length)``, a cyclic segment of word
-    ``i``, to its canonical word.  Each is worked out on first use.  Keys
-    stay ordered: the grafts ``(i, s, j, t)`` and ``(j, t, i, s)`` name one
-    class but are spliced apart.  The memo holds only integers and tuples,
-    so the words that share it make no reference cycle.
+    A splice is keyed by the prefix nodes ``at`` of its cuts
+    (:class:`CyclicWord`), which name reduced prefixes exactly.  For ``0 <=
+    s < n`` in a word ``w`` of ``n`` letters, the reduced rotation at ``s``
+    is ``P_s^-1 P_{s+n}`` with ``P_{s+n} = red(red(w) P_s)``, so it depends
+    on ``at[s]`` alone: every cut that leaves the word at one reduced
+    prefix, such as the transits of one passage through a star, splices one
+    word.  ``rotations`` maps ``(i, at_i[s])`` to the reduced rotation of
+    word ``i`` at ``s``.  ``spliced`` maps a graft ``(i, at_i[s], j,
+    at_j[t])``, rotation ``s`` of word ``i`` followed by rotation ``t`` of
+    word ``j``, and a split ``(i, at_i[start], at_i[start + length])``, a
+    cyclic segment of word ``i``, to its canonical word; the two key shapes
+    are disjoint.  Each is worked out on first use.  Keys stay ordered: the
+    grafts of ``(u, s, v, t)`` and ``(v, t, u, s)`` name one class but are
+    spliced apart.  The memo holds only integers and tuples, so the words
+    that share it make no reference cycle.
     """
 
     __slots__ = ("rotations", "spliced")
@@ -151,28 +165,33 @@ class SpliceMemo:
 
     def graft(self, u: FamilyWord, s: int, v: FamilyWord, t: int) -> tuple[int, ...]:
         """Canonical word of ``u`` from letter ``s`` on, then ``v`` from
-        letter ``t`` on, for words ``u`` and ``v`` of this family."""
-        i, j = u.index, v.index
-        key = (i, s, j, t)
+        letter ``t`` on, for words ``u`` and ``v`` of this family and ``0 <=
+        s < len(u.word)``, ``0 <= t < len(v.word)``."""
+        cu, cv = u._cyclic or u.cyclic, v._cyclic or v.cyclic
+        i, x, j, y = u.index, cu._at[s], v.index, cv._at[t]
+        key = (i, x, j, y)
         word = self.spliced.get(key)
         if word is None:
             rotations = self.rotations
-            left = rotations.get((i, s))
+            left = rotations.get((i, x))
             if left is None:
-                left = rotations[i, s] = u.cyclic.segment(s, len(u.word))
-            right = rotations.get((j, t))
+                left = rotations[i, x] = cu.segment(s, len(cu.word))
+            right = rotations.get((j, y))
             if right is None:
-                right = rotations[j, t] = v.cyclic.segment(t, len(v.word))
+                right = rotations[j, y] = cv.segment(t, len(cv.word))
             word = self.spliced[key] = join_canonical(left, right)
         return word
 
     def split(self, u: FamilyWord, start: int, length: int) -> tuple[int, ...]:
         """Canonical word of the ``length`` letters of ``u``, a word of this
-        family, from ``start`` on, read cyclically."""
-        key = (u.index, start, length)
+        family, from ``start`` on, read cyclically, for ``0 <= start <
+        len(u.word)`` and ``0 <= length <= len(u.word)``."""
+        cu = u._cyclic or u.cyclic
+        at = cu._at
+        key = (u.index, at[start], at[start + length])
         word = self.spliced.get(key)
         if word is None:
-            word = self.spliced[key] = join_canonical(u.cyclic.segment(start, length), ())
+            word = self.spliced[key] = join_canonical(cu.segment(start, length), ())
         return word
 
 
@@ -200,16 +219,14 @@ def join_canonical(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     if len(w) <= 1:
         return w
     least = min(w)
-    best = None
     i = w.index(least)
-    while True:
+    best = w[i:] + w[:i]
+    for _ in range(w.count(least) - 1):
+        i = w.index(least, i + 1)
         rotation = w[i:] + w[:i]
-        if best is None or rotation < best:
+        if rotation < best:
             best = rotation
-        try:
-            i = w.index(least, i + 1)
-        except ValueError:
-            return best
+    return best
 
 
 class LetterTable:

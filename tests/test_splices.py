@@ -1,9 +1,10 @@
 """The splice memo of a prepared family: the loops prepared together share
-one memo, so repeated operations on the family, under every gate
-orientation and by both routes, run the splice kernel at most once per
-spliced word and give the values of fresh preparations; a transit's two
-gate crossings share their splices with each other and with the star
-route; the two orders of a pair are still spliced apart; a fresh
+one memo, keyed by the reduced prefixes where a splice cuts its words, so
+repeated operations on the family, under every gate orientation and by
+both routes, run the splice kernel once per key and give the values of
+fresh preparations; a transit's two gate crossings share their splices
+with each other and with the star route, and the transits of one passage
+share theirs; the two orders of a pair are still spliced apart; a fresh
 preparation starts with an empty memo.  The memo holds the canonical
 integer word of each splice, and each operation decodes only its nonzero
 terms."""
@@ -15,6 +16,7 @@ import pytest
 
 from loopcalc import algebra, fuzz, gates, stars, words
 from loopcalc.fuzz import random_loop_pair, surface_from_spec
+from loopcalc.loops import compile_word, graft, make_generic
 from loopcalc.stars import expand_to_gates, prepare_loops, star_bracket, star_cobracket
 from loopcalc.words import canonical, join_canonical
 
@@ -56,10 +58,11 @@ def start(config, c) -> int:
     return (c.letter_index + 1) % len(config.words[c.owner].word) if c.eps > 0 else c.letter_index
 
 
-def splice_key(config, p, q) -> tuple:
-    """The word a pair of crossings on one gate splices, with each owner
-    named by its index in the family: a graft across owners, the piece
-    from ``p`` forward to ``q`` within one."""
+def cut(config, p, q) -> tuple:
+    """The letter positions where a pair of crossings on one gate cuts its
+    owners' words, with each owner named by its index in the family: a
+    graft across owners, the piece from ``p`` forward to ``q`` within
+    one."""
     pw, qw = config.words[p.owner], config.words[q.owner]
     if p.owner != q.owner:
         return (pw.index, start(config, p), qw.index, start(config, q))
@@ -67,18 +70,29 @@ def splice_key(config, p, q) -> tuple:
     return (pw.index, start(config, p), count + 1 - (p.eps > 0) - (q.eps < 0))
 
 
-def raw_splice(loops, key) -> tuple:
-    """The unreduced word a memo key names in a family: two rotations for a
-    graft, a piece of one rotation for a split."""
+def splice_key(loops, cuts) -> tuple:
+    """The memo key of a cut: the trie node of each reduced prefix it
+    leaves, a graft's rotation starts or a split's two ends."""
+    at = [loop.cyclic._at for loop in loops.values()]
+    if len(cuts) == 4:
+        i, s, j, t = cuts
+        return (i, at[i][s], j, at[j][t])
+    i, s, length = cuts
+    return (i, at[i][s], at[i][s + length])
+
+
+def raw_splice(loops, cuts) -> tuple:
+    """The unreduced word of a cut: two rotations for a graft, a piece of
+    one rotation for a split."""
     by_index = [loop.word for loop in loops.values()]
 
     def rotated(i, at):
         word = by_index[i]
         return word[at:] + word[:at]
 
-    if len(key) == 4:
-        return rotated(key[0], key[1]) + rotated(key[2], key[3])
-    return rotated(key[0], key[1])[: key[2]]
+    if len(cuts) == 4:
+        return rotated(cuts[0], cuts[1]) + rotated(cuts[2], cuts[3])
+    return rotated(cuts[0], cuts[1])[: cuts[2]]
 
 
 def ordered_pairs(config) -> list:
@@ -129,10 +143,16 @@ def test_each_spliced_word_is_canonicalized_once(star_pairs, canonicalized):
             assert len(canonicalized) == before
         assert all(word.memo is memo for word in config.words.values())
         assert loops["b"].memo is memo
-        assert len(canonicalized) == len(memo.spliced)
-        assert set(memo.spliced) <= {splice_key(config, p, q) for p, q in ordered_pairs(config)}
-        for key, word in memo.spliced.items():
-            assert word == canonical(raw_splice(loops, key))
+        # Every ordered pair was spliced, and its memo word is canonical of
+        # its own raw splice, whichever pair of one key was spliced first.
+        keys = set()
+        for p, q in ordered_pairs(config):
+            cuts = cut(config, p, q)
+            key = splice_key(loops, cuts)
+            assert memo.spliced[key] == canonical(raw_splice(loops, cuts))
+            keys.add(key)
+        assert set(memo.spliced) == keys
+        assert len(canonicalized) == len(keys)
         spliced += len(canonicalized)
         pairs += len(ordered_pairs(config))
     assert 0 < spliced < pairs
@@ -166,21 +186,67 @@ def test_a_transits_two_crossings_share_one_splice(star_pairs, canonicalized):
 
 
 def test_mu_splices_both_orders(star_pairs, canonicalized):
+    """``mu(a, b)`` canonicalizes one word per distinct key of its pairs,
+    and ``mu(b, a)`` then splices a disjoint set of keys, so the symmetry
+    check compares two computations."""
     checked = 0
     for surface, a, b in star_pairs:
         for gate in expand_to_gates(surface, "s", family(surface, a, b)).gates:
             # A fresh family per gate: the pairs of a neighbouring gate may
             # already have spliced this gate's words.
-            config = expand_to_gates(surface, "s", family(surface, a, b))
-            n = len(config.gate_crossings(gate, "a")) * len(config.gate_crossings(gate, "b"))
+            loops = family(surface, a, b)
+            config = expand_to_gates(surface, "s", loops)
+            memo = loops["a"].memo
+            pairs = list(
+                itertools.product(config.gate_crossings(gate, "a"), config.gate_crossings(gate, "b"))
+            )
+            forward = {splice_key(loops, cut(config, p, q)) for p, q in pairs}
+            backward = {splice_key(loops, cut(config, q, p)) for p, q in pairs}
+            assert forward.isdisjoint(backward)
             canonicalized.clear()
             ab = gates.mu(config, gate, "a", "b")
-            assert len(canonicalized) == n
+            assert len(canonicalized) == len(forward) and set(memo.spliced) == forward
             ba = gates.mu(config, gate, "b", "a")
-            assert len(canonicalized) == 2 * n
+            assert len(canonicalized) == len(forward) + len(backward)
+            assert set(memo.spliced) == forward | backward
             assert ab == ba
-            checked += n
+            checked += len(pairs)
     assert checked > 0
+
+
+def test_the_transits_of_one_passage_share_one_splice(canonicalized, monkeypatch):
+    """x1 on g2b1 crosses the star in one passage of two transits, and the
+    letters between them cancel: both cut x1 at one reduced prefix, so the
+    star route grafts each of them with a transit of y1 into one word, made
+    once."""
+    surface, generators = surface_from_spec("g2b1")
+    a, b = make_generic(surface, [compile_word(surface, generators, name) for name in ("x1", "y1")])
+    loops = family(surface, a, b)
+    x1, y1 = loops["a"], loops["b"]
+    assert len(x1.transits) == 2 and x1.word[1] == x1.word[2] ^ 1
+    canonicalized.clear()
+    for q in range(len(y1.transits)):
+        first = graft(surface, x1, 0, y1, q)
+        made = len(canonicalized)
+        second = graft(surface, x1, 1, y1, q)
+        assert len(canonicalized) == made
+        y_cut = 2 * q + 1
+        raw = y1.word[y_cut:] + y1.word[:y_cut]
+        assert first == canonical(x1.word[1:] + x1.word[:1] + raw)
+        assert second == first == canonical(x1.word[3:] + x1.word[:3] + raw)
+    assert 0 < len(canonicalized) <= len(y1.transits)
+    # The whole star bracket of a fresh family: fewer words than grafts.
+    grafts = []
+
+    def counting(*args):
+        grafts.append(args)
+        return graft(*args)
+
+    monkeypatch.setattr(stars, "graft", counting)
+    loops = family(surface, a, b)
+    canonicalized.clear()
+    assert not star_bracket(surface, "s", loops["a"], loops["b"]).is_zero
+    assert len(canonicalized) == len(loops["a"].memo.spliced) < len(grafts)
 
 
 def test_tables_are_not_shared(star_pairs):

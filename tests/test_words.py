@@ -190,3 +190,47 @@ def test_segments_of_a_long_word_are_reduced_rotations():
     n = len(word)
     for s in range(n):
         assert cyclic.segment(s, n) == tuple(_wordpure.reduce_word(rotation(word, s)))
+
+
+def loop_shaped(draws):
+    """A word of two letters per transit, entry then exit, from ``(entry,
+    exit, passes_on)`` draws: a transit that passes on from the one before
+    enters by the inverse of its exit letter, so the pair cancels inside a
+    passage."""
+    word = []
+    for entry, exit_, passes_on in draws:
+        word += [word[-1] ^ 1 if passes_on and word else entry, exit_]
+    return word
+
+
+transit_draws = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans()), min_size=1, max_size=8
+)
+memo_words = st.one_of(small_words.filter(lambda w: len(w) <= 16), transit_draws.map(loop_shaped))
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_words, memo_words)
+def test_splice_memo_keys_by_reduced_prefixes(u, v):
+    """The memo keys a cut by the trie node of its reduced prefix: two
+    starts at one node have one reduced rotation, and every graft and split
+    the memo returns, looked up in any order through one shared memo, is
+    ``canonical`` of its raw spliced word."""
+    memo = wordmod.SpliceMemo()
+    fu, fv = wordmod.FamilyWord(tuple(u), memo, 0), wordmod.FamilyWord(tuple(v), memo, 1)
+    for word in (fu, fv):
+        n, at = len(word.word), word.cyclic._at
+        for s in range(n):
+            for s2 in range(n):
+                if at[s] == at[s2]:
+                    assert word.cyclic.segment(s, n) == word.cyclic.segment(s2, n)
+    for x, y in ((fu, fv), (fv, fu), (fu, fu)):
+        for s in range(len(x.word)):
+            for t in range(len(y.word)):
+                spliced = rotation(x.word, s) + rotation(y.word, t)
+                assert memo.graft(x, s, y, t) == _wordpure.canonical(spliced)
+    for x in (fu, fv):
+        for start in range(len(x.word)):
+            for length in range(len(x.word) + 1):
+                piece = rotation(x.word, start)[:length]
+                assert memo.split(x, start, length) == _wordpure.canonical(piece)
